@@ -125,9 +125,9 @@ def _load_instance(
     return LoadedInstance(family, context, abstraction)
 
 
-def _concept_line(concept, universe: Universe, objects, fmt: str) -> str:
+def _concept_line(concept, universe: Universe, context, fmt: str) -> str:
     intent = universe.names_of(concept.intent)
-    extent = tuple(objects[i] for i in _bits(concept.extent))
+    extent = context.object_names(concept.extent)
     anchor = universe.names_of(concept.anchor_minimal)
     if fmt == "json":
         return json.dumps(
@@ -148,15 +148,6 @@ def _concept_line(concept, universe: Universe, objects, fmt: str) -> str:
             "true" if concept.empty_support else "false",
         ]
     )
-
-
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
 
 
 @click.group()
@@ -193,7 +184,7 @@ def mine_command(graph_path, edge_mode, min_size, explicit_path, kgap,
     if sorted_output:
         concepts.sort(key=lambda c: (" ".join(universe.names_of(c.intent)), c.extent))
     for concept in concepts:
-        click.echo(_concept_line(concept, universe, inst.context.objects, fmt))
+        click.echo(_concept_line(concept, universe, inst.context, fmt))
 
 
 @main.command("basis")

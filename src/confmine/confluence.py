@@ -8,8 +8,6 @@ equivalently a subset closed under join above any common member.
 
 from __future__ import annotations
 
-from typing import Hashable
-
 from .order import (
     FiniteLattice,
     FinitePoset,
@@ -221,7 +219,3 @@ def lift_closure(fam: InteriorFamily, f: OperatorMap) -> OperatorMap:
     pos = {o: k for k, o in enumerate(old)}
     table = [pos[fam.project(t, f.table[t])] for t in old]
     return OperatorMap(sub, table)
-
-
-def confluence_ids(conf: ExplicitConfluence, indices) -> tuple[Hashable, ...]:
-    return tuple(conf.carrier.ids[i] for i in indices)

@@ -120,7 +120,10 @@ class PatternFamily(ABC):
         """Greatest family member below x containing ``member`` (requires x >= member)."""
 
     def augmentations(self, pattern: int) -> list[int]:
-        """Item indices e such that pattern + e stays in the family."""
+        """Item indices e such that pattern + e stays in the family.
+
+        ``pattern`` must be a member; this default scans membership per item.
+        """
         return [
             e
             for e in range(self.universe.size)
@@ -143,11 +146,25 @@ def _component_from(seed: int, within: int, adjacency: Sequence[int]) -> int:
     frontier = seed
     while frontier:
         grown = 0
-        for v in iter_indices(frontier):
-            grown |= adjacency[v] & within
-        frontier = grown & ~comp
+        while frontier:  # iter_indices inlined: the closure BFS is the hot loop
+            low = frontier & -frontier
+            grown |= adjacency[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & within & ~comp
         comp |= frontier
     return comp
+
+
+def _adjacent_items(pattern: int, adjacency: Sequence[int]) -> list[int]:
+    """Items outside a connected member that touch it, in increasing order.
+
+    Exactly its augmentations: adding an adjacent item keeps the set connected
+    (and above any size bound), adding any other disconnects it.
+    """
+    neighbors = 0
+    for v in iter_indices(pattern):
+        neighbors |= adjacency[v]
+    return list(iter_indices(neighbors & ~pattern))
 
 
 class ConnectedVertexFamily(PatternFamily):
@@ -178,6 +195,9 @@ class ConnectedVertexFamily(PatternFamily):
 
     def minimals(self) -> tuple[int, ...]:
         return self._minimals
+
+    def augmentations(self, pattern: int) -> list[int]:
+        return _adjacent_items(pattern, self._adj)
 
     def _find_minimals(self) -> tuple[int, ...]:
         if self.min_size == 1:
@@ -222,6 +242,9 @@ class ConnectedEdgeFamily(PatternFamily):
 
     def minimals(self) -> tuple[int, ...]:
         return tuple(bit(e) for e in range(self.universe.size))
+
+    def augmentations(self, pattern: int) -> list[int]:
+        return _adjacent_items(pattern, self._adj)
 
     def project(self, member: int, x: int) -> int:
         self._check_projection_args(member, x)

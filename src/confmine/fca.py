@@ -3,12 +3,16 @@ abstractions, and support closures over pattern families.
 
 The support closure of a family member t is the greatest family member above t
 with the same (abstract) support set: project the plain powerset closure
-intension(extension(t)) onto the family at any minimal member below t.
+intension(extension(t)) onto the family at any minimal member below t.  In a
+confluence every minimal m below t gives the same projection, and so does t
+itself (m <= t <= x makes project_t(x) == project_m(x)), so closures project
+from the pattern and never look up a minimal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .families import ParseError, PatternFamily, subconfluence_violation
@@ -36,6 +40,18 @@ class ObjectContext:
             if d & ~self.universe.full_mask:
                 raise ContextError("description uses items outside the universe")
 
+    @cached_property
+    def tids(self) -> tuple[int, ...]:
+        """Item-major tidsets: bit o of ``tids[i]`` is set when object o has item i.
+
+        Derived on first use and kept; the context stays immutable in effect.
+        """
+        tids = [0] * self.universe.size
+        for o, d in enumerate(self.descriptions):
+            for i in iter_indices(d):
+                tids[i] |= 1 << o
+        return tuple(tids)
+
     @property
     def n_objects(self) -> int:
         return len(self.objects)
@@ -52,11 +68,17 @@ class ObjectContext:
 
 
 def extension(ctx: ObjectContext, pattern: int) -> int:
-    """Support set of a pattern: objects whose description contains it."""
-    e = 0
-    for i, d in enumerate(ctx.descriptions):
-        if is_subset(pattern, d):
-            e |= 1 << i
+    """Support set of a pattern: objects whose description contains it.
+
+    The AND of the pattern's item tidsets; items outside the universe have no
+    objects.
+    """
+    if pattern & ~ctx.universe.full_mask:
+        return 0
+    e = ctx.all_objects_mask
+    tids = ctx.tids
+    for i in iter_indices(pattern):
+        e &= tids[i]
     return e
 
 
@@ -134,8 +156,8 @@ class ExtensionalAbstraction:
 def anchor_minimal(fam: PatternFamily, pattern: int) -> int:
     """The least-mask minimal family member inside a pattern.
 
-    Any minimal below the pattern gives the same projection value; the fixed
-    choice only pins traversal determinism.
+    This is the anchor the miner reports for an emitted concept: there it is
+    the root minimal of the concept's subtree, known without this scan.
     """
     for m in fam.minimals():
         if is_subset(m, pattern):
@@ -143,12 +165,21 @@ def anchor_minimal(fam: PatternFamily, pattern: int) -> int:
     raise ValueError("family member lies above no minimal member")
 
 
-def support_closure(ctx: ObjectContext, fam: PatternFamily, pattern: int) -> int:
-    """Greatest family member above ``pattern`` with the same support set."""
-    if not fam.contains(pattern):
-        raise ValueError("support closure is only defined on family members")
-    m = anchor_minimal(fam, pattern)
-    return fam.project(m, intension(ctx, extension(ctx, pattern)))
+def closure_and_extent(
+    ctx: ObjectContext,
+    fam: PatternFamily,
+    abstraction: ExtensionalAbstraction,
+    pattern: int,
+) -> tuple[int, int]:
+    """(abstract support closure, abstract support) of a family member.
+
+    The powerset closure of the abstract support, projected at the pattern
+    itself.  With an empty abstract support the powerset closure is the whole
+    universe, so the result is the local top of the pattern's component.
+    Raises ``ValueError`` (from the projection) for non-members.
+    """
+    abstract_extent = abstraction.apply(extension(ctx, pattern))
+    return fam.project(pattern, intension(ctx, abstract_extent)), abstract_extent
 
 
 def abstract_support_closure(
@@ -157,16 +188,15 @@ def abstract_support_closure(
     abstraction: ExtensionalAbstraction,
     pattern: int,
 ) -> int:
-    """Support closure through an extensional abstraction.
+    """Support closure through an extensional abstraction."""
+    return closure_and_extent(ctx, fam, abstraction, pattern)[0]
 
-    With an empty abstract support the powerset closure is the whole universe,
-    so the result is the local top of the pattern's component.
-    """
-    if not fam.contains(pattern):
-        raise ValueError("support closure is only defined on family members")
-    m = anchor_minimal(fam, pattern)
-    abstract_extent = abstraction.apply(extension(ctx, pattern))
-    return fam.project(m, intension(ctx, abstract_extent))
+
+def support_closure(ctx: ObjectContext, fam: PatternFamily, pattern: int) -> int:
+    """Greatest family member above ``pattern`` with the same support set."""
+    return abstract_support_closure(
+        ctx, fam, ExtensionalAbstraction.identity(), pattern
+    )
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
 from .families import ExplicitFamily, PatternFamily, is_strongly_accessible
-from .fca import (
-    Concept,
-    ExtensionalAbstraction,
-    ObjectContext,
-    anchor_minimal,
-    extension,
-    intension,
-)
+from .fca import Concept, ExtensionalAbstraction, ObjectContext, closure_and_extent
 from .patterns import is_subset
 
 
@@ -103,25 +96,20 @@ def not_include_any_of(pattern: int, excluded_minimals: Iterable[int]) -> bool:
 
 
 def _first_including(pattern: int, excluded_minimals: Iterable[int]) -> int | None:
+    outside = ~pattern  # is_subset inlined: this scan runs once per closure
     for m in excluded_minimals:
-        if is_subset(m, pattern):
+        if not m & outside:
             return m
     return None
 
 
-def close_pattern(cfg: MinerConfig, pattern: int) -> tuple[int, int, int]:
-    """Close a family member: (closed pattern, anchor minimal, abstract extent).
+def close_pattern(cfg: MinerConfig, pattern: int) -> tuple[int, int]:
+    """Close a family member: (closed pattern, abstract extent).
 
-    First the powerset closure of the abstract support (the whole universe when
-    that support is empty), then the projection at the least minimal inside the
-    pattern.
+    The powerset closure of the abstract support (the whole universe when that
+    support is empty), projected at the pattern; ``ValueError`` for non-members.
     """
-    if not cfg.family.contains(pattern):
-        raise ValueError("cannot close a pattern outside the family")
-    abstract_extent = cfg.abstraction.apply(extension(cfg.context, pattern))
-    q = intension(cfg.context, abstract_extent)
-    m = anchor_minimal(cfg.family, pattern)
-    return cfg.family.project(m, q), m, abstract_extent
+    return closure_and_extent(cfg.context, cfg.family, cfg.abstraction, pattern)
 
 
 def mine_trace(cfg: MinerConfig) -> Iterator[TraceEvent]:
@@ -147,10 +135,13 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
     fam = cfg.family
     excluded: list[int] = []
     for m in fam.minimals():
-        p, anchor, abstract_extent = close_pattern(cfg, m)
+        p, abstract_extent = close_pattern(cfg, m)
         blocker = _first_including(p, excluded)
         if blocker is None:
-            yield from _enum_closed(cfg, p, anchor, abstract_extent, None, tuple(excluded), [])
+            # m anchors every concept of its subtree: those closures contain m
+            # and, having passed the exclusion check, no earlier minimal, and
+            # minimals() is sorted by mask.
+            yield from _enum_closed(cfg, p, m, abstract_extent, None, tuple(excluded), [])
             enumerated = True
         else:
             yield PruneEvent(p, None, blocked_by_minimal=blocker, at_root=True)
@@ -183,7 +174,7 @@ def _enum_closed(
         return
     excluded_items = list(excluded_items)
     for e in cfg.family.augmentations(pattern):
-        q, q_anchor, q_extent = close_pattern(cfg, pattern | (1 << e))
+        q, q_extent = close_pattern(cfg, pattern | (1 << e))
         if not is_subset(pattern | (1 << e), q):
             raise ValueError(
                 "family projection is not extensive; the family violates its contract"
@@ -197,7 +188,7 @@ def _enum_closed(
             yield PruneEvent(q, pattern, blocked_by_item=hit)
             continue
         yield from _enum_closed(
-            cfg, q, q_anchor, q_extent, pattern, excluded_minimals, excluded_items
+            cfg, q, anchor, q_extent, pattern, excluded_minimals, excluded_items
         )
         excluded_items.append(e)
 

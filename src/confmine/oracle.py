@@ -29,7 +29,6 @@ from .fca import (
     ExtensionalAbstraction,
     ObjectContext,
     abstract_support_closure,
-    extension,
     intension,
     verify_extent_decomposition,
 )
@@ -42,7 +41,7 @@ from .order import (
     closure_from_subset,
     is_meet_closed,
 )
-from .patterns import Universe, bit, is_subset, iter_indices
+from .patterns import Universe, bit, is_subset, iter_indices, mask_of
 
 
 class BudgetExceededError(RuntimeError):
@@ -63,6 +62,14 @@ class ClosureUndefinedError(ValueError):
         )
         self.pattern = pattern
         self.maximals = maximals
+
+
+def _support(ctx: ObjectContext, pattern: int) -> int:
+    """Objects whose description contains the pattern, by scanning every object.
+
+    The definition itself; ``fca.extension`` answers from item tidsets instead.
+    """
+    return mask_of(o for o, d in enumerate(ctx.descriptions) if is_subset(pattern, d))
 
 
 def materialize(fam: PatternFamily, budget: int = 4096) -> list[int]:
@@ -105,11 +112,11 @@ def oracle_closure(
     """
     if pattern not in set(members):
         raise ValueError("pattern outside the family")
-    target = abstraction.apply(extension(ctx, pattern))
+    target = abstraction.apply(_support(ctx, pattern))
     candidates = [
         t
         for t in members
-        if is_subset(pattern, t) and abstraction.apply(extension(ctx, t)) == target
+        if is_subset(pattern, t) and abstraction.apply(_support(ctx, t)) == target
     ]
     maximals = tuple(
         t for t in candidates if not any(u != t and is_subset(t, u) for u in candidates)
@@ -123,7 +130,7 @@ def oracle_closed_set(
     ctx: ObjectContext, members: Sequence[int], abstraction: ExtensionalAbstraction
 ) -> set[int]:
     """Patterns with no strict superset in the family sharing their abstract support."""
-    supports = {t: abstraction.apply(extension(ctx, t)) for t in members}
+    supports = {t: abstraction.apply(_support(ctx, t)) for t in members}
     return {
         t
         for t in members
@@ -208,7 +215,7 @@ def verify_all(
     rng = random.Random(seed)
     members = materialize(fam, budget)
     closed = sorted(oracle_closed_set(ctx, members, abstraction))
-    concepts = tuple((t, abstraction.apply(extension(ctx, t))) for t in closed)
+    concepts = tuple((t, abstraction.apply(_support(ctx, t))) for t in closed)
     report = OracleReport(family_size=len(members), closed=tuple(closed), concepts=concepts)
     checks = report.checks
 
@@ -375,10 +382,10 @@ def _check_extent_decomposition(ctx, fam, members) -> CheckResult:
 def _check_local_closures(ctx, fam, rng) -> CheckResult:
     """Each extension . project_m . intension must be a closure on subsets of ext(m)."""
     for m in fam.minimals():
-        ext_m = extension(ctx, m)
+        ext_m = _support(ctx, m)
 
         def h(x: int) -> int:
-            return extension(ctx, fam.project(m, intension(ctx, x)))
+            return _support(ctx, fam.project(m, intension(ctx, x)))
 
         subsets = _subsets_within(ext_m, rng, cap=64)
         for x in subsets:

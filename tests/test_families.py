@@ -211,6 +211,11 @@ class TestFamilyProperties:
     def _families(self, rng):
         g = random_graph(rng, max_vertices=6)
         yield cm.ConnectedVertexFamily(g)
+        for min_size in (2, 3):
+            try:
+                yield cm.ConnectedVertexFamily(g, min_size)
+            except FamilyError:
+                pass  # no connected vertex set that large
         if len(g.edges) <= 8:
             yield cm.ConnectedEdgeFamily(g)
         yield cm.KGapWordFamily(rng.randint(2, 6), rng.randint(1, 3))

@@ -38,6 +38,41 @@ class TestExtensionIntension:
             cm.ObjectContext(("o1",), (0b10,), u)
 
 
+class TestTidsetExtension:
+    """``extension`` ANDs item tidsets; it must agree with an object scan."""
+
+    @staticmethod
+    def _scan(ctx, pattern):
+        return sum(
+            1 << o for o, d in enumerate(ctx.descriptions) if is_subset(pattern, d)
+        )
+
+    def test_matches_object_scan(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            u = cm.Universe([f"i{k}" for k in range(rng.randint(1, 6))])
+            ctx = random_context(rng, u, max_objects=9)
+            for p in range(u.full_mask + 1):
+                assert cm.extension(ctx, p) == self._scan(ctx, p)
+            assert cm.extension(ctx, 0) == ctx.all_objects_mask
+
+    def test_zero_objects(self):
+        u = cm.Universe(["a", "b"])
+        ctx = cm.ObjectContext((), (), u)
+        assert ctx.tids == (0, 0)
+        for p in range(u.full_mask + 1):
+            assert cm.extension(ctx, p) == 0
+
+    def test_item_major_and_derived_on_first_use(self, five_universe):
+        ctx = build_context(five_universe, {"o1": "a b", "o2": "a b c", "o3": "a b c d"})
+        assert "tids" not in vars(ctx)
+        assert ctx.tids == (0b111, 0b111, 0b110, 0b100)
+        assert vars(ctx)["tids"] is ctx.tids
+
+    def test_items_outside_universe_have_no_objects(self, five_context):
+        assert cm.extension(five_context, 1 << 4) == 0
+
+
 class TestSupportClosure:
     def test_five_family_closures(self, five_context, five_family, five_universe):
         u = five_universe

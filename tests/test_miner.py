@@ -6,7 +6,8 @@ import random
 import pytest
 
 import confmine as cm
-from confmine.families import ExplicitFamily
+from confmine.families import ExplicitFamily, FamilyError
+from confmine.fca import anchor_minimal
 from confmine.miner import MinimalEvent, MineEvent, PruneEvent, close_pattern
 from confmine.oracle import (
     materialize,
@@ -42,8 +43,9 @@ class TestClosePattern:
             context=wedge_context,
             abstraction=cm.ExtensionalAbstraction.frequency(4),
         )
-        pattern, anchor, extent = close_pattern(cfg, wedge_universe.mask("ab"))
-        assert pattern == wedge_family.local_top(anchor) == wedge_universe.mask("abcd")
+        u = wedge_universe
+        pattern, extent = close_pattern(cfg, u.mask("ab"))
+        assert pattern == wedge_family.local_top(u.mask("ab")) == u.mask("abcd")
         assert extent == 0
 
     def test_rejects_non_member(self, wedge_family, wedge_context, wedge_universe):
@@ -237,7 +239,7 @@ class TestExclusionListPlacements:
                 return
             excl_items = list(excl_items)
             for e in cfg.family.augmentations(pattern):
-                q, _, q_extent = close_pattern(cfg, pattern | (1 << e))
+                q, q_extent = close_pattern(cfg, pattern | (1 << e))
                 if cm.not_include_any_of(q, excluded) and all(
                     not (q >> i) & 1 for i in excl_items
                 ):
@@ -245,7 +247,7 @@ class TestExclusionListPlacements:
                     excl_items.append(e)
 
         for m in cfg.family.minimals():
-            p, _, extent = close_pattern(cfg, m)
+            p, extent = close_pattern(cfg, m)
             if cm.not_include_any_of(p, excluded):
                 enum(p, extent, [])
                 excluded.append(m)
@@ -335,3 +337,49 @@ class TestMinerAgainstOracle:
                 assert c.extent == abstraction.apply(cm.extension(ctx, c.intent))
                 assert cm.abstract_support_closure(ctx, fam, abstraction, c.intent) == c.intent
                 assert c.empty_support == (c.extent == 0)
+
+
+class TestRootAnchorsAcrossFamilyKinds:
+    """Every emitted concept's anchor (its subtree's root minimal) is the
+    least-mask minimal inside its intent, and the emitted intents are the
+    oracle's closed set, for every family kind under identity, frequency and
+    generator abstractions."""
+
+    @staticmethod
+    def _vertex_family(rng, min_size):
+        while True:
+            try:
+                return cm.ConnectedVertexFamily(random_graph(rng, max_vertices=6), min_size)
+            except FamilyError:
+                continue  # no connected vertex set that large
+
+    def _families(self, rng):
+        for min_size in (1, 2, 3):
+            yield self._vertex_family(rng, min_size)
+        yield cm.ConnectedEdgeFamily(random_graph(rng, max_vertices=5))
+        yield cm.KGapWordFamily(rng.randint(2, 6), rng.randint(1, 3))
+        yield random_explicit_subconfluence(rng, n_items=4, require_strong_accessibility=True)
+
+    @staticmethod
+    def _abstractions(rng, n_objects):
+        yield cm.ExtensionalAbstraction.identity()
+        yield cm.ExtensionalAbstraction.frequency(rng.randint(1, n_objects))
+        yield cm.ExtensionalAbstraction.from_generators(
+            rng.randrange(1 << n_objects) for _ in range(rng.randint(1, 3))
+        )
+
+    def test_random_instances(self):
+        rng = random.Random(2002)
+        for _ in range(8):
+            for fam in self._families(rng):
+                members = materialize(fam)
+                ctx = random_context(rng, fam.universe, max_objects=6)
+                for abstraction in self._abstractions(rng, ctx.n_objects):
+                    cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
+                    mined = [ev for ev in cm.mine_trace(cfg) if isinstance(ev, MineEvent)]
+                    for ev in mined:
+                        c = ev.concept
+                        assert c.anchor_minimal == anchor_minimal(fam, c.intent)
+                    got = intents(mined)
+                    assert len(got) == len(set(got))
+                    assert set(got) == oracle_closed_set(ctx, members, abstraction)
