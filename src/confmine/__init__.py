@@ -64,7 +64,6 @@ from .miner import (
     PruneEvent,
     mine,
     mine_trace,
-    not_include_any_of,
 )
 from .oracle import (
     BudgetExceededError,
@@ -147,7 +146,6 @@ __all__ = [
     "mine",
     "mine_trace",
     "minmax_basis",
-    "not_include_any_of",
     "oracle_closed_set",
     "oracle_closure",
     "powerset_lattice",

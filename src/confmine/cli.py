@@ -175,14 +175,15 @@ def mine_command(graph_path, edge_mode, min_size, explicit_path, kgap,
             abstraction=inst.abstraction,
             emit_empty_support=emit_empty_support,
         )
-        universe = inst.family.universe
-        concepts = [ev.concept for ev in miner_mod.mine(cfg)]
+        events = miner_mod.mine(cfg)
     except miner_mod.NotStronglyAccessibleError as exc:
         _fail(VALIDATION_EXIT, str(exc))
     except CliFailure as exc:
         _fail(exc.code, str(exc))
+    universe = inst.family.universe
+    concepts = (ev.concept for ev in events)
     if sorted_output:
-        concepts.sort(key=lambda c: (" ".join(universe.names_of(c.intent)), c.extent))
+        concepts = sorted(concepts, key=lambda c: (" ".join(universe.names_of(c.intent)), c.extent))
     for concept in concepts:
         click.echo(_concept_line(concept, universe, inst.context, fmt))
 

@@ -171,16 +171,6 @@ class InteriorFamily:
             raise ValueError("empty family")
         self.host = host
         self.members = members
-        self._cache: dict[tuple[int, int], int] = {}
-
-    def member_indices(self) -> tuple[int, ...]:
-        return tuple(iter_indices(self.members))
-
-    def minimal_member_indices(self) -> tuple[int, ...]:
-        p = self.host.poset
-        return tuple(
-            t for t in iter_indices(self.members) if p.down[t] & self.members == 1 << t
-        )
 
     def project(self, t: int, x: int) -> int:
         if not (self.members >> t) & 1:
@@ -188,14 +178,9 @@ class InteriorFamily:
         p = self.host.poset
         if not p.leq(t, x):
             raise ValueError("projection argument must lie above the base")
-        key = (t, x)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         cand = self.members & p.up[t] & p.down[x]
         g = _greatest_of(p, cand)
         assert g is not None  # join-closedness above t guarantees a greatest member
-        self._cache[key] = g
         return g
 
     def local_top(self, t: int) -> int:

@@ -85,16 +85,13 @@ class GraphSpec:
 
     def edge_adjacency(self) -> list[int]:
         """adj[e] = bit mask of edges sharing an endpoint with edge e."""
-        m = len(self.edges)
-        adj = [0] * m
-        for i in range(m):
-            ai, bi = self.edges[i]
-            for j in range(i + 1, m):
-                aj, bj = self.edges[j]
-                if ai in (aj, bj) or bi in (aj, bj):
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        return adj
+        incident = [0] * len(self.vertices)
+        for i, (a, b) in enumerate(self.edges):
+            incident[a] |= 1 << i
+            incident[b] |= 1 << i
+        return [
+            (incident[a] | incident[b]) & ~(1 << i) for i, (a, b) in enumerate(self.edges)
+        ]
 
 
 class PatternFamily(ABC):
@@ -155,19 +152,70 @@ def _component_from(seed: int, within: int, adjacency: Sequence[int]) -> int:
     return comp
 
 
-def _adjacent_items(pattern: int, adjacency: Sequence[int]) -> list[int]:
-    """Items outside a connected member that touch it, in increasing order.
-
-    Exactly its augmentations: adding an adjacent item keeps the set connected
-    (and above any size bound), adding any other disconnects it.
-    """
+def _neighbors(pattern: int, adjacency: Sequence[int]) -> int:
+    """Items adjacent to some item of the pattern (may overlap the pattern)."""
     neighbors = 0
     for v in iter_indices(pattern):
         neighbors |= adjacency[v]
-    return list(iter_indices(neighbors & ~pattern))
+    return neighbors
 
 
-class ConnectedVertexFamily(PatternFamily):
+def _connected_sets(adjacency: Sequence[int], size: int) -> tuple[int, ...]:
+    """Every connected item set of exactly ``size`` items, sorted by mask.
+
+    The sets whose least item is v grow from {v} level by level, only through
+    neighbours above v.  A breadth-first order of a connected set started at
+    its least item has only connected prefixes, so every set is reached; sets
+    with different least items differ, so only one item's levels are alive
+    at a time and the results need no deduplication across items.
+    """
+    found: list[int] = []
+    for v in range(len(adjacency)):
+        above = -(bit(v) << 1)  # every item greater than v
+        level = {bit(v)}
+        for _ in range(size - 1):
+            level = {
+                s | bit(w)
+                for s in level
+                for w in iter_indices(_neighbors(s, adjacency) & above & ~s)
+            }
+        found.extend(level)
+    found.sort()
+    return tuple(found)
+
+
+class ConnectedFamily(PatternFamily):
+    """Item sets connected under an adjacency table, with at least ``min_size`` (>= 1) items.
+
+    Connected vertex sets use the graph's vertex adjacency; connected edge sets
+    are the connected vertex sets of the line graph.
+    """
+
+    def __init__(self, universe: Universe, adjacency: Sequence[int], min_size: int = 1):
+        self.universe = universe
+        self.min_size = min_size
+        self._adj = adjacency
+        self._minimals = _connected_sets(adjacency, min_size)
+
+    def contains(self, pattern: int) -> bool:
+        if pattern & ~self.universe.full_mask or pattern.bit_count() < self.min_size:
+            return False
+        return _component_from(pattern & -pattern, pattern, self._adj) == pattern
+
+    def minimals(self) -> tuple[int, ...]:
+        return self._minimals
+
+    def augmentations(self, pattern: int) -> list[int]:
+        # Exactly the items adjacent to a member: adding one keeps it connected
+        # (and above the size bound), adding any other disconnects it.
+        return list(iter_indices(_neighbors(pattern, self._adj) & ~pattern))
+
+    def project(self, member: int, x: int) -> int:
+        self._check_projection_args(member, x)
+        return _component_from(member, x, self._adj)
+
+
+class ConnectedVertexFamily(ConnectedFamily):
     """Vertex subsets inducing a connected subgraph, with a minimum size."""
 
     def __init__(self, graph: GraphSpec, min_size: int = 1):
@@ -176,79 +224,21 @@ class ConnectedVertexFamily(PatternFamily):
         if min_size > len(graph.vertices):
             raise FamilyError("min_size exceeds the vertex count: empty family")
         self.graph = graph
-        self.min_size = min_size
-        self.universe = Universe(graph.vertices)
-        self._adj = graph.vertex_adjacency()
-        self._minimals = self._find_minimals()
+        super().__init__(Universe(graph.vertices), graph.vertex_adjacency(), min_size)
         if not self._minimals:
             raise FamilyError(
                 f"no connected vertex set of size {min_size}: empty family"
             )
 
-    def contains(self, pattern: int) -> bool:
-        if pattern & ~self.universe.full_mask:
-            return False
-        if pattern == 0 or pattern.bit_count() < self.min_size:
-            return False
-        seed = pattern & -pattern
-        return _component_from(seed, pattern, self._adj) == pattern
 
-    def minimals(self) -> tuple[int, ...]:
-        return self._minimals
-
-    def augmentations(self, pattern: int) -> list[int]:
-        return _adjacent_items(pattern, self._adj)
-
-    def _find_minimals(self) -> tuple[int, ...]:
-        if self.min_size == 1:
-            return tuple(bit(v) for v in range(self.universe.size))
-        found: set[int] = set()
-        for v in range(self.universe.size):
-            self._grow(bit(v), found)
-        return tuple(sorted(found))
-
-    def _grow(self, current: int, found: set[int]) -> None:
-        # Every connected set of exactly min_size vertices; duplicates from
-        # different seeds collapse in the result set.
-        if current.bit_count() == self.min_size:
-            found.add(current)
-            return
-        neighbors = 0
-        for v in iter_indices(current):
-            neighbors |= self._adj[v]
-        for v in iter_indices(neighbors & ~current):
-            self._grow(current | bit(v), found)
-
-    def project(self, member: int, x: int) -> int:
-        self._check_projection_args(member, x)
-        return _component_from(member, x, self._adj)
-
-
-class ConnectedEdgeFamily(PatternFamily):
+class ConnectedEdgeFamily(ConnectedFamily):
     """Nonempty edge subsets spanning a connected subgraph; items are edges."""
 
     def __init__(self, graph: GraphSpec):
         if not graph.edges:
             raise FamilyError("graph has no edges: empty family")
         self.graph = graph
-        self.universe = Universe(graph.edge_labels)
-        self._adj = graph.edge_adjacency()
-
-    def contains(self, pattern: int) -> bool:
-        if pattern == 0 or pattern & ~self.universe.full_mask:
-            return False
-        seed = pattern & -pattern
-        return _component_from(seed, pattern, self._adj) == pattern
-
-    def minimals(self) -> tuple[int, ...]:
-        return tuple(bit(e) for e in range(self.universe.size))
-
-    def augmentations(self, pattern: int) -> list[int]:
-        return _adjacent_items(pattern, self._adj)
-
-    def project(self, member: int, x: int) -> int:
-        self._check_projection_args(member, x)
-        return _component_from(member, x, self._adj)
+        super().__init__(Universe(graph.edge_labels), graph.edge_adjacency())
 
 
 class KGapWordFamily(ConnectedVertexFamily):

@@ -118,10 +118,6 @@ class ExtensionalAbstraction:
     def from_generators(cls, generators: Iterable[int]) -> "ExtensionalAbstraction":
         return cls("generators", 0, tuple(sorted(set(generators))))
 
-    @property
-    def is_identity(self) -> bool:
-        return self.kind == "frequency" and self.threshold == 0
-
     def apply(self, extent: int) -> int:
         """Interior of an extent: the greatest abstraction member inside it."""
         if self.kind == "frequency":

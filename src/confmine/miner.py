@@ -35,8 +35,7 @@ class MinerConfig:
 
     ``emit_empty_support`` keeps concepts whose abstract support is empty
     (exactly the local tops under a too-strict abstraction); they are flagged
-    either way and never expanded.  ``order`` is "traversal" for streaming
-    emission or "sorted" to buffer and sort by intent.
+    either way and never expanded.
     """
 
     family: PatternFamily
@@ -45,13 +44,10 @@ class MinerConfig:
         default_factory=ExtensionalAbstraction.identity
     )
     emit_empty_support: bool = True
-    order: str = "traversal"
 
     def __post_init__(self):
         if self.family.universe != self.context.universe:
             raise ValueError("family and context must share the item universe")
-        if self.order not in ("traversal", "sorted"):
-            raise ValueError("order must be 'traversal' or 'sorted'")
 
 
 @dataclass(frozen=True)
@@ -88,11 +84,6 @@ class MinimalEvent:
 
 
 TraceEvent = Union[MineEvent, PruneEvent, MinimalEvent]
-
-
-def not_include_any_of(pattern: int, excluded_minimals: Iterable[int]) -> bool:
-    """True when the pattern contains none of the excluded minimal members."""
-    return all(not is_subset(m, pattern) for m in excluded_minimals)
 
 
 def _first_including(pattern: int, excluded_minimals: Iterable[int]) -> int | None:
@@ -198,9 +189,4 @@ def mine(cfg: MinerConfig) -> Iterator[MineEvent]:
     events = (ev for ev in mine_trace(cfg) if isinstance(ev, MineEvent))
     if not cfg.emit_empty_support:
         events = (ev for ev in events if not ev.concept.empty_support)
-    if cfg.order == "sorted":
-        buffered = sorted(
-            events, key=lambda ev: (ev.concept.intent.bit_count(), ev.concept.intent)
-        )
-        return iter(buffered)
     return events

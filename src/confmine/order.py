@@ -9,7 +9,7 @@ through this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .patterns import iter_indices
 
@@ -77,18 +77,6 @@ class FinitePoset:
                     )
 
     @classmethod
-    def from_leq(cls, ids: Sequence[Hashable], leq: Callable[[Hashable, Hashable], bool]) -> "FinitePoset":
-        ids = tuple(ids)
-        up = []
-        for a in ids:
-            mask = 0
-            for j, b in enumerate(ids):
-                if leq(a, b):
-                    mask |= 1 << j
-            up.append(mask)
-        return cls(ids, up)
-
-    @classmethod
     def from_covers(cls, ids: Sequence[Hashable], covers: dict[Hashable, Iterable[Hashable]]) -> "FinitePoset":
         """Build from a cover relation: ``covers[x]`` lists elements directly below x.
 
@@ -131,9 +119,6 @@ class FinitePoset:
 
     def minimal_mask(self) -> int:
         return sum(1 << i for i in range(self.n) if self.down[i] == 1 << i)
-
-    def maximal_mask(self) -> int:
-        return sum(1 << i for i in range(self.n) if self.up[i] == 1 << i)
 
     def restrict(self, member_mask: int) -> tuple["FinitePoset", list[int]]:
         """Induced subposet on the elements of ``member_mask``.

@@ -6,6 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from confmine import miner
 from confmine.cli import main
 
 from conftest import DATA
@@ -166,6 +167,22 @@ class TestMineCommand:
             "--context", DATA / "quad.ctx", "--sorted", "--format", "json",
         )
         assert invoke(runner, *args).output == invoke(runner, *args).output
+
+    def test_streams_lines_before_mining_finishes(self, runner, monkeypatch):
+        real_mine = miner.mine
+
+        def mine_then_fail(cfg):
+            yield next(real_mine(cfg))
+            raise RuntimeError("mining interrupted")
+
+        monkeypatch.setattr(miner, "mine", mine_then_fail)
+        result = invoke(
+            runner,
+            "mine", "--graph", DATA / "quad.graph", "--edge-mode",
+            "--context", DATA / "quad.ctx",
+        )
+        assert isinstance(result.exception, RuntimeError)
+        assert result.output.splitlines() == ["a\to1 o2 o3\ta\tfalse"]
 
 
 class TestBasisCommand:

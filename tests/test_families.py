@@ -271,6 +271,55 @@ class TestFamilyProperties:
                     for b in mins:
                         assert a == b or not is_subset(a, b)
 
+    def test_minimals_are_all_connected_sets_of_min_size(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            g = random_graph(rng, max_vertices=8, edge_prob=rng.choice([0.15, 0.3, 0.5]))
+            n = len(g.vertices)
+            adj = {v: set() for v in range(n)}
+            for a, b in g.edges:
+                adj[a].add(b)
+                adj[b].add(a)
+
+            def connected(vs):
+                start = min(vs)
+                seen, stack = {start}, [start]
+                while stack:
+                    for w in adj[stack.pop()] & vs - seen:
+                        seen.add(w)
+                        stack.append(w)
+                return seen == vs
+
+            for min_size in range(1, n + 1):
+                expected = {
+                    mask
+                    for mask in range(1 << n)
+                    if mask.bit_count() == min_size
+                    and connected(set(iter_indices(mask)))
+                }
+                if not expected:
+                    with pytest.raises(FamilyError, match="no connected vertex set"):
+                        cm.ConnectedVertexFamily(g, min_size)
+                    continue
+                fam = cm.ConnectedVertexFamily(g, min_size)
+                assert set(fam.minimals()) == expected
+                assert list(fam.minimals()) == sorted(expected)
+            with pytest.raises(FamilyError, match="at least 1"):
+                cm.ConnectedVertexFamily(g, 0)
+            with pytest.raises(FamilyError, match="exceeds the vertex count"):
+                cm.ConnectedVertexFamily(g, n + 1)
+
+    def test_edge_adjacency_is_shared_endpoint(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            g = random_graph(rng, max_vertices=8)
+            adj = g.edge_adjacency()
+            assert len(adj) == len(g.edges)
+            for i, ei in enumerate(g.edges):
+                for j, ej in enumerate(g.edges):
+                    shares = i != j and bool(set(ei) & set(ej))
+                    assert bool((adj[i] >> j) & 1) == shares
+
     def test_projection_agrees_with_component_search(self, quad_edge_family):
         # independent check: grow one edge at a time instead of frontier masks
         fam = quad_edge_family

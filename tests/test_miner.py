@@ -17,6 +17,7 @@ from confmine.oracle import (
     random_explicit_subconfluence,
     random_graph,
 )
+from confmine.patterns import is_subset
 from conftest import build_context
 
 
@@ -52,19 +53,6 @@ class TestClosePattern:
         cfg = cm.MinerConfig(family=wedge_family, context=wedge_context)
         with pytest.raises(ValueError):
             close_pattern(cfg, wedge_universe.mask("a"))
-
-
-class TestNotIncludeAnyOf:
-    def test_superset_is_rejected(self, wedge_universe):
-        u = wedge_universe
-        assert not cm.not_include_any_of(u.mask("abcd"), [u.mask("ab")])
-
-    def test_empty_list_accepts(self, wedge_universe):
-        assert cm.not_include_any_of(wedge_universe.mask("abcd"), [])
-
-    def test_non_superset_accepted(self, wedge_universe):
-        u = wedge_universe
-        assert cm.not_include_any_of(u.mask("acd"), [u.mask("ab")])
 
 
 class TestWedgeTrace:
@@ -120,13 +108,6 @@ class TestQuadGraphMining:
         ]
         anchors = {u.format(ev.concept.intent): u.format(ev.concept.anchor_minimal) for ev in events}
         assert anchors["a"] == "a" and anchors["b"] == "b"
-
-    def test_sorted_mode(self, quad_edge_family, quad_context):
-        cfg = cm.MinerConfig(
-            family=quad_edge_family, context=quad_context, order="sorted"
-        )
-        out = intents(cm.mine(cfg))
-        assert out == sorted(out, key=lambda p: (p.bit_count(), p))
 
     def test_generator_abstraction_collapses(self, quad_edge_family, quad_context, pair_abstraction):
         u = quad_edge_family.universe
@@ -240,7 +221,7 @@ class TestExclusionListPlacements:
             excl_items = list(excl_items)
             for e in cfg.family.augmentations(pattern):
                 q, q_extent = close_pattern(cfg, pattern | (1 << e))
-                if cm.not_include_any_of(q, excluded) and all(
+                if not any(is_subset(m, q) for m in excluded) and all(
                     not (q >> i) & 1 for i in excl_items
                 ):
                     enum(q, q_extent, excl_items)
@@ -248,7 +229,7 @@ class TestExclusionListPlacements:
 
         for m in cfg.family.minimals():
             p, extent = close_pattern(cfg, m)
-            if cm.not_include_any_of(p, excluded):
+            if not any(is_subset(m, p) for m in excluded):
                 enum(p, extent, [])
                 excluded.append(m)
         return out
@@ -285,10 +266,6 @@ class TestMinerValidation:
     def test_rejects_universe_mismatch(self, five_family, wedge_context):
         with pytest.raises(ValueError, match="universe"):
             cm.MinerConfig(family=five_family, context=wedge_context)
-
-    def test_rejects_bad_order(self, five_family, five_context):
-        with pytest.raises(ValueError, match="order"):
-            cm.MinerConfig(family=five_family, context=five_context, order="steepest")
 
 
 class TestDeterminism:
