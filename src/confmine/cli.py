@@ -57,10 +57,13 @@ def _family_options(fn):
     return fn
 
 
+_context_option = click.option("--context", "context_path", type=str, default=None, help="Context file (object: items).")
+
+
 def _context_options(fn):
-    fn = click.option("--context", "context_path", type=str, default=None, help="Context file (object: items).")(fn)
+    fn = _context_option(fn)
     fn = click.option("--abstraction", "abstraction_path", type=str, default=None, help="Abstraction file (one generator extent per line).")(fn)
-    fn = click.option("--min-support", type=int, default=None, help="Frequency-threshold abstraction.")(fn)
+    fn = click.option("--min-support", type=click.IntRange(min=0), default=None, help="Frequency-threshold abstraction.")(fn)
     return fn
 
 
@@ -71,6 +74,8 @@ def _load_instance(
     kinds = [graph_path is not None, explicit_path is not None, kgap is not None]
     if sum(kinds) != 1:
         raise CliFailure(VALIDATION_EXIT, "exactly one of --graph, --explicit, --kgap is required")
+    if min_size != 1 and (graph_path is None or edge_mode):
+        raise CliFailure(VALIDATION_EXIT, "--min-size applies only to a vertex-mode --graph")
     if abstraction_path is not None and min_support is not None:
         raise CliFailure(VALIDATION_EXIT, "--abstraction and --min-support are mutually exclusive")
 
@@ -190,14 +195,13 @@ def mine_command(graph_path, edge_mode, min_size, explicit_path, kgap,
 
 @main.command("basis")
 @_family_options
-@_context_options
+@_context_option
 @click.option("--budget", type=int, default=4096, show_default=True, help="Family materialization budget.")
-def basis_command(graph_path, edge_mode, min_size, explicit_path, kgap,
-                  context_path, abstraction_path, min_support, budget):
+def basis_command(graph_path, edge_mode, min_size, explicit_path, kgap, context_path, budget):
     """Print the min-max implication basis, one sorted line per implication."""
     try:
         inst = _load_instance(graph_path, edge_mode, min_size, explicit_path, kgap,
-                              context_path, abstraction_path, min_support)
+                              context_path, None, None)
         members = oracle_mod.materialize(inst.family, budget)
         basis = impl_mod.minmax_basis(inst.context, inst.family, members)
     except oracle_mod.BudgetExceededError as exc:

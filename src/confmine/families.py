@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .confluence import NotSubconfluenceError
 from .order import Verdict
-from .patterns import Universe, bit, is_subset, iter_indices
+from .patterns import Universe, bit, is_subset, iter_indices, minimal_masks
 
 
 class FamilyError(ValueError):
@@ -282,11 +282,7 @@ class ExplicitFamily(PatternFamily):
             raise NotSubconfluenceError(witness, _subconfluence_message(witness, universe))
         self.patterns = tuple(members)
         self._set = frozenset(members)
-        self._minimals = tuple(
-            p
-            for p in self.patterns
-            if not any(q != p and is_subset(q, p) for q in self.patterns)
-        )
+        self._minimals = minimal_masks(self.patterns)
 
     def contains(self, pattern: int) -> bool:
         return pattern in self._set
@@ -318,10 +314,12 @@ def subconfluence_violation(members: Sequence[int]) -> tuple[int, int, int] | No
 
 
 def is_strongly_accessible(members: Sequence[int]) -> Verdict:
-    """Can every nested member pair be linked by single-item steps inside the family?
+    """Does every nested member pair t1 < t2 have an e in t2 - t1 with t1 + e a member?
 
-    The witness is the first stuck pair (t1, t2).  ``members`` is the full
-    family at desk scale (materialize implicit families first).
+    This one-step form is equivalent to linking every such pair by single-item
+    steps inside the family.  The witness is the first failing pair (t1, t2) in
+    (size, mask) order.  ``members`` is the full family at desk scale
+    (materialize implicit families first).
     """
     member_set = set(members)
     ordered = sorted(member_set, key=lambda p: (p.bit_count(), p))
@@ -329,24 +327,9 @@ def is_strongly_accessible(members: Sequence[int]) -> Verdict:
         for t2 in ordered:
             if t2 == t1 or not is_subset(t1, t2):
                 continue
-            if not _augmentation_chain_exists(t1, t2, member_set):
+            if not any(t1 | bit(e) in member_set for e in iter_indices(t2 & ~t1)):
                 return Verdict(False, (t1, t2))
     return Verdict(True)
-
-
-def _augmentation_chain_exists(t1: int, t2: int, member_set: set[int]) -> bool:
-    seen = {t1}
-    stack = [t1]
-    while stack:
-        cur = stack.pop()
-        if cur == t2:
-            return True
-        for e in iter_indices(t2 & ~cur):
-            nxt = cur | bit(e)
-            if nxt not in seen and nxt in member_set:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
 
 
 def load_graph(lines: Iterable[str]) -> GraphSpec:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .families import PatternFamily
 from .fca import ObjectContext, extension, support_closure
-from .patterns import is_subset
+from .patterns import is_subset, minimal_masks
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,9 @@ def equivalence_classes(
     classes = []
     for extent in sorted(by_extent):
         group = sorted(by_extent[extent])
-        generators = tuple(
-            p for p in group if not any(q != p and is_subset(q, p) for q in group)
-        )
-        closed = tuple(p for p in group if support_closure(ctx, fam, p) == p)
+        generators = minimal_masks(group)
+        # Each member lies above a generator of its class and shares its closure.
+        closed = tuple(sorted({support_closure(ctx, fam, g) for g in generators}))
         classes.append(EquivalenceClass(extent, tuple(group), generators, closed))
     return classes
 

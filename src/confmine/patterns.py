@@ -33,6 +33,19 @@ def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 
 
+def minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
+    """The inclusion-minimal masks, sorted by value, each once.
+
+    A mask's strict subsets have smaller values, so in ascending order a mask
+    is minimal unless a minimum kept before it lies below it (or equals it).
+    """
+    minima: list[int] = []
+    for m in sorted(masks):
+        if all(k & ~m for k in minima):
+            minima.append(m)
+    return tuple(minima)
+
+
 class Universe:
     """An ordered set of item names mapped to dense bit positions."""
 

@@ -161,6 +161,30 @@ class TestMineCommand:
         )
         assert result.exit_code == 2
 
+    def test_negative_min_support_is_a_usage_error(self, runner):
+        result = invoke(
+            runner,
+            "mine", "--explicit", DATA / "wedge.family", "--context", DATA / "wedge.ctx",
+            "--min-support", -1,
+        )
+        assert result.exit_code == 2
+        assert "--min-support" in result.output
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            ("--kgap", 3, 1, "--context", DATA / "kgap.ctx"),
+            ("--graph", DATA / "quad.graph", "--edge-mode", "--context", DATA / "quad.ctx"),
+            ("--explicit", DATA / "wedge.family", "--context", DATA / "wedge.ctx"),
+        ],
+    )
+    def test_min_size_outside_vertex_mode_rejected(self, runner, instance):
+        base = ("mine", *instance)
+        result = invoke(runner, *base, "--min-size", 3)
+        assert result.exit_code == 1
+        assert "--min-size" in result.output
+        assert invoke(runner, *base, "--min-size", 1).exit_code == 0
+
     def test_sorted_output_stable_across_runs(self, runner):
         args = (
             "mine", "--graph", DATA / "quad.graph", "--edge-mode",
@@ -209,6 +233,18 @@ class TestBasisCommand:
             "a b c -> a b c d [internal]",
             "a c -> a c d [internal]",
         ]
+
+    @pytest.mark.parametrize(
+        "option", [("--min-support", 2), ("--abstraction", DATA / "pairgen.abs")]
+    )
+    def test_rejects_abstraction_options(self, runner, option):
+        result = invoke(
+            runner,
+            "basis", "--explicit", DATA / "wedge.family", "--context", DATA / "wedge.ctx",
+            *option,
+        )
+        assert result.exit_code == 2
+        assert f"No such option '{option[0]}'" in result.output
 
 
 class TestCheckCommand:

@@ -16,8 +16,8 @@ from confmine.families import (
     load_graph,
     subconfluence_violation,
 )
-from confmine.oracle import materialize, random_graph
-from confmine.patterns import bit, is_subset, iter_indices
+from confmine.oracle import materialize, random_graph, random_subconfluence_masks
+from confmine.patterns import bit, is_subset, iter_indices, minimal_masks
 
 
 def path_graph(*names: str) -> cm.GraphSpec:
@@ -48,6 +48,30 @@ class TestUniverse:
             cm.Universe(["a", "a"])
         with pytest.raises(KeyError, match="unknown item"):
             cm.Universe(["a"]).index("z")
+
+
+class TestMinimalMasks:
+    def test_empty_input(self):
+        assert minimal_masks([]) == ()
+
+    def test_duplicates_kept_once(self):
+        assert minimal_masks([0b110, 0b011, 0b110, 0b011]) == (0b011, 0b110)
+
+    def test_incomparable_masks_of_equal_size(self):
+        assert minimal_masks([0b110, 0b101, 0b011]) == (0b011, 0b101, 0b110)
+
+    def test_chain_keeps_its_bottom(self):
+        assert minimal_masks([0b1111, 0b0011, 0b0111, 0b0001]) == (0b0001,)
+        assert minimal_masks([0b101, 0]) == (0,)
+
+    def test_matches_pairwise_scan(self):
+        rng = random.Random(67)
+        for _ in range(300):
+            masks = [rng.randrange(64) for _ in range(rng.randint(1, 12))]
+            expected = sorted(
+                {p for p in masks if not any(q != p and is_subset(q, p) for q in masks)}
+            )
+            assert minimal_masks(masks) == tuple(expected)
 
 
 class TestGraphSpec:
@@ -203,6 +227,42 @@ class TestStrongAccessibility:
     def test_min_size_families_accessible(self):
         fam = cm.ConnectedVertexFamily(path_graph("a", "b", "c", "d", "e"), min_size=2)
         assert is_strongly_accessible(materialize(fam))
+
+    def test_verdict_matches_chain_search(self):
+        def chain_exists(t1, t2, members):
+            stack, seen = [t1], {t1}
+            while stack:
+                cur = stack.pop()
+                if cur == t2:
+                    return True
+                for e in iter_indices(t2 & ~cur):
+                    nxt = cur | bit(e)
+                    if nxt in members and nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+            return False
+
+        rng = random.Random(71)
+        failing = 0
+        for _ in range(300):
+            if rng.random() < 0.5:
+                members = random_subconfluence_masks(rng, rng.randint(2, 6), n_seeds=8)
+            else:  # any mask set, dense enough to hold long chains
+                density = rng.uniform(0.3, 0.9)
+                members = [m for m in range(1 << rng.randint(2, 5)) if rng.random() < density]
+            member_set = set(members)
+            stuck = [
+                (t1, t2)
+                for t1 in members
+                for t2 in members
+                if t1 != t2 and is_subset(t1, t2) and not chain_exists(t1, t2, member_set)
+            ]
+            verdict = is_strongly_accessible(members)
+            assert bool(verdict) == (not stuck)
+            if not verdict:
+                failing += 1
+                assert verdict.witness in stuck
+        assert failing > 0
 
 
 class TestFamilyProperties:

@@ -6,8 +6,14 @@ import random
 import pytest
 
 import confmine as cm
-from confmine.families import ExplicitFamily
-from confmine.oracle import materialize, random_context, random_graph
+from confmine.families import ExplicitFamily, FamilyError
+from confmine.oracle import (
+    materialize,
+    oracle_closed_set,
+    random_context,
+    random_explicit_subconfluence,
+    random_graph,
+)
 from confmine.patterns import is_subset
 
 from conftest import build_context
@@ -79,6 +85,49 @@ class TestEquivalenceClasses:
                     closed = cm.support_closure(ctx, fam, t)
                     assert closed in cls.closed
                     assert is_subset(t, closed)
+
+
+class TestClassesAgainstOracle:
+    """Classes, generators and closed members recomputed by brute force."""
+
+    def _families(self, rng):
+        g = random_graph(rng, max_vertices=6)
+        for min_size in (1, 2, 3):
+            try:
+                yield cm.ConnectedVertexFamily(g, min_size)
+            except FamilyError:
+                pass  # no connected vertex set that large
+        if len(g.edges) <= 8:
+            yield cm.ConnectedEdgeFamily(g)
+        yield cm.KGapWordFamily(rng.randint(2, 6), rng.randint(1, 3))
+        yield random_explicit_subconfluence(rng, n_items=rng.randint(2, 6))
+
+    def test_classes_match_oracle_across_family_kinds(self):
+        rng = random.Random(61)
+        identity = cm.ExtensionalAbstraction.identity()
+        inaccessible = 0
+        for _ in range(60):
+            for fam in self._families(rng):
+                members = materialize(fam)
+                inaccessible += not cm.is_strongly_accessible(members)
+                ctx = random_context(rng, fam.universe, max_objects=6)
+                closed_all = oracle_closed_set(ctx, members, identity)
+                by_extent = {}
+                for t in members:
+                    extent = sum(
+                        1 << o for o, d in enumerate(ctx.descriptions) if is_subset(t, d)
+                    )
+                    by_extent.setdefault(extent, []).append(t)
+                classes = cm.equivalence_classes(ctx, fam, members)
+                assert [c.extent for c in classes] == sorted(by_extent)
+                for cls in classes:
+                    group = sorted(by_extent[cls.extent])
+                    assert cls.members == tuple(group)
+                    assert cls.generators == tuple(
+                        p for p in group if not any(q != p and is_subset(q, p) for q in group)
+                    )
+                    assert cls.closed == tuple(t for t in group if t in closed_all)
+        assert inaccessible > 0
 
 
 class TestMinMaxBasis:
