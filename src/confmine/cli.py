@@ -37,7 +37,7 @@ def _read_lines(path: str) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliFailure(PARSE_EXIT, f"cannot read {path}: {exc}") from exc
 
 
@@ -58,6 +58,7 @@ def _family_options(fn):
 
 
 _context_option = click.option("--context", "context_path", type=str, default=None, help="Context file (object: items).")
+_budget_option = click.option("--budget", type=click.IntRange(min=1), default=4096, show_default=True, help="Family materialization budget.")
 
 
 def _context_options(fn):
@@ -69,7 +70,7 @@ def _context_options(fn):
 
 def _load_instance(
     graph_path, edge_mode, min_size, explicit_path, kgap,
-    context_path, abstraction_path, min_support, need_context: bool = True,
+    context_path=None, abstraction_path=None, min_support=None, need_context: bool = True,
 ) -> LoadedInstance:
     kinds = [graph_path is not None, explicit_path is not None, kgap is not None]
     if sum(kinds) != 1:
@@ -167,13 +168,10 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(["tsv", "json"]), default="tsv", show_default=True)
 @click.option("--sorted", "sorted_output", is_flag=True, help="Buffer and sort lines by intent for stable golden files.")
 @click.option("--emit-empty-support/--skip-empty-support", default=True, show_default=True, help="Keep or drop concepts whose abstract support is empty.")
-def mine_command(graph_path, edge_mode, min_size, explicit_path, kgap,
-                 context_path, abstraction_path, min_support, fmt, sorted_output,
-                 emit_empty_support):
+def mine_command(fmt, sorted_output, emit_empty_support, **source):
     """List each (abstract) support-closed pattern of the family exactly once."""
     try:
-        inst = _load_instance(graph_path, edge_mode, min_size, explicit_path, kgap,
-                              context_path, abstraction_path, min_support)
+        inst = _load_instance(**source)
         cfg = miner_mod.MinerConfig(
             family=inst.family,
             context=inst.context,
@@ -196,12 +194,11 @@ def mine_command(graph_path, edge_mode, min_size, explicit_path, kgap,
 @main.command("basis")
 @_family_options
 @_context_option
-@click.option("--budget", type=int, default=4096, show_default=True, help="Family materialization budget.")
-def basis_command(graph_path, edge_mode, min_size, explicit_path, kgap, context_path, budget):
+@_budget_option
+def basis_command(budget, **source):
     """Print the min-max implication basis, one sorted line per implication."""
     try:
-        inst = _load_instance(graph_path, edge_mode, min_size, explicit_path, kgap,
-                              context_path, None, None)
+        inst = _load_instance(**source)
         members = oracle_mod.materialize(inst.family, budget)
         basis = impl_mod.minmax_basis(inst.context, inst.family, members)
     except oracle_mod.BudgetExceededError as exc:
@@ -220,8 +217,8 @@ def basis_command(graph_path, edge_mode, min_size, explicit_path, kgap, context_
 @main.command("check")
 @_family_options
 @click.option("--poset", "poset_path", type=str, default=None, help="Check a poset file (id: covers ...) for the confluence property instead.")
-@click.option("--budget", type=int, default=4096, show_default=True)
-def check_command(graph_path, edge_mode, min_size, explicit_path, kgap, poset_path, budget):
+@_budget_option
+def check_command(poset_path, budget, **source):
     """Validate a family (subconfluence + strong accessibility) or a poset file."""
     if poset_path is not None:
         try:
@@ -238,8 +235,7 @@ def check_command(graph_path, edge_mode, min_size, explicit_path, kgap, poset_pa
             sys.exit(VALIDATION_EXIT)
         return
     try:
-        inst = _load_instance(graph_path, edge_mode, min_size, explicit_path, kgap,
-                              None, None, None, need_context=False)
+        inst = _load_instance(**source, need_context=False)
     except CliFailure as exc:
         _fail(exc.code, str(exc))
     click.echo("subconfluence: ok")
@@ -264,13 +260,11 @@ def check_command(graph_path, edge_mode, min_size, explicit_path, kgap, poset_pa
 @_family_options
 @_context_options
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--budget", type=int, default=4096, show_default=True)
-def oracle_command(graph_path, edge_mode, min_size, explicit_path, kgap,
-                   context_path, abstraction_path, min_support, seed, budget):
+@_budget_option
+def oracle_command(seed, budget, **source):
     """Brute-force verification report (JSON) for one instance."""
     try:
-        inst = _load_instance(graph_path, edge_mode, min_size, explicit_path, kgap,
-                              context_path, abstraction_path, min_support)
+        inst = _load_instance(**source)
         report = oracle_mod.verify_all(
             inst.context, inst.family, inst.abstraction, seed=seed, budget=budget
         )

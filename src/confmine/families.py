@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .confluence import NotSubconfluenceError
 from .order import Verdict
-from .patterns import Universe, bit, is_subset, iter_indices, minimal_masks
+from .patterns import Universe, bit, content_lines, is_subset, iter_indices, minimal_masks
 
 
 class FamilyError(ValueError):
@@ -336,10 +336,7 @@ def load_graph(lines: Iterable[str]) -> GraphSpec:
     """Parse the graph format: ``v <name>`` and ``e <name1> <name2> [label]`` lines."""
     vertices: list[str] = []
     edges: list[tuple[str, str] | tuple[str, str, str]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(lines):
         tokens = line.split()
         if tokens[0] == "v" and len(tokens) == 2:
             vertices.append(tokens[1])
@@ -365,13 +362,7 @@ def parse_pattern_line(line: str, lineno: int) -> tuple[str, ...]:
 
 def load_family_lines(lines: Iterable[str]) -> list[tuple[str, ...]]:
     """Parse a family file into item-name tuples (one pattern per line)."""
-    patterns: list[tuple[str, ...]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        patterns.append(parse_pattern_line(line, lineno))
-    return patterns
+    return [parse_pattern_line(line, lineno) for lineno, line in content_lines(lines)]
 
 
 def explicit_family_from_names(

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .families import ParseError, PatternFamily, subconfluence_violation
-from .patterns import Universe, is_subset, iter_indices, mask_of
+from .patterns import Universe, content_lines, is_subset, iter_indices, mask_of
 
 
 class ContextError(ValueError):
@@ -299,10 +299,7 @@ def load_context(lines: Iterable[str]) -> list[tuple[str, tuple[str, ...]]]:
     """Parse a context file: one object per line, ``name: item item ...``."""
     rows: list[tuple[str, tuple[str, ...]]] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(lines):
         if ":" not in line:
             raise ParseError(lineno, "expected 'object: item item ...'")
         name, rest = line.split(":", 1)
@@ -332,10 +329,7 @@ def load_abstraction(lines: Iterable[str], objects: Sequence[str]) -> Extensiona
     """Parse an abstraction file: one generator extent per line, object names."""
     index = {o: i for i, o in enumerate(objects)}
     generators = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(lines):
         try:
             generators.append(mask_of(index[o] for o in line.split()))
         except KeyError as exc:

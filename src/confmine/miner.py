@@ -7,7 +7,9 @@ minimal has been handled it joins the minimal-exclusion list so that later
 subtrees skip every closure containing it (a closure containing an earlier
 minimal was already reached from that minimal's subtree).  Inside a subtree,
 an item exclusion list extended left-to-right across sibling branches prevents
-revisiting patterns through a different augmentation order.
+revisiting patterns through a different augmentation order.  The traversal
+runs on an explicit stack, so tree depth is bounded by memory alone, not by
+Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -86,9 +88,11 @@ class MinimalEvent:
 TraceEvent = Union[MineEvent, PruneEvent, MinimalEvent]
 
 
-def _first_including(pattern: int, excluded_minimals: Iterable[int]) -> int | None:
-    outside = ~pattern  # is_subset inlined: this scan runs once per closure
-    for m in excluded_minimals:
+def _first_including(pattern: int, excluded: Iterable[int]) -> int | None:
+    """The first mask of ``excluded`` inside ``pattern``; serves both exclusion
+    lists, since a one-bit mask lies inside ``pattern`` exactly when its item does."""
+    outside = ~pattern  # is_subset inlined: this scan runs once or twice per closure
+    for m in excluded:
         if not m & outside:
             return m
     return None
@@ -132,7 +136,37 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
             # m anchors every concept of its subtree: those closures contain m
             # and, having passed the exclusion check, no earlier minimal, and
             # minimals() is sorted by mask.
-            yield from _enum_closed(cfg, p, m, abstract_extent, None, tuple(excluded), [])
+            yield MineEvent(Concept(abstract_extent, p, m, abstract_extent == 0), None)
+            # Depth-first over frames (pattern, pending augmentations, item
+            # exclusion list as one-bit masks).  A frame that expands a child
+            # goes back on the stack under it, its list extended by the child's
+            # item, so sibling branches never revisit each other's patterns.
+            stack = [(p, iter(fam.augmentations(p)), [])] if abstract_extent else []
+            while stack:
+                pattern, pending, items = stack.pop()
+                for e in pending:
+                    child = pattern | (1 << e)
+                    q, q_extent = close_pattern(cfg, child)
+                    if not is_subset(child, q):
+                        raise ValueError(
+                            "family projection is not extensive; the family violates its contract"
+                        )
+                    blocker = _first_including(q, excluded)
+                    if blocker is not None:
+                        yield PruneEvent(q, pattern, blocked_by_minimal=blocker)
+                        continue
+                    hit = _first_including(q, items)
+                    if hit is not None:
+                        yield PruneEvent(q, pattern, blocked_by_item=hit.bit_length() - 1)
+                        continue
+                    yield MineEvent(Concept(q_extent, q, m, q_extent == 0), pattern)
+                    if q_extent == 0:
+                        # A local top: nothing above it can change support.
+                        items.append(1 << e)
+                        continue
+                    stack.append((pattern, pending, items + [1 << e]))
+                    stack.append((q, iter(fam.augmentations(q)), items))
+                    break
             enumerated = True
         else:
             yield PruneEvent(p, None, blocked_by_minimal=blocker, at_root=True)
@@ -142,46 +176,6 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
         # minimal that blocked it, so only duplicates are ever pruned.
         excluded.append(m)
         yield MinimalEvent(m, enumerated)
-
-
-def _enum_closed(
-    cfg: MinerConfig,
-    pattern: int,
-    anchor: int,
-    abstract_extent: int,
-    parent: int | None,
-    excluded_minimals: tuple[int, ...],
-    excluded_items: list[int],
-) -> Iterator[TraceEvent]:
-    concept = Concept(
-        extent=abstract_extent,
-        intent=pattern,
-        anchor_minimal=anchor,
-        empty_support=abstract_extent == 0,
-    )
-    yield MineEvent(concept, parent)
-    if abstract_extent == 0:
-        # The pattern is a local top; nothing above it can change support.
-        return
-    excluded_items = list(excluded_items)
-    for e in cfg.family.augmentations(pattern):
-        q, q_extent = close_pattern(cfg, pattern | (1 << e))
-        if not is_subset(pattern | (1 << e), q):
-            raise ValueError(
-                "family projection is not extensive; the family violates its contract"
-            )
-        blocker = _first_including(q, excluded_minimals)
-        if blocker is not None:
-            yield PruneEvent(q, pattern, blocked_by_minimal=blocker)
-            continue
-        hit = next((i for i in excluded_items if (q >> i) & 1), None)
-        if hit is not None:
-            yield PruneEvent(q, pattern, blocked_by_item=hit)
-            continue
-        yield from _enum_closed(
-            cfg, q, anchor, q_extent, pattern, excluded_minimals, excluded_items
-        )
-        excluded_items.append(e)
 
 
 def mine(cfg: MinerConfig) -> Iterator[MineEvent]:

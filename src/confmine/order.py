@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .patterns import iter_indices
+from .patterns import content_lines, iter_indices
 
 
 class PosetError(ValueError):
@@ -451,10 +451,7 @@ def load_poset(lines: Iterable[str]) -> FinitePoset:
     """
     ids: list[str] = []
     covers: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(lines):
         if ":" not in line:
             raise PosetError(f"line {lineno}: expected 'id: covers ...'")
         name, rest = line.split(":", 1)

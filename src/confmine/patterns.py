@@ -46,6 +46,15 @@ def minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(minima)
 
 
+def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number from 1, stripped text) of each line of a text format that
+    has content: ``#`` starts a comment and blank lines are skipped."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 class Universe:
     """An ordered set of item names mapped to dense bit positions."""
 

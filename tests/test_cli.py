@@ -161,6 +161,13 @@ class TestMineCommand:
         )
         assert result.exit_code == 2
 
+    def test_undecodable_file(self, runner, tmp_path):
+        ctx = tmp_path / "bad.ctx"
+        ctx.write_bytes(b"o1: a\xff b\n")
+        result = invoke(runner, "mine", "--explicit", DATA / "wedge.family", "--context", ctx)
+        assert result.exit_code == 2
+        assert f"cannot read {ctx}" in result.output
+
     def test_negative_min_support_is_a_usage_error(self, runner):
         result = invoke(
             runner,
@@ -308,3 +315,19 @@ class TestOracleCommand:
         data = json.loads(result.output)
         assert data["family_size"] == 14
         assert data["checks"]["miner_matches_oracle"]["passed"] is True
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("basis", "--explicit", DATA / "wedge.family", "--context", DATA / "wedge.ctx"),
+        ("check", "--explicit", DATA / "wedge.family"),
+        ("oracle", "--explicit", DATA / "wedge.family", "--context", DATA / "wedge.ctx"),
+    ],
+    ids=["basis", "check", "oracle"],
+)
+def test_nonpositive_budget_is_a_usage_error(runner, command, budget):
+    result = invoke(runner, *command, "--budget", budget)
+    assert result.exit_code == 2
+    assert "--budget" in result.output

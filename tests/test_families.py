@@ -17,7 +17,7 @@ from confmine.families import (
     subconfluence_violation,
 )
 from confmine.oracle import materialize, random_graph, random_subconfluence_masks
-from confmine.patterns import bit, is_subset, iter_indices, minimal_masks
+from confmine.patterns import bit, content_lines, is_subset, iter_indices, minimal_masks
 
 
 def path_graph(*names: str) -> cm.GraphSpec:
@@ -421,6 +421,14 @@ class TestFileFormats:
     def test_family_file_rejects_inline_empty_token(self):
         with pytest.raises(ParseError, match="line 1"):
             load_family_lines(["a {}"])
+
+    def test_content_lines_skip_comments_and_blanks(self):
+        lines = ["# header", "", "  v x  # trailing", "\t", "e x y\n"]
+        assert list(content_lines(lines)) == [(3, "v x"), (5, "e x y")]
+
+    def test_line_numbers_count_skipped_lines(self):
+        with pytest.raises(ParseError, match="line 3"):
+            load_family_lines(["# comment", "", "a {}"])
 
     def test_subconfluence_violation_direct(self):
         u = cm.Universe(["a", "b", "c"])

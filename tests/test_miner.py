@@ -2,6 +2,7 @@
 semantics, degeneration to classical closed-itemset mining, and oracle parity."""
 
 import random
+import sys
 
 import pytest
 
@@ -353,10 +354,55 @@ class TestRootAnchorsAcrossFamilyKinds:
                 ctx = random_context(rng, fam.universe, max_objects=6)
                 for abstraction in self._abstractions(rng, ctx.n_objects):
                     cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
-                    mined = [ev for ev in cm.mine_trace(cfg) if isinstance(ev, MineEvent)]
+                    trace = list(cm.mine_trace(cfg))
+                    mined = [ev for ev in trace if isinstance(ev, MineEvent)]
                     for ev in mined:
                         c = ev.concept
                         assert c.anchor_minimal == anchor_minimal(fam, c.intent)
                     got = intents(mined)
                     assert len(got) == len(set(got))
                     assert set(got) == oracle_closed_set(ctx, members, abstraction)
+                    self._check_boley_invariants(trace)
+
+    @staticmethod
+    def _check_boley_invariants(trace):
+        """Boley et al. (TCS 2010): a parent is emitted before its child, and
+        every prune repeats an earlier emission and names a true blocker."""
+        emitted: set[int] = set()
+        processed: set[int] = set()
+        for ev in trace:
+            if isinstance(ev, MinimalEvent):
+                processed.add(ev.minimal)
+                continue
+            parent = ev.parent_intent
+            if parent is not None:
+                assert parent in emitted
+            if isinstance(ev, MineEvent):
+                q = ev.concept.intent
+                if parent is not None:
+                    assert is_subset(parent, q) and parent != q
+                emitted.add(q)
+                continue
+            assert ev.closure in emitted
+            if ev.blocked_by_minimal is not None:
+                assert is_subset(ev.blocked_by_minimal, ev.closure)
+                assert ev.blocked_by_minimal in processed
+            else:
+                assert (ev.closure >> ev.blocked_by_item) & 1
+                assert not (parent >> ev.blocked_by_item) & 1
+
+
+class TestDeepTraversal:
+    def test_path_deeper_than_the_recursion_limit(self):
+        # Object i holds the prefix a1..ai, so the closed patterns are the n
+        # prefixes, each one item longer than its parent: a tree of depth n.
+        n = sys.getrecursionlimit() + 100
+        fam = cm.KGapWordFamily(n, 1)
+        ctx = cm.ObjectContext(
+            tuple(f"o{i}" for i in range(1, n + 1)),
+            tuple((1 << i) - 1 for i in range(1, n + 1)),
+            fam.universe,
+        )
+        mined = list(cm.mine(cm.MinerConfig(family=fam, context=ctx)))
+        assert intents(mined) == [(1 << i) - 1 for i in range(1, n + 1)]
+        assert [ev.parent_intent for ev in mined] == [None] + intents(mined)[:-1]
