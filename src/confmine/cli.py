@@ -221,6 +221,10 @@ def basis_command(budget, **source):
 def check_command(poset_path, budget, **source):
     """Validate a family (subconfluence + strong accessibility) or a poset file."""
     if poset_path is not None:
+        if source["edge_mode"] or source["min_size"] != 1 or any(
+            source[k] is not None for k in ("graph_path", "explicit_path", "kgap")
+        ):
+            _fail(VALIDATION_EXIT, "--poset cannot be combined with family options")
         try:
             poset = load_poset(_read_lines(poset_path))
         except PosetError as exc:

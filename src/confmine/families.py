@@ -301,10 +301,14 @@ class ExplicitFamily(PatternFamily):
 
 
 def subconfluence_violation(members: Sequence[int]) -> tuple[int, int, int] | None:
-    """First triple (t, x, y) with x, y above t whose union escapes, else None."""
+    """First triple (t, x, y) with x, y above t whose union escapes, else None.
+
+    Only minimal t are tried: a triple at t is also one at each minimal below
+    t, whose mask is smaller, so the first t in mask order is always minimal.
+    """
     member_set = set(members)
     ordered = sorted(member_set)
-    for t in ordered:
+    for t in minimal_masks(ordered):
         above = [x for x in ordered if is_subset(t, x)]
         for a, x in enumerate(above):
             for y in above[a + 1 :]:

@@ -18,13 +18,7 @@ from .confluence import (
     is_closed_under_local_meet,
     is_confluence,
 )
-from .families import (
-    ExplicitFamily,
-    GraphSpec,
-    PatternFamily,
-    is_strongly_accessible,
-    subconfluence_violation,
-)
+from .families import ExplicitFamily, PatternFamily
 from .fca import (
     ExtensionalAbstraction,
     ObjectContext,
@@ -252,10 +246,17 @@ def verify_all(
 
 
 def _check_subconfluence(members: Sequence[int]) -> CheckResult:
-    witness = subconfluence_violation(members)
-    if witness is None:
-        return CheckResult(True)
-    return CheckResult(False, f"witness {witness!r}")
+    """Any two members above a common member t have their union in the family;
+    the witness is the first (t, x, y) in mask order whose union escapes."""
+    member_set = set(members)
+    ordered = sorted(member_set)
+    for t in ordered:
+        above = [x for x in ordered if is_subset(t, x)]
+        for a, x in enumerate(above):
+            for y in above[a + 1 :]:
+                if x | y not in member_set:
+                    return CheckResult(False, f"witness {(t, x, y)!r}")
+    return CheckResult(True)
 
 
 def _check_closure_total(ctx, members, abstraction) -> CheckResult:
@@ -433,107 +434,3 @@ def _check_miner(ctx, fam, abstraction, closed) -> CheckResult:
             f"miner {sorted(mined)!r} != oracle {sorted(closed)!r}",
         )
     return CheckResult(True)
-
-
-# ---------------------------------------------------------------------------
-# Randomized desk-scale structure generation (shared by the test suites).
-
-def random_graph(rng: random.Random, max_vertices: int = 8, edge_prob: float = 0.45) -> GraphSpec:
-    n = rng.randint(2, max_vertices)
-    vertices = tuple(f"v{i}" for i in range(n))
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                edges.append((i, j))
-    if not edges:
-        edges.append((0, 1))
-    labels = tuple(f"e{i}" for i in range(len(edges)))
-    return GraphSpec(vertices, tuple(edges), labels)
-
-
-def random_context(
-    rng: random.Random, universe: Universe, max_objects: int = 12
-) -> ObjectContext:
-    n = rng.randint(1, max_objects)
-    full = universe.full_mask
-    descriptions = []
-    for _ in range(n):
-        d = 0
-        for i in range(universe.size):
-            if rng.random() < 0.55:
-                d |= 1 << i
-        descriptions.append(d & full)
-    names = tuple(f"o{i + 1}" for i in range(n))
-    return ObjectContext(names, tuple(descriptions), universe)
-
-
-def random_abstraction(rng: random.Random, n_objects: int) -> ExtensionalAbstraction:
-    roll = rng.random()
-    if roll < 0.4:
-        return ExtensionalAbstraction.identity()
-    if roll < 0.7:
-        return ExtensionalAbstraction.frequency(rng.randint(1, max(1, n_objects)))
-    generators = []
-    for _ in range(rng.randint(1, 4)):
-        g = 0
-        for i in range(n_objects):
-            if rng.random() < 0.5:
-                g |= 1 << i
-        generators.append(g)
-    return ExtensionalAbstraction.from_generators(generators)
-
-
-def random_subconfluence_masks(
-    rng: random.Random, n_items: int, n_seeds: int = 4
-) -> list[int]:
-    """A random subconfluence of the powerset: close seed patterns under pairwise
-    union above common members until stable."""
-    full = (1 << n_items) - 1
-    members = set()
-    for _ in range(rng.randint(1, n_seeds)):
-        members.add(rng.randint(1, full))
-    changed = True
-    while changed:
-        changed = False
-        items = sorted(members)
-        for t in items:
-            above = [x for x in items if is_subset(t, x)]
-            for a, x in enumerate(above):
-                for y in above[a + 1 :]:
-                    if x | y not in members:
-                        members.add(x | y)
-                        changed = True
-    return sorted(members)
-
-
-def random_explicit_subconfluence(
-    rng: random.Random, n_items: int = 5, require_strong_accessibility: bool = False
-) -> ExplicitFamily:
-    names = tuple(chr(ord("a") + i) for i in range(n_items))
-    universe = Universe(names)
-    while True:
-        members = random_subconfluence_masks(rng, n_items)
-        fam = ExplicitFamily(members, universe)
-        if not require_strong_accessibility or is_strongly_accessible(members):
-            return fam
-
-
-def random_sublattice_mask(rng: random.Random, host: FiniteLattice) -> int:
-    """A random subset of a lattice closed under meet and join (hence a lattice)."""
-    n = host.n
-    chosen = {rng.randrange(n) for _ in range(rng.randint(1, 4))}
-    changed = True
-    while changed:
-        changed = False
-        items = sorted(chosen)
-        for a, i in enumerate(items):
-            for j in items[a:]:
-                for v in (host.meet_table[i][j], host.join_table[i][j]):
-                    if v not in chosen:
-                        chosen.add(v)
-                        changed = True
-    mask = 0
-    for i in chosen:
-        mask |= 1 << i
-    return mask

@@ -135,6 +135,10 @@ class FinitePoset:
             up.append(mask)
         return FinitePoset([self.ids[o] for o in old], up, _validate=False), old
 
+    def dual(self) -> "FinitePoset":
+        """The opposite order on the same ids: each down set becomes an up set."""
+        return FinitePoset(self.ids, self.down, _validate=False)
+
     def __repr__(self) -> str:
         return f"FinitePoset(n={self.n})"
 
@@ -242,10 +246,15 @@ class FiniteLattice:
         return acc
 
     def join_all(self, mask: int) -> int:
-        acc = self.bottom
-        for i in iter_indices(mask):
-            acc = self.join_table[acc][i]
-        return acc
+        """Join of an element set; the empty join is the bottom element."""
+        return self.dual().meet_all(mask)
+
+    def dual(self) -> "FiniteLattice":
+        """The opposite lattice: meets and joins, top and bottom trade places."""
+        return FiniteLattice(
+            self.poset.dual(), self.join_table, self.meet_table, self.bottom, self.top,
+            _verify=False,
+        )
 
     def __repr__(self) -> str:
         return f"FiniteLattice(n={self.n})"
@@ -383,14 +392,8 @@ def interior_from_subset(
     poset: FinitePoset, members: int
 ) -> tuple[OperatorMap | None, Hashable | None]:
     """Dual of :func:`closure_from_subset`: members below x need a greatest one."""
-    table = []
-    for x in range(poset.n):
-        cand = members & poset.down[x]
-        g = _greatest_of(poset, cand) if cand else None
-        if g is None:
-            return None, poset.ids[x]
-        table.append(g)
-    return OperatorMap(poset, table), None
+    op, witness = closure_from_subset(poset.dual(), members)
+    return (None, witness) if op is None else (OperatorMap(poset, op.table), None)
 
 
 def is_meet_closed(lattice: FiniteLattice, members: int) -> Verdict:
@@ -411,15 +414,8 @@ def is_meet_closed(lattice: FiniteLattice, members: int) -> Verdict:
 
 
 def is_join_closed(lattice: FiniteLattice, members: int) -> Verdict:
-    p = lattice.poset
-    if not (members >> lattice.bottom) & 1:
-        return Verdict(False, p.ids[lattice.bottom])
-    elems = list(iter_indices(members))
-    for a, i in enumerate(elems):
-        for j in elems[a + 1 :]:
-            if not (members >> lattice.join_table[i][j]) & 1:
-                return Verdict(False, (p.ids[i], p.ids[j]))
-    return Verdict(True)
+    """Dual of :func:`is_meet_closed`: the empty join is bottom."""
+    return is_meet_closed(lattice.dual(), members)
 
 
 def compose_interior_closure(p: OperatorMap, f: OperatorMap) -> OperatorMap:

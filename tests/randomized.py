@@ -1,0 +1,152 @@
+"""Seeded random structures shared by the test suites: graphs, contexts,
+abstractions, subconfluences, and sublattices of a small powerset, plus the
+meet closure used to build closure ranges.
+
+Imported by the tests; pytest does not collect it.
+"""
+
+import random
+
+from confmine.families import ExplicitFamily, GraphSpec, is_strongly_accessible
+from confmine.fca import ExtensionalAbstraction, ObjectContext
+from confmine.order import FiniteLattice, powerset_lattice
+from confmine.patterns import Universe, is_subset, iter_indices
+
+
+def random_graph(rng: random.Random, max_vertices: int = 8, edge_prob: float = 0.45) -> GraphSpec:
+    n = rng.randint(2, max_vertices)
+    vertices = tuple(f"v{i}" for i in range(n))
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < edge_prob:
+                edges.append((i, j))
+    if not edges:
+        edges.append((0, 1))
+    labels = tuple(f"e{i}" for i in range(len(edges)))
+    return GraphSpec(vertices, tuple(edges), labels)
+
+
+def random_context(
+    rng: random.Random, universe: Universe, max_objects: int = 12
+) -> ObjectContext:
+    n = rng.randint(1, max_objects)
+    full = universe.full_mask
+    descriptions = []
+    for _ in range(n):
+        d = 0
+        for i in range(universe.size):
+            if rng.random() < 0.55:
+                d |= 1 << i
+        descriptions.append(d & full)
+    names = tuple(f"o{i + 1}" for i in range(n))
+    return ObjectContext(names, tuple(descriptions), universe)
+
+
+def random_abstraction(rng: random.Random, n_objects: int) -> ExtensionalAbstraction:
+    roll = rng.random()
+    if roll < 0.4:
+        return ExtensionalAbstraction.identity()
+    if roll < 0.7:
+        return ExtensionalAbstraction.frequency(rng.randint(1, max(1, n_objects)))
+    generators = []
+    for _ in range(rng.randint(1, 4)):
+        g = 0
+        for i in range(n_objects):
+            if rng.random() < 0.5:
+                g |= 1 << i
+        generators.append(g)
+    return ExtensionalAbstraction.from_generators(generators)
+
+
+def random_subconfluence_masks(
+    rng: random.Random, n_items: int, n_seeds: int = 4
+) -> list[int]:
+    """A random subconfluence of the powerset: close seed patterns under pairwise
+    union above common members until stable."""
+    full = (1 << n_items) - 1
+    members = set()
+    for _ in range(rng.randint(1, n_seeds)):
+        members.add(rng.randint(1, full))
+    changed = True
+    while changed:
+        changed = False
+        items = sorted(members)
+        for t in items:
+            above = [x for x in items if is_subset(t, x)]
+            for a, x in enumerate(above):
+                for y in above[a + 1 :]:
+                    if x | y not in members:
+                        members.add(x | y)
+                        changed = True
+    return sorted(members)
+
+
+def random_explicit_subconfluence(
+    rng: random.Random, n_items: int = 5, require_strong_accessibility: bool = False
+) -> ExplicitFamily:
+    names = tuple(chr(ord("a") + i) for i in range(n_items))
+    universe = Universe(names)
+    while True:
+        members = random_subconfluence_masks(rng, n_items)
+        fam = ExplicitFamily(members, universe)
+        if not require_strong_accessibility or is_strongly_accessible(members):
+            return fam
+
+
+def random_sublattice_mask(rng: random.Random, host: FiniteLattice) -> int:
+    """A random subset of a lattice closed under meet and join (hence a lattice)."""
+    n = host.n
+    chosen = {rng.randrange(n) for _ in range(rng.randint(1, 4))}
+    changed = True
+    while changed:
+        changed = False
+        items = sorted(chosen)
+        for a, i in enumerate(items):
+            for j in items[a:]:
+                for v in (host.meet_table[i][j], host.join_table[i][j]):
+                    if v not in chosen:
+                        chosen.add(v)
+                        changed = True
+    mask = 0
+    for i in chosen:
+        mask |= 1 << i
+    return mask
+
+
+HOST = powerset_lattice(5)
+
+
+def random_lattice(rng: random.Random) -> FiniteLattice:
+    """A random sublattice of the 5-item powerset, reindexed from 0."""
+    sub, _ = HOST.poset.restrict(random_sublattice_mask(rng, HOST))
+    return FiniteLattice.from_poset(sub)
+
+
+def random_subset(rng: random.Random, n: int, force: int | None = None) -> int:
+    """A nonempty random element mask over n elements, containing ``force`` if given."""
+    mask = 0
+    for i in range(n):
+        if rng.random() < 0.4:
+            mask |= 1 << i
+    if force is not None:
+        mask |= 1 << force
+    return mask or (1 << rng.randrange(n))
+
+
+def meet_close(lat: FiniteLattice, members: int) -> int:
+    """The least superset of ``members`` closed under meets, top included.
+
+    ``meet_close(lat.dual(), members)`` is the join closure.
+    """
+    changed = True
+    while changed:
+        changed = False
+        elems = list(iter_indices(members))
+        for a, i in enumerate(elems):
+            for j in elems[a:]:
+                v = lat.meet_table[i][j]
+                if not (members >> v) & 1:
+                    members |= 1 << v
+                    changed = True
+    return members | (1 << lat.top)

@@ -15,21 +15,21 @@ import pytest
 import confmine as cm
 from confmine.families import ExplicitFamily
 from confmine.miner import MineEvent, MinimalEvent, PruneEvent
-from confmine.oracle import (
-    family_poset,
-    materialize,
-    oracle_closed_set,
-    random_abstraction,
-    random_context,
-    random_explicit_subconfluence,
-    random_graph,
-    random_subconfluence_masks,
-    random_sublattice_mask,
-)
+from confmine.oracle import family_poset, materialize, oracle_closed_set
 from confmine.order import FiniteLattice, OperatorMap, powerset_lattice
 from confmine.patterns import is_subset, iter_indices
 
 from conftest import build_context
+from randomized import (
+    meet_close,
+    random_abstraction,
+    random_context,
+    random_explicit_subconfluence,
+    random_graph,
+    random_lattice,
+    random_subconfluence_masks,
+    random_subset,
+)
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -199,33 +199,15 @@ def test_acceptance_06_subconfluence_rejection():
 
 # --- criterion 7: randomized property suites --------------------------------
 
-HOST5 = powerset_lattice(5)
-
-
-def _random_lattice(rng):
-    sub, _ = HOST5.poset.restrict(random_sublattice_mask(rng, HOST5))
-    return FiniteLattice.from_poset(sub)
-
-
-def _random_subset(rng, n, force=None):
-    mask = 0
-    for i in range(n):
-        if rng.random() < 0.4:
-            mask |= 1 << i
-    if force is not None:
-        mask |= 1 << force
-    return mask or (1 << rng.randrange(n))
-
-
 def _suite_operator_laws(rng, runs):
     for _ in range(runs):
-        lat = _random_lattice(rng)
+        lat = random_lattice(rng)
         n = lat.n
         if rng.random() < 0.5:
             table = [rng.randrange(n) for _ in range(n)]
         else:
-            members = _random_subset(rng, n, force=lat.top)
-            op, _ = cm.closure_from_subset(lat.poset, _close_under(lat, members, "meet"))
+            members = random_subset(rng, n, force=lat.top)
+            op, _ = cm.closure_from_subset(lat.poset, meet_close(lat, members))
             table = list(op.table)
         op = OperatorMap(lat.poset, table)
         cls = cm.classify_operator(op)
@@ -249,26 +231,10 @@ def _suite_operator_laws(rng, runs):
     return runs
 
 
-def _close_under(lat, members, which):
-    table = lat.meet_table if which == "meet" else lat.join_table
-    changed = True
-    while changed:
-        changed = False
-        elems = list(iter_indices(members))
-        for a, i in enumerate(elems):
-            for j in elems[a:]:
-                v = table[i][j]
-                if not (members >> v) & 1:
-                    members |= 1 << v
-                    changed = True
-    forced = lat.top if which == "meet" else lat.bottom
-    return members | (1 << forced)
-
-
 def _suite_meet_closed_iff(rng, runs):
     for _ in range(runs):
-        lat = _random_lattice(rng)
-        members = _random_subset(rng, lat.n, force=lat.top if rng.random() < 0.5 else None)
+        lat = random_lattice(rng)
+        members = random_subset(rng, lat.n, force=lat.top if rng.random() < 0.5 else None)
         verdict = cm.is_meet_closed(lat, members)
         op, witness = cm.closure_from_subset(lat.poset, members)
         assert bool(verdict) == (op is not None)
@@ -288,13 +254,13 @@ def _suite_locally_meet_closed_iff(rng, runs):
         poset = family_poset(random_subconfluence_masks(rng, 5))
         conf = cm.ExplicitConfluence(poset)
         if rng.random() < 0.5:
-            members = _random_subset(rng, poset.n)
+            members = random_subset(rng, poset.n)
             for top in set(conf.local_tops.values()):
                 if rng.random() < 0.8:
                     members |= 1 << top
         else:
             # a genuine closure range: close a random subset locally
-            members = _random_subset(rng, poset.n)
+            members = random_subset(rng, poset.n)
             for top in set(conf.local_tops.values()):
                 members |= 1 << top
             members = _locally_meet_close(conf, members)

@@ -287,6 +287,23 @@ class TestCheckCommand:
         assert result.exit_code == 1
         assert "confluence: FAIL" in result.output
 
+    @pytest.mark.parametrize(
+        "family_option",
+        [
+            ("--graph", DATA / "quad.graph"),
+            ("--explicit", DATA / "bad.family"),
+            ("--kgap", 4, 2),
+            ("--edge-mode",),
+            ("--min-size", 2),
+        ],
+        ids=["graph", "explicit", "kgap", "edge-mode", "min-size"],
+    )
+    def test_poset_rejects_family_options(self, runner, family_option):
+        result = invoke(runner, "check", "--poset", DATA / "chain.poset", *family_option)
+        assert result.exit_code == 1
+        assert "error: --poset cannot be combined with family options" in result.output
+        assert "confluence" not in result.output
+
     def test_kgap_family_check(self, runner):
         result = invoke(runner, "check", "--kgap", 4, 2)
         assert result.exit_code == 0

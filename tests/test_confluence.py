@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 import confmine as cm
 from confmine.confluence import ExplicitConfluence, InteriorFamily, NotLocallyMeetClosedError
-from confmine.oracle import family_poset, random_subconfluence_masks
+from confmine.oracle import family_poset
 from confmine.order import FiniteLattice, OperatorMap, powerset_lattice
 from confmine.patterns import is_subset, iter_indices, mask_of
+
+from randomized import random_subconfluence_masks
 
 
 def m(letters: str) -> int:

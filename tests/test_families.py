@@ -16,8 +16,10 @@ from confmine.families import (
     load_graph,
     subconfluence_violation,
 )
-from confmine.oracle import materialize, random_graph, random_subconfluence_masks
+from confmine.oracle import materialize
 from confmine.patterns import bit, content_lines, is_subset, iter_indices, minimal_masks
+
+from randomized import random_graph, random_subconfluence_masks
 
 
 def path_graph(*names: str) -> cm.GraphSpec:

@@ -13,10 +13,11 @@ from confmine.fca import (
     load_abstraction,
     load_context,
 )
-from confmine.oracle import materialize, random_context, random_graph
+from confmine.oracle import materialize
 from confmine.patterns import is_subset
 
 from conftest import build_context
+from randomized import random_context, random_graph
 
 
 class TestExtensionIntension:

@@ -7,16 +7,11 @@ import pytest
 
 import confmine as cm
 from confmine.families import ExplicitFamily, FamilyError
-from confmine.oracle import (
-    materialize,
-    oracle_closed_set,
-    random_context,
-    random_explicit_subconfluence,
-    random_graph,
-)
+from confmine.oracle import materialize, oracle_closed_set
 from confmine.patterns import is_subset
 
 from conftest import build_context
+from randomized import random_context, random_explicit_subconfluence, random_graph
 
 
 def fmt_basis(universe, basis):

@@ -10,16 +10,15 @@ import confmine as cm
 from confmine.families import ExplicitFamily, FamilyError
 from confmine.fca import anchor_minimal
 from confmine.miner import MinimalEvent, MineEvent, PruneEvent, close_pattern
-from confmine.oracle import (
-    materialize,
-    oracle_closed_set,
+from confmine.oracle import materialize, oracle_closed_set
+from confmine.patterns import is_subset
+from conftest import build_context
+from randomized import (
     random_abstraction,
     random_context,
     random_explicit_subconfluence,
     random_graph,
 )
-from confmine.patterns import is_subset
-from conftest import build_context
 
 
 def intents(events):

@@ -1,5 +1,5 @@
 """Brute-force oracle: materialization, scan-based closures, closed-set
-computation, the bundled verification report, and the random generators."""
+computation, the bundled verification report, and the tests' random generators."""
 
 import random
 
@@ -7,18 +7,17 @@ import pytest
 
 import confmine as cm
 from confmine.families import subconfluence_violation
-from confmine.oracle import (
-    family_poset,
-    oracle_closed_set,
+from confmine.oracle import CheckResult, _check_subconfluence, family_poset, oracle_closed_set
+from confmine.order import powerset_lattice
+from confmine.patterns import is_subset, iter_indices
+
+from conftest import build_context
+from randomized import (
     random_explicit_subconfluence,
     random_graph,
     random_subconfluence_masks,
     random_sublattice_mask,
 )
-from confmine.order import powerset_lattice
-from confmine.patterns import is_subset, iter_indices
-
-from conftest import build_context
 
 
 def path_graph(*names):
@@ -194,6 +193,30 @@ class TestFamilyPoset:
         for i in range(poset.n):
             for j in range(poset.n):
                 assert poset.leq(i, j) == is_subset(poset.ids[i], poset.ids[j])
+
+
+class TestSubconfluenceCheck:
+    def test_fast_witness_matches_all_members_loop(self):
+        # random mask sets, the empty pattern in some; most are not subconfluences
+        rng = random.Random(79)
+        violations = 0
+        for _ in range(3000):
+            n_items = rng.randint(1, 5)
+            members = {rng.randrange(1 << n_items) for _ in range(rng.randint(1, 10))}
+            if rng.random() < 0.3:
+                members.add(0)
+            if rng.random() < 0.2:
+                members.update(random_subconfluence_masks(rng, n_items))
+            members = list(members)
+            rng.shuffle(members)
+            witness = subconfluence_violation(members)
+            expected = _check_subconfluence(members)
+            if witness is None:
+                assert expected == CheckResult(True)
+            else:
+                assert expected == CheckResult(False, f"witness {witness!r}")
+                violations += 1
+        assert 500 < violations < 2500
 
 
 class TestRandomGenerators:

@@ -17,8 +17,9 @@ from confmine.order import (
     load_poset,
     powerset_lattice,
 )
-from confmine.oracle import random_sublattice_mask
 from confmine.patterns import iter_indices, mask_of
+
+from randomized import meet_close, random_lattice, random_subset
 
 
 def subset_mask(lat: FiniteLattice, *element_ids) -> int:
@@ -49,6 +50,11 @@ class TestFinitePoset:
         with pytest.raises(PosetError, match="transitive"):
             FinitePoset(["x", "y", "z"], [0b011, 0b110, 0b100])
 
+    def test_dual_reverses_order(self, p4):
+        dual = p4.poset.dual()
+        assert dual.ids == p4.poset.ids
+        assert dual.up == p4.poset.down and dual.down == p4.poset.up
+
     def test_restrict_preserves_order(self, p4):
         poset = p4.poset
         sub, old = poset.restrict(mask_of([m("a"), m("ab"), m("abc")]))
@@ -65,6 +71,13 @@ class TestPowersetLattice:
         assert p4.join(m("a"), m("c")) == m("ac")
         assert p4.meet_all(0) == p4.top
         assert p4.join_all(0) == p4.bottom
+        assert p4.meet_all(mask_of([m("abc"), m("bd")])) == m("b")
+        assert p4.join_all(mask_of([m("a"), m("c"), m("bc")])) == m("abc")
+
+    def test_dual_swaps_tables_and_bounds(self, p4):
+        dual = p4.dual()
+        assert dual.meet_table == p4.join_table and dual.join_table == p4.meet_table
+        assert (dual.top, dual.bottom) == (p4.bottom, p4.top)
 
     def test_from_poset_derives_same_tables(self):
         direct = powerset_lattice(3)
@@ -140,6 +153,16 @@ class TestClosureFromSubset:
         assert op.apply(m("abcd")) == m("abc")
         assert cm.classify_operator(op).is_interior
 
+    def test_interior_counterexample_when_no_greatest_member(self, p4):
+        op, witness = cm.interior_from_subset(p4.poset, mask_of([0, m("ab"), m("ac")]))
+        assert op is None
+        assert witness == m("abc")
+
+    def test_interior_counterexample_without_bottom(self, p4):
+        op, witness = cm.interior_from_subset(p4.poset, mask_of([m("ab"), m("ac")]))
+        assert op is None
+        assert witness == 0
+
 
 class TestMeetJoinClosed:
     def test_meet_closed_family(self, p4):
@@ -160,6 +183,11 @@ class TestMeetJoinClosed:
         verdict = cm.is_join_closed(p4, mask_of([0, m("a"), m("c"), m("abc")]))
         assert not verdict
         assert verdict.witness == (m("a"), m("c"))
+
+    def test_missing_bottom_witness(self, p4):
+        verdict = cm.is_join_closed(p4, mask_of([m("a"), m("c"), m("ac")]))
+        assert not verdict
+        assert verdict.witness == p4.bottom == 0
 
     def test_bottom_alone_join_closed(self, p4):
         assert cm.is_join_closed(p4, 1 << p4.bottom)
@@ -218,26 +246,6 @@ class TestPosetFormat:
 
 # --- randomized law suites -------------------------------------------------
 
-HOST = powerset_lattice(5)
-
-
-def random_lattice(rng: random.Random) -> FiniteLattice:
-    mask = random_sublattice_mask(rng, HOST)
-    sub, _ = HOST.poset.restrict(mask)
-    return FiniteLattice.from_poset(sub)
-
-
-def random_subset(rng: random.Random, n: int, force: int | None = None) -> int:
-    mask = 0
-    for i in range(n):
-        if rng.random() < 0.4:
-            mask |= 1 << i
-    if force is not None:
-        mask |= 1 << force
-    if mask == 0:
-        mask = 1 << rng.randrange(n)
-    return mask
-
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
@@ -276,35 +284,7 @@ def test_interior_composed_with_closure_is_closure(seed):
     lat = random_lattice(rng)
     c_members = random_subset(rng, lat.n, force=lat.top)
     a_members = random_subset(rng, lat.n, force=lat.bottom)
-    f, _ = cm.closure_from_subset(lat.poset, _meet_close(lat, c_members))
-    p, _ = cm.interior_from_subset(lat.poset, _join_close(lat, a_members))
+    f, _ = cm.closure_from_subset(lat.poset, meet_close(lat, c_members))
+    p, _ = cm.interior_from_subset(lat.poset, meet_close(lat.dual(), a_members))
     composed = cm.compose_interior_closure(p, f)
     assert cm.classify_operator(composed).kind == "closure"
-
-
-def _meet_close(lat: FiniteLattice, members: int) -> int:
-    changed = True
-    while changed:
-        changed = False
-        elems = list(iter_indices(members))
-        for a, i in enumerate(elems):
-            for j in elems[a:]:
-                v = lat.meet_table[i][j]
-                if not (members >> v) & 1:
-                    members |= 1 << v
-                    changed = True
-    return members | (1 << lat.top)
-
-
-def _join_close(lat: FiniteLattice, members: int) -> int:
-    changed = True
-    while changed:
-        changed = False
-        elems = list(iter_indices(members))
-        for a, i in enumerate(elems):
-            for j in elems[a:]:
-                v = lat.join_table[i][j]
-                if not (members >> v) & 1:
-                    members |= 1 << v
-                    changed = True
-    return members | (1 << lat.bottom)
