@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .confluence import NotSubconfluenceError
@@ -210,8 +211,28 @@ class ConnectedFamily(PatternFamily):
         # (and above the size bound), adding any other disconnects it.
         return list(iter_indices(_neighbors(pattern, self._adj) & ~pattern))
 
+    @cached_property
+    def _components(self) -> tuple[int, ...]:
+        """Component of each item under the whole adjacency.
+
+        A member's component is its local top.  Derived on first use and kept;
+        the family stays immutable in effect.
+        """
+        comps = [0] * self.universe.size
+        for v in range(self.universe.size):
+            if not comps[v]:
+                comp = _component_from(bit(v), self.universe.full_mask, self._adj)
+                for w in iter_indices(comp):
+                    comps[w] = comp
+        return tuple(comps)
+
     def project(self, member: int, x: int) -> int:
         self._check_projection_args(member, x)
+        # A member is connected, so its component within x is the whole
+        # component of any one of its items whenever x covers that component.
+        top = self._components[(member & -member).bit_length() - 1]
+        if not top & ~x:
+            return top
         return _component_from(member, x, self._adj)
 
 

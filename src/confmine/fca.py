@@ -166,15 +166,18 @@ def closure_and_extent(
     fam: PatternFamily,
     abstraction: ExtensionalAbstraction,
     pattern: int,
+    extent: int,
 ) -> tuple[int, int]:
     """(abstract support closure, abstract support) of a family member.
 
-    The powerset closure of the abstract support, projected at the pattern
-    itself.  With an empty abstract support the powerset closure is the whole
-    universe, so the result is the local top of the pattern's component.
-    Raises ``ValueError`` (from the projection) for non-members.
+    ``extent`` is the pattern's plain support, ``extension(ctx, pattern)``,
+    which a caller walking up the family can carry from the pattern's parent.
+    The result is the powerset closure of the abstract support, projected at
+    the pattern itself.  With an empty abstract support the powerset closure
+    is the whole universe, so the result is the local top of the pattern's
+    component.  Raises ``ValueError`` (from the projection) for non-members.
     """
-    abstract_extent = abstraction.apply(extension(ctx, pattern))
+    abstract_extent = abstraction.apply(extent)
     return fam.project(pattern, intension(ctx, abstract_extent)), abstract_extent
 
 
@@ -185,7 +188,7 @@ def abstract_support_closure(
     pattern: int,
 ) -> int:
     """Support closure through an extensional abstraction."""
-    return closure_and_extent(ctx, fam, abstraction, pattern)[0]
+    return closure_and_extent(ctx, fam, abstraction, pattern, extension(ctx, pattern))[0]
 
 
 def support_closure(ctx: ObjectContext, fam: PatternFamily, pattern: int) -> int:

@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
 from .families import ExplicitFamily, PatternFamily, is_strongly_accessible
-from .fca import Concept, ExtensionalAbstraction, ObjectContext, closure_and_extent
+from .fca import (
+    Concept,
+    ExtensionalAbstraction,
+    ObjectContext,
+    closure_and_extent,
+    extension,
+)
 from .patterns import is_subset
 
 
@@ -98,13 +104,14 @@ def _first_including(pattern: int, excluded: Iterable[int]) -> int | None:
     return None
 
 
-def close_pattern(cfg: MinerConfig, pattern: int) -> tuple[int, int]:
-    """Close a family member: (closed pattern, abstract extent).
+def close_pattern(cfg: MinerConfig, pattern: int, extent: int) -> tuple[int, int]:
+    """Close a family member with plain support ``extent``: (closed pattern,
+    abstract extent).
 
     The powerset closure of the abstract support (the whole universe when that
     support is empty), projected at the pattern; ``ValueError`` for non-members.
     """
-    return closure_and_extent(cfg.context, cfg.family, cfg.abstraction, pattern)
+    return closure_and_extent(cfg.context, cfg.family, cfg.abstraction, pattern, extent)
 
 
 def mine_trace(cfg: MinerConfig) -> Iterator[TraceEvent]:
@@ -128,25 +135,35 @@ def mine_trace(cfg: MinerConfig) -> Iterator[TraceEvent]:
 
 def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
     fam = cfg.family
+    ctx = cfg.context
+    tids = ctx.tids
     excluded: list[int] = []
     for m in fam.minimals():
-        p, abstract_extent = close_pattern(cfg, m)
+        p, abstract_extent = close_pattern(cfg, m, extension(ctx, m))
         blocker = _first_including(p, excluded)
         if blocker is None:
             # m anchors every concept of its subtree: those closures contain m
             # and, having passed the exclusion check, no earlier minimal, and
             # minimals() is sorted by mask.
             yield MineEvent(Concept(abstract_extent, p, m, abstract_extent == 0), None)
-            # Depth-first over frames (pattern, pending augmentations, item
-            # exclusion list as one-bit masks).  A frame that expands a child
+            # Depth-first over frames (pattern, its plain extent, pending
+            # augmentations, item exclusion list as one-bit masks).  A child's
+            # extent is one AND off its frame's.  A frame that expands a child
             # goes back on the stack under it, its list extended by the child's
             # item, so sibling branches never revisit each other's patterns.
-            stack = [(p, iter(fam.augmentations(p)), [])] if abstract_extent else []
+            # Every frame holds exactly its own pattern's extent, so a closure's
+            # frame computes it: under a generator abstraction the closure can
+            # have fewer objects than the child it closes.
+            stack = (
+                [(p, extension(ctx, p), iter(fam.augmentations(p)), [])]
+                if abstract_extent
+                else []
+            )
             while stack:
-                pattern, pending, items = stack.pop()
+                pattern, ext, pending, items = stack.pop()
                 for e in pending:
                     child = pattern | (1 << e)
-                    q, q_extent = close_pattern(cfg, child)
+                    q, q_extent = close_pattern(cfg, child, ext & tids[e])
                     if not is_subset(child, q):
                         raise ValueError(
                             "family projection is not extensive; the family violates its contract"
@@ -164,8 +181,8 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
                         # A local top: nothing above it can change support.
                         items.append(1 << e)
                         continue
-                    stack.append((pattern, pending, items + [1 << e]))
-                    stack.append((q, iter(fam.augmentations(q)), items))
+                    stack.append((pattern, ext, pending, items + [1 << e]))
+                    stack.append((q, extension(ctx, q), iter(fam.augmentations(q)), items))
                     break
             enumerated = True
         else:

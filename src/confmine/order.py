@@ -58,6 +58,7 @@ class FinitePoset:
                 down[j] |= 1 << i
         self.down = tuple(down)
         self._index = {e: i for i, e in enumerate(self.ids)}
+        self._dual: FinitePoset | None = None
         if _validate:
             self._validate()
 
@@ -136,8 +137,17 @@ class FinitePoset:
         return FinitePoset([self.ids[o] for o in old], up, _validate=False), old
 
     def dual(self) -> "FinitePoset":
-        """The opposite order on the same ids: each down set becomes an up set."""
-        return FinitePoset(self.ids, self.down, _validate=False)
+        """The opposite order on the same ids: each down set becomes an up set.
+
+        Built once, on first use, sharing this poset's tables; its dual is
+        this poset.
+        """
+        if self._dual is None:
+            d = object.__new__(FinitePoset)
+            d.ids, d.up, d.down, d._index = self.ids, self.down, self.up, self._index
+            d._dual = self
+            self._dual = d
+        return self._dual
 
     def __repr__(self) -> str:
         return f"FinitePoset(n={self.n})"
@@ -175,6 +185,7 @@ class FiniteLattice:
         self.join_table = tuple(tuple(row) for row in join)
         self.top = top
         self.bottom = bottom
+        self._dual: FiniteLattice | None = None
         if _verify:
             self._verify()
 
@@ -250,11 +261,19 @@ class FiniteLattice:
         return self.dual().meet_all(mask)
 
     def dual(self) -> "FiniteLattice":
-        """The opposite lattice: meets and joins, top and bottom trade places."""
-        return FiniteLattice(
-            self.poset.dual(), self.join_table, self.meet_table, self.bottom, self.top,
-            _verify=False,
-        )
+        """The opposite lattice: meets and joins, top and bottom trade places.
+
+        Built once, on first use, sharing this lattice's tables; its dual is
+        this lattice.
+        """
+        if self._dual is None:
+            d = object.__new__(FiniteLattice)
+            d.poset = self.poset.dual()
+            d.meet_table, d.join_table = self.join_table, self.meet_table
+            d.top, d.bottom = self.bottom, self.top
+            d._dual = self
+            self._dual = d
+        return self._dual
 
     def __repr__(self) -> str:
         return f"FiniteLattice(n={self.n})"

@@ -63,14 +63,12 @@ class Universe:
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate item names in universe")
         self._index = {name: i for i, name in enumerate(self.names)}
+        # A plain attribute, not a property: closures read it several times each.
+        self.full_mask = (1 << len(self.names)) - 1
 
     @property
     def size(self) -> int:
         return len(self.names)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.names)) - 1
 
     def index(self, name: str) -> int:
         try:

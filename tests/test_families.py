@@ -270,8 +270,8 @@ class TestStrongAccessibility:
 class TestFamilyProperties:
     """Randomized contract checks shared by every family kind."""
 
-    def _families(self, rng):
-        g = random_graph(rng, max_vertices=6)
+    def _families(self, rng, edge_prob=0.45):
+        g = random_graph(rng, max_vertices=6, edge_prob=edge_prob)
         yield cm.ConnectedVertexFamily(g)
         for min_size in (2, 3):
             try:
@@ -294,20 +294,41 @@ class TestFamilyProperties:
                     assert fam.contains(x | y)
 
     def test_projection_contract(self):
+        # Sparse graphs (edge_prob 0.1) are mostly disconnected: a member's
+        # local top is then its own component, not the whole universe, and
+        # x can cover that component but not the others.
         rng = random.Random(29)
-        for _ in range(8):
-            for fam in self._families(rng):
-                members = materialize(fam, budget=4096)
-                full = fam.universe.full_mask
-                for _ in range(20):
-                    mbr = rng.choice(members)
-                    x = mbr | (rng.randrange(full + 1) & full)
-                    proj = fam.project(mbr, x)
-                    assert fam.contains(proj)
-                    assert is_subset(mbr, proj) and is_subset(proj, x)
-                    for q in members:
-                        if is_subset(mbr, q) and is_subset(q, x):
-                            assert is_subset(q, proj)
+        split = 0
+        for edge_prob in (0.45, 0.1):
+            for _ in range(8):
+                for fam in self._families(rng, edge_prob):
+                    members = materialize(fam, budget=4096)
+                    full = fam.universe.full_mask
+                    for _ in range(20):
+                        mbr = rng.choice(members)
+                        x = mbr | (rng.randrange(full + 1) & full)
+                        proj = fam.project(mbr, x)
+                        assert fam.contains(proj)
+                        assert is_subset(mbr, proj) and is_subset(proj, x)
+                        top = 0
+                        for q in members:
+                            if is_subset(mbr, q):
+                                top |= q
+                                if is_subset(q, x):
+                                    assert is_subset(q, proj)
+                        assert fam.local_top(mbr) == top
+                        assert fam.project(mbr, x | top) == top
+                        if x | top != full:
+                            split += 1
+                        # a member of another component joined to mbr is no member
+                        for q in members:
+                            if not q & top:
+                                with pytest.raises(ValueError):
+                                    fam.project(mbr | q, full)
+                                break
+                    with pytest.raises(ValueError):
+                        fam.project(0, full)
+        assert split > 100
 
     def test_augmentations_exactly_match_scan(self):
         rng = random.Random(31)

@@ -7,12 +7,12 @@ import sys
 import pytest
 
 import confmine as cm
-from confmine.families import ExplicitFamily, FamilyError
-from confmine.fca import anchor_minimal
+from confmine.families import ExplicitFamily, FamilyError, explicit_family_from_names
+from confmine.fca import anchor_minimal, context_from_rows, load_abstraction, load_context
 from confmine.miner import MinimalEvent, MineEvent, PruneEvent, close_pattern
 from confmine.oracle import materialize, oracle_closed_set
 from confmine.patterns import is_subset
-from conftest import build_context
+from conftest import build_context, read_lines
 from randomized import (
     random_abstraction,
     random_context,
@@ -25,18 +25,23 @@ def intents(events):
     return [ev.concept.intent for ev in events]
 
 
+def close(cfg, pattern):
+    """``close_pattern`` with the pattern's plain extent computed here."""
+    return close_pattern(cfg, pattern, cm.extension(cfg.context, pattern))
+
+
 class TestClosePattern:
     def test_wedge_closures(self, wedge_family, wedge_context, wedge_universe):
         u = wedge_universe
         cfg = cm.MinerConfig(family=wedge_family, context=wedge_context)
-        assert close_pattern(cfg, u.mask("ab"))[0] == u.mask("abd")
-        assert close_pattern(cfg, u.mask("ac"))[0] == u.mask("acd")
-        assert close_pattern(cfg, u.mask("abc"))[0] == u.mask("abcd")
+        assert close(cfg, u.mask("ab"))[0] == u.mask("abd")
+        assert close(cfg, u.mask("ac"))[0] == u.mask("acd")
+        assert close(cfg, u.mask("abc"))[0] == u.mask("abcd")
 
     def test_idempotent_on_closed(self, wedge_family, wedge_context, wedge_universe):
         cfg = cm.MinerConfig(family=wedge_family, context=wedge_context)
-        closed = close_pattern(cfg, wedge_universe.mask("ab"))[0]
-        assert close_pattern(cfg, closed)[0] == closed
+        closed = close(cfg, wedge_universe.mask("ab"))[0]
+        assert close(cfg, closed)[0] == closed
 
     def test_threshold_above_object_count(self, wedge_family, wedge_context, wedge_universe):
         cfg = cm.MinerConfig(
@@ -45,14 +50,14 @@ class TestClosePattern:
             abstraction=cm.ExtensionalAbstraction.frequency(4),
         )
         u = wedge_universe
-        pattern, extent = close_pattern(cfg, u.mask("ab"))
+        pattern, extent = close(cfg, u.mask("ab"))
         assert pattern == wedge_family.local_top(u.mask("ab")) == u.mask("abcd")
         assert extent == 0
 
     def test_rejects_non_member(self, wedge_family, wedge_context, wedge_universe):
         cfg = cm.MinerConfig(family=wedge_family, context=wedge_context)
         with pytest.raises(ValueError):
-            close_pattern(cfg, wedge_universe.mask("a"))
+            close(cfg, wedge_universe.mask("a"))
 
 
 class TestWedgeTrace:
@@ -89,6 +94,137 @@ class TestWedgeTrace:
         out = intents(cm.mine(cfg))
         assert sorted(out) == sorted({u.mask(p) for p in ("abd", "acd", "abcd")})
         assert len(out) == len(set(out))
+
+
+def _data_instance(name):
+    """A miner config built from the ``tests/data`` files, as the CLI builds it."""
+    if name.startswith("quad"):
+        fam = cm.ConnectedEdgeFamily(cm.load_graph(read_lines("quad.graph")))
+        ctx = context_from_rows(load_context(read_lines("quad.ctx")), fam.universe)
+        if name == "quad-pairgen":
+            abstraction = load_abstraction(read_lines("pairgen.abs"), ctx.objects)
+            return cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
+        return cm.MinerConfig(family=fam, context=ctx)
+    if name.startswith("wedge"):
+        rows = load_context(read_lines("wedge.ctx"))
+        fam = explicit_family_from_names(
+            cm.load_family_lines(read_lines("wedge.family")),
+            extra_items=[item for _, items in rows for item in items],
+        )
+        ctx = context_from_rows(rows, fam.universe)
+        if name == "wedge-min-support-2":
+            abstraction = cm.ExtensionalAbstraction.frequency(2)
+            return cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
+        return cm.MinerConfig(family=fam, context=ctx)
+    fam = cm.KGapWordFamily(4, 2)
+    ctx = context_from_rows(load_context(read_lines("kgap.ctx")), fam.universe)
+    return cm.MinerConfig(family=fam, context=ctx)
+
+
+def _render_trace(cfg):
+    """Every field of every event, items and objects by name."""
+    u, ctx = cfg.family.universe, cfg.context
+
+    def fmt(mask):
+        return None if mask is None else u.format(mask)
+
+    out = []
+    for ev in cm.mine_trace(cfg):
+        if isinstance(ev, MineEvent):
+            c = ev.concept
+            out.append(
+                (
+                    "emit", fmt(c.intent), ctx.format_extent(c.extent),
+                    fmt(c.anchor_minimal), c.empty_support, fmt(ev.parent_intent),
+                )
+            )
+        elif isinstance(ev, PruneEvent):
+            item = None if ev.blocked_by_item is None else u.names[ev.blocked_by_item]
+            out.append(
+                (
+                    "prune", fmt(ev.closure), fmt(ev.parent_intent),
+                    fmt(ev.blocked_by_minimal), item, ev.at_root,
+                )
+            )
+        else:
+            out.append(("minimal", fmt(ev.minimal), ev.enumerated))
+    return out
+
+
+GOLDEN_TRACES = {
+    "quad": [
+        ("emit", "a", "o1 o2 o3", "a", False, None),
+        ("emit", "a b c", "o2 o3", "a", False, "a"),
+        ("emit", "a b c d", "o3", "a", False, "a b c"),
+        ("prune", "a b c d", "a", None, "c", False),
+        ("minimal", "a", True),
+        ("emit", "b", "o1 o2 o3", "b", False, None),
+        ("prune", "a b c", "b", "a", None, False),
+        ("prune", "a b c d", "b", "a", None, False),
+        ("minimal", "b", True),
+        ("prune", "a b c", None, "a", None, True),
+        ("minimal", "c", False),
+        ("prune", "a b c d", None, "a", None, True),
+        ("minimal", "d", False),
+    ],
+    "quad-pairgen": [
+        ("emit", "a", "o1 o2 o3", "a", False, None),
+        ("emit", "a b c d", "{}", "a", True, "a"),
+        ("prune", "a b c d", "a", None, "c", False),
+        ("minimal", "a", True),
+        ("emit", "b", "o1 o2 o3", "b", False, None),
+        ("prune", "a b c d", "b", "a", None, False),
+        ("prune", "a b c d", "b", "a", None, False),
+        ("minimal", "b", True),
+        ("prune", "a b c d", None, "a", None, True),
+        ("minimal", "c", False),
+        ("prune", "a b c d", None, "a", None, True),
+        ("minimal", "d", False),
+    ],
+    "wedge": [
+        ("emit", "a b d", "o1 o2", "a b", False, None),
+        ("emit", "a b c d", "o2", "a b", False, "a b d"),
+        ("minimal", "a b", True),
+        ("emit", "a c d", "o2 o3", "a c", False, None),
+        ("prune", "a b c d", "a c d", "a b", None, False),
+        ("minimal", "a c", True),
+    ],
+    "wedge-min-support-2": [
+        ("emit", "a b d", "o1 o2", "a b", False, None),
+        ("emit", "a b c d", "{}", "a b", True, "a b d"),
+        ("minimal", "a b", True),
+        ("emit", "a c d", "o2 o3", "a c", False, None),
+        ("prune", "a b c d", "a c d", "a b", None, False),
+        ("minimal", "a c", True),
+    ],
+    "kgap-4-2": [
+        ("emit", "a1 a2", "o1", "a1", False, None),
+        ("emit", "a1 a2 a3 a4", "{}", "a1", True, "a1 a2"),
+        ("prune", "a1 a2 a3 a4", "a1 a2", None, "a3", False),
+        ("minimal", "a1", True),
+        ("emit", "a2", "o1 o2", "a2", False, None),
+        ("prune", "a1 a2", "a2", "a1", None, False),
+        ("emit", "a2 a3", "o2", "a2", False, "a2"),
+        ("prune", "a1 a2 a3 a4", "a2 a3", "a1", None, False),
+        ("prune", "a1 a2 a3 a4", "a2 a3", "a1", None, False),
+        ("prune", "a1 a2 a3 a4", "a2", "a1", None, False),
+        ("minimal", "a2", True),
+        ("prune", "a2 a3", None, "a2", None, True),
+        ("minimal", "a3", False),
+        ("prune", "a1 a2 a3 a4", None, "a1", None, True),
+        ("minimal", "a4", False),
+    ],
+}
+
+
+class TestGoldenTraces:
+    """The full event sequence, every field, on the ``tests/data`` instances:
+    emissions (intent, extent, anchor, empty-support flag, parent), prunes
+    (closure, parent, blocking minimal or item, root flag) and minimals."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+    def test_event_sequence(self, name):
+        assert _render_trace(_data_instance(name)) == GOLDEN_TRACES[name]
 
 
 class TestQuadGraphMining:
@@ -220,7 +356,7 @@ class TestExclusionListPlacements:
                 return
             excl_items = list(excl_items)
             for e in cfg.family.augmentations(pattern):
-                q, q_extent = close_pattern(cfg, pattern | (1 << e))
+                q, q_extent = close(cfg, pattern | (1 << e))
                 if not any(is_subset(m, q) for m in excluded) and all(
                     not (q >> i) & 1 for i in excl_items
                 ):
@@ -228,7 +364,7 @@ class TestExclusionListPlacements:
                     excl_items.append(e)
 
         for m in cfg.family.minimals():
-            p, extent = close_pattern(cfg, m)
+            p, extent = close(cfg, m)
             if not any(is_subset(m, p) for m in excluded):
                 enum(p, extent, [])
                 excluded.append(m)
@@ -318,9 +454,10 @@ class TestMinerAgainstOracle:
 
 class TestRootAnchorsAcrossFamilyKinds:
     """Every emitted concept's anchor (its subtree's root minimal) is the
-    least-mask minimal inside its intent, and the emitted intents are the
-    oracle's closed set, for every family kind under identity, frequency and
-    generator abstractions."""
+    least-mask minimal inside its intent, its extent is the abstraction of
+    its intent's support, and the emitted intents are the oracle's closed
+    set, for every family kind under identity, frequency and generator
+    abstractions."""
 
     @staticmethod
     def _vertex_family(rng, min_size):
@@ -358,6 +495,12 @@ class TestRootAnchorsAcrossFamilyKinds:
                     for ev in mined:
                         c = ev.concept
                         assert c.anchor_minimal == anchor_minimal(fam, c.intent)
+                        support = sum(
+                            1 << o
+                            for o, d in enumerate(ctx.descriptions)
+                            if is_subset(c.intent, d)
+                        )
+                        assert c.extent == abstraction.apply(support)
                     got = intents(mined)
                     assert len(got) == len(set(got))
                     assert set(got) == oracle_closed_set(ctx, members, abstraction)

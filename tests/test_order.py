@@ -55,6 +55,11 @@ class TestFinitePoset:
         assert dual.ids == p4.poset.ids
         assert dual.up == p4.poset.down and dual.down == p4.poset.up
 
+    def test_dual_built_once(self, p4):
+        poset = p4.poset
+        assert poset.dual() is poset.dual()
+        assert poset.dual().dual() is poset
+
     def test_restrict_preserves_order(self, p4):
         poset = p4.poset
         sub, old = poset.restrict(mask_of([m("a"), m("ab"), m("abc")]))
@@ -78,6 +83,11 @@ class TestPowersetLattice:
         dual = p4.dual()
         assert dual.meet_table == p4.join_table and dual.join_table == p4.meet_table
         assert (dual.top, dual.bottom) == (p4.bottom, p4.top)
+
+    def test_dual_built_once(self, p4):
+        assert p4.dual() is p4.dual()
+        assert p4.dual().dual() is p4
+        assert p4.dual().poset is p4.poset.dual()
 
     def test_from_poset_derives_same_tables(self):
         direct = powerset_lattice(3)
