@@ -1,9 +1,12 @@
 """Implicit pattern families: connected subgraph families, bounded-gap words,
 and explicit desk-scale families, all behind one behavioral contract.
 
-Families are never materialized here (connected-subgraph families are
-exponential in graph size); membership, minimal elements, single-item
-augmentations and interior projections are answered directly.
+Membership, minimal elements, single-item augmentations and interior
+projections are answered directly, without listing the family.  Listing
+every member (``members``, which ``oracle.materialize`` reads under a budget)
+is exponential in graph size for the connected families; they list it by one
+exactly-once walk over the adjacency table (ESU, Wernicke 2006) that also
+finds their minimals.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .confluence import NotSubconfluenceError
 from .order import Verdict
@@ -128,6 +131,28 @@ class PatternFamily(ABC):
             if not (pattern >> e) & 1 and self.contains(pattern | bit(e))
         ]
 
+    def members(self) -> Iterator[int]:
+        """Every member exactly once, in no fixed order.
+
+        This default grows the members breadth-first from the minimals by
+        single-item augmentations, so it is complete only for strongly
+        accessible families (each member is then reachable from a minimal
+        inside it).
+        """
+        seen = set(self.minimals())
+        yield from seen
+        frontier = list(seen)
+        while frontier:
+            nxt: list[int] = []
+            for p in frontier:
+                for e in self.augmentations(p):
+                    q = p | bit(e)
+                    if q not in seen:
+                        seen.add(q)
+                        yield q
+                        nxt.append(q)
+            frontier = nxt
+
     def local_top(self, member: int) -> int:
         return self.project(member, self.universe.full_mask)
 
@@ -153,36 +178,42 @@ def _component_from(seed: int, within: int, adjacency: Sequence[int]) -> int:
     return comp
 
 
-def _neighbors(pattern: int, adjacency: Sequence[int]) -> int:
-    """Items adjacent to some item of the pattern (may overlap the pattern)."""
-    neighbors = 0
-    for v in iter_indices(pattern):
-        neighbors |= adjacency[v]
-    return neighbors
+def _connected_sets(
+    adjacency: Sequence[int], min_size: int, max_size: int | None = None
+) -> Iterator[int]:
+    """Every connected item set of ``min_size`` to ``max_size`` items (no upper
+    bound when ``max_size`` is None), each exactly once, in no fixed order.
 
-
-def _connected_sets(adjacency: Sequence[int], size: int) -> tuple[int, ...]:
-    """Every connected item set of exactly ``size`` items, sorted by mask.
-
-    The sets whose least item is v grow from {v} level by level, only through
-    neighbours above v.  A breadth-first order of a connected set started at
-    its least item has only connected prefixes, so every set is reached; sets
-    with different least items differ, so only one item's levels are alive
-    at a time and the results need no deduplication across items.
+    This is ESU (Wernicke 2006).  The sets whose least item is v grow from
+    {v} on an explicit stack of frames (set, size, candidate mask, closed
+    neighbourhood: the set and every item adjacent to it).  Taking a
+    candidate w out of a frame's mask pushes the set plus w, whose candidates
+    are the rest of the mask plus w's neighbours above v outside the closed
+    neighbourhood.  Every set below that child contains w and no set below
+    the frame's later children does (w lies in the closed neighbourhood, so
+    it never becomes a candidate there again): no set is reached twice.  And
+    every connected set T whose least item is v is reached: from a frame whose
+    set lies inside T and whose mask holds every item of T adjacent to that
+    set, the child taking the least such candidate is again such a frame, one
+    item closer to T.
     """
-    found: list[int] = []
+    limit = len(adjacency) if max_size is None else max_size
     for v in range(len(adjacency)):
         above = -(bit(v) << 1)  # every item greater than v
-        level = {bit(v)}
-        for _ in range(size - 1):
-            level = {
-                s | bit(w)
-                for s in level
-                for w in iter_indices(_neighbors(s, adjacency) & above & ~s)
-            }
-        found.extend(level)
-    found.sort()
-    return tuple(found)
+        stack = [(bit(v), 1, adjacency[v] & above, bit(v) | adjacency[v])]
+        while stack:
+            s, size, candidates, closed = stack.pop()
+            if size >= min_size:
+                yield s
+            if size == limit:
+                continue
+            while candidates:
+                w = candidates & -candidates
+                candidates ^= w
+                adj = adjacency[w.bit_length() - 1]
+                stack.append(
+                    (s | w, size + 1, candidates | (adj & above & ~closed), closed | adj)
+                )
 
 
 class ConnectedFamily(PatternFamily):
@@ -196,7 +227,7 @@ class ConnectedFamily(PatternFamily):
         self.universe = universe
         self.min_size = min_size
         self._adj = adjacency
-        self._minimals = _connected_sets(adjacency, min_size)
+        self._minimals = tuple(sorted(_connected_sets(adjacency, min_size, min_size)))
 
     def contains(self, pattern: int) -> bool:
         if pattern & ~self.universe.full_mask or pattern.bit_count() < self.min_size:
@@ -206,10 +237,16 @@ class ConnectedFamily(PatternFamily):
     def minimals(self) -> tuple[int, ...]:
         return self._minimals
 
+    def members(self) -> Iterator[int]:
+        return _connected_sets(self._adj, self.min_size)
+
     def augmentations(self, pattern: int) -> list[int]:
         # Exactly the items adjacent to a member: adding one keeps it connected
         # (and above the size bound), adding any other disconnects it.
-        return list(iter_indices(_neighbors(pattern, self._adj) & ~pattern))
+        neighbors = 0
+        for v in iter_indices(pattern):
+            neighbors |= self._adj[v]
+        return list(iter_indices(neighbors & ~pattern))
 
     @cached_property
     def _components(self) -> tuple[int, ...]:
@@ -307,6 +344,9 @@ class ExplicitFamily(PatternFamily):
 
     def contains(self, pattern: int) -> bool:
         return pattern in self._set
+
+    def members(self) -> Iterator[int]:
+        return iter(self.patterns)
 
     def minimals(self) -> tuple[int, ...]:
         return self._minimals

@@ -171,11 +171,14 @@ def closure_and_extent(
     """(abstract support closure, abstract support) of a family member.
 
     ``extent`` is the pattern's plain support, ``extension(ctx, pattern)``,
-    which a caller walking up the family can carry from the pattern's parent.
-    The result is the powerset closure of the abstract support, projected at
-    the pattern itself.  With an empty abstract support the powerset closure
-    is the whole universe, so the result is the local top of the pattern's
-    component.  Raises ``ValueError`` (from the projection) for non-members.
+    or any superset X of it with ``abstraction.apply(X)`` inside that support:
+    the abstraction is an interior operator, so then ``apply(X)`` equals the
+    abstract support and the result is the same.  A caller walking up the
+    family carries such an X down from the pattern's parent.  The result is
+    the powerset closure of the abstract support, projected at the pattern
+    itself.  With an empty abstract support the powerset closure is the whole
+    universe, so the result is the local top of the pattern's component.
+    Raises ``ValueError`` (from the projection) for non-members.
     """
     abstract_extent = abstraction.apply(extent)
     return fam.project(pattern, intension(ctx, abstract_extent)), abstract_extent

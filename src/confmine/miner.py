@@ -105,10 +105,11 @@ def _first_including(pattern: int, excluded: Iterable[int]) -> int | None:
 
 
 def close_pattern(cfg: MinerConfig, pattern: int, extent: int) -> tuple[int, int]:
-    """Close a family member with plain support ``extent``: (closed pattern,
-    abstract extent).
+    """Close a family member carrying ``extent``: (closed pattern, abstract extent).
 
-    The powerset closure of the abstract support (the whole universe when that
+    ``extent`` is the pattern's plain support or any superset X of it with
+    ``apply(X)`` inside that support, as for ``fca.closure_and_extent``.  The
+    powerset closure of the abstract support (the whole universe when that
     support is empty), projected at the pattern; ``ValueError`` for non-members.
     """
     return closure_and_extent(cfg.context, cfg.family, cfg.abstraction, pattern, extent)
@@ -139,31 +140,31 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
     tids = ctx.tids
     excluded: list[int] = []
     for m in fam.minimals():
-        p, abstract_extent = close_pattern(cfg, m, extension(ctx, m))
+        m_extent = extension(ctx, m)
+        p, abstract_extent = close_pattern(cfg, m, m_extent)
         blocker = _first_including(p, excluded)
         if blocker is None:
             # m anchors every concept of its subtree: those closures contain m
             # and, having passed the exclusion check, no earlier minimal, and
             # minimals() is sorted by mask.
             yield MineEvent(Concept(abstract_extent, p, m, abstract_extent == 0), None)
-            # Depth-first over frames (pattern, its plain extent, pending
-            # augmentations, item exclusion list as one-bit masks).  A child's
-            # extent is one AND off its frame's.  A frame that expands a child
-            # goes back on the stack under it, its list extended by the child's
+            # Depth-first over frames (closed pattern q, carried extent X,
+            # pending augmentations, item exclusion list as one-bit masks).  X
+            # is the extent q's closure was called with: ext(m) at the root,
+            # the parent frame's X & tids[e] for a child.  Invariant: X ⊇
+            # ext(q) and apply(X) ⊆ ext(q).  As apply is an interior operator,
+            # apply(X & t) == apply(ext(q) & t) for every t, so a child closes
+            # from X & tids[e] exactly as from its own plain extent, and its
+            # frame keeps the invariant.  A frame that expands a child goes
+            # back on the stack under it, its list extended by the child's
             # item, so sibling branches never revisit each other's patterns.
-            # Every frame holds exactly its own pattern's extent, so a closure's
-            # frame computes it: under a generator abstraction the closure can
-            # have fewer objects than the child it closes.
-            stack = (
-                [(p, extension(ctx, p), iter(fam.augmentations(p)), [])]
-                if abstract_extent
-                else []
-            )
+            stack = [(p, m_extent, iter(fam.augmentations(p)), [])] if abstract_extent else []
             while stack:
                 pattern, ext, pending, items = stack.pop()
                 for e in pending:
                     child = pattern | (1 << e)
-                    q, q_extent = close_pattern(cfg, child, ext & tids[e])
+                    child_extent = ext & tids[e]
+                    q, q_extent = close_pattern(cfg, child, child_extent)
                     if not is_subset(child, q):
                         raise ValueError(
                             "family projection is not extensive; the family violates its contract"
@@ -182,7 +183,7 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
                         items.append(1 << e)
                         continue
                     stack.append((pattern, ext, pending, items + [1 << e]))
-                    stack.append((q, extension(ctx, q), iter(fam.augmentations(q)), items))
+                    stack.append((q, child_extent, iter(fam.augmentations(q)), items))
                     break
             enumerated = True
         else:

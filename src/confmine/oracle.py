@@ -18,7 +18,7 @@ from .confluence import (
     is_closed_under_local_meet,
     is_confluence,
 )
-from .families import ExplicitFamily, PatternFamily
+from .families import PatternFamily
 from .fca import (
     ExtensionalAbstraction,
     ObjectContext,
@@ -67,30 +67,20 @@ def _support(ctx: ObjectContext, pattern: int) -> int:
 
 
 def materialize(fam: PatternFamily, budget: int = 4096) -> list[int]:
-    """Every family member, by breadth-first augmentation from the minimals.
+    """Every family member, sorted by mask, as ``fam.members()`` lists them.
 
-    Complete for strongly accessible families (each member is reachable from a
-    minimal inside it).  Explicit families return their pattern list directly.
+    Raises :class:`BudgetExceededError` as soon as a member beyond the budget
+    turns up, so its ``partial`` is always ``budget + 1``.  Explicit and
+    connected families list themselves completely; the ``PatternFamily``
+    default needs a strongly accessible family.
     """
-    if isinstance(fam, ExplicitFamily):
-        if len(fam.patterns) > budget:
-            raise BudgetExceededError(budget, len(fam.patterns))
-        return list(fam.patterns)
-    seen: set[int] = set()
-    frontier = list(fam.minimals())
-    seen.update(frontier)
-    while frontier:
-        nxt: list[int] = []
-        for p in frontier:
-            for e in fam.augmentations(p):
-                q = p | bit(e)
-                if q not in seen:
-                    seen.add(q)
-                    if len(seen) > budget:
-                        raise BudgetExceededError(budget, len(seen))
-                    nxt.append(q)
-        frontier = nxt
-    return sorted(seen)
+    found: list[int] = []
+    for p in fam.members():
+        if len(found) == budget:
+            raise BudgetExceededError(budget, budget + 1)
+        found.append(p)
+    found.sort()
+    return found
 
 
 def oracle_closure(

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import confmine as cm
-from confmine.families import subconfluence_violation
+from confmine.families import FamilyError, PatternFamily, _connected_sets, subconfluence_violation
 from confmine.oracle import CheckResult, _check_subconfluence, family_poset, oracle_closed_set
 from confmine.order import powerset_lattice
 from confmine.patterns import is_subset, iter_indices
@@ -44,18 +44,57 @@ class TestMaterialize:
         assert cm.materialize(five_family) == sorted(five_family.patterns)
 
     def test_budget_exceeded(self):
+        # eight minimal members against a budget of 5: the sixth raises
         fam = cm.ConnectedVertexFamily(path_graph(*"abcdefgh"))
-        with pytest.raises(cm.BudgetExceededError) as exc:
+        with pytest.raises(cm.BudgetExceededError, match=r"of 5 \(found 6\+ members\)") as exc:
             cm.materialize(fam, budget=5)
-        assert exc.value.partial > 5
+        assert exc.value.partial == 6
+
+    def test_budget_counts_the_minimals(self):
+        # five isolated vertices: five minimal members and no augmentation
+        graph = cm.GraphSpec(tuple("abcde"), (), ())
+        with pytest.raises(cm.BudgetExceededError) as exc:
+            cm.materialize(cm.ConnectedVertexFamily(graph), budget=3)
+        assert exc.value.partial == 4
+
+    @staticmethod
+    def _families(rng):
+        g = random_graph(rng, max_vertices=8, edge_prob=rng.choice([0.15, 0.3, 0.5]))
+        for min_size in range(1, len(g.vertices) + 1):
+            try:
+                yield cm.ConnectedVertexFamily(g, min_size)
+            except FamilyError:
+                break  # no connected vertex set that large, nor any larger
+        if len(g.edges) <= 10:
+            yield cm.ConnectedEdgeFamily(g)
+        yield cm.KGapWordFamily(rng.randint(1, 8), rng.randint(1, 3))
 
     def test_agrees_with_membership_scan(self):
-        rng = random.Random(71)
-        for _ in range(5):
-            fam = cm.ConnectedVertexFamily(random_graph(rng, max_vertices=5))
-            members = cm.materialize(fam)
-            full = fam.universe.full_mask
-            assert members == [p for p in range(1, full + 1) if fam.contains(p)]
+        # The connected-set walk yields each member once; materialize agrees
+        # with a brute-force membership scan, with the PatternFamily default
+        # augmentation search and, under every smaller budget, raises at
+        # exactly budget + 1 members.
+        rng = random.Random(53)
+        checked = 0
+        for _ in range(30):
+            for fam in self._families(rng):
+                walked = list(fam.members())
+                assert len(walked) == len(set(walked))
+                full = fam.universe.full_mask
+                members = cm.materialize(fam)
+                assert members == [p for p in range(1, full + 1) if fam.contains(p)]
+                assert members == sorted(PatternFamily.members(fam))
+                for max_size in range(1, fam.universe.size + 1):
+                    assert sorted(_connected_sets(fam._adj, fam.min_size, max_size)) == [
+                        p for p in members if p.bit_count() <= max_size
+                    ]
+                for budget in range(1, len(members)):
+                    with pytest.raises(cm.BudgetExceededError) as exc:
+                        cm.materialize(fam, budget)
+                    assert exc.value.partial == budget + 1
+                assert cm.materialize(fam, len(members)) == members
+                checked += 1
+        assert checked > 100
 
 
 class TestOracleClosure:
