@@ -2,9 +2,13 @@
 
 Family members with the same support set form an equivalence class; its
 minimal members are the generators and its support-closed members the class
-representatives.  The basis pairs every generator with every closed member of
-its class: internal implications go up the order, external ones connect
-incomparable members anchored at different minimals.
+representatives.  The supports come from prefix-shared tidset ANDs
+(``fca.extensions``), about one AND per member when the members arrive
+sorted by mask; any order gives the same classes.  A class's closed members
+are projected from the class extent, which its generators share.  The basis
+pairs every generator with every closed member of its class: internal
+implications go up the order, external ones connect incomparable members
+anchored at different minimals.
 """
 
 from __future__ import annotations
@@ -13,7 +17,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .families import PatternFamily
-from .fca import ObjectContext, extension, support_closure
+from .fca import (
+    ExtensionalAbstraction,
+    ObjectContext,
+    closure_and_extent,
+    extension,
+    extensions,
+)
 from .patterns import is_subset, minimal_masks
 
 
@@ -39,18 +49,25 @@ def equivalence_classes(
 ) -> list[EquivalenceClass]:
     """Group the materialized family by support set.
 
-    Generators are the subset-minimal members of each class; closed members
-    are the support-closure fixpoints.
+    ``members`` may come in any order; the supports are computed with
+    prefix-shared tidset ANDs, which share the most when the members are
+    sorted by mask, as ``oracle.materialize`` returns them.  Generators are
+    the subset-minimal members of each class.  Closed members are the
+    support-closure fixpoints: each member lies above a generator of its class
+    and shares its closure, and a generator's closure is projected from the
+    class extent, its plain support.
     """
     by_extent: dict[int, list[int]] = {}
-    for t in members:
-        by_extent.setdefault(extension(ctx, t), []).append(t)
+    for t, extent in zip(members, extensions(ctx, members)):
+        by_extent.setdefault(extent, []).append(t)
+    identity = ExtensionalAbstraction.identity()
     classes = []
     for extent in sorted(by_extent):
         group = sorted(by_extent[extent])
         generators = minimal_masks(group)
-        # Each member lies above a generator of its class and shares its closure.
-        closed = tuple(sorted({support_closure(ctx, fam, g) for g in generators}))
+        closed = tuple(
+            sorted({closure_and_extent(ctx, fam, identity, g, extent)[0] for g in generators})
+        )
         classes.append(EquivalenceClass(extent, tuple(group), generators, closed))
     return classes
 

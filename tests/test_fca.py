@@ -10,6 +10,7 @@ from confmine.families import ExplicitFamily
 from confmine.fca import (
     ContextError,
     context_from_rows,
+    extensions,
     load_abstraction,
     load_context,
 )
@@ -17,7 +18,7 @@ from confmine.oracle import materialize
 from confmine.patterns import is_subset
 
 from conftest import build_context
-from randomized import random_context, random_graph
+from randomized import random_context, random_explicit_subconfluence, random_graph
 
 
 class TestExtensionIntension:
@@ -56,6 +57,50 @@ class TestTidsetExtension:
             for p in range(u.full_mask + 1):
                 assert cm.extension(ctx, p) == self._scan(ctx, p)
             assert cm.extension(ctx, 0) == ctx.all_objects_mask
+
+    def test_extensions_match_extension_in_any_order(self):
+        # The prefix sharing depends on the order and the result must not:
+        # sorted, reversed, shuffled and repeated sequences, with the empty
+        # pattern and patterns with bits outside the universe mixed in.
+        rng = random.Random(19)
+        for _ in range(60):
+            u = cm.Universe([f"i{k}" for k in range(rng.randint(1, 7))])
+            ctx = random_context(rng, u, max_objects=9)
+            patterns = [rng.randint(0, u.full_mask) for _ in range(rng.randint(0, 30))]
+            patterns += [0, u.full_mask + 1, rng.randint(0, u.full_mask) | u.full_mask << 1]
+            shuffled = patterns[:]
+            rng.shuffle(shuffled)
+            for seq in (
+                sorted(patterns),
+                sorted(patterns, reverse=True),
+                shuffled,
+                shuffled * 2,
+                [p for p in sorted(patterns) for _ in range(2)],
+            ):
+                assert list(extensions(ctx, seq)) == [cm.extension(ctx, p) for p in seq]
+            assert list(extensions(ctx, iter(shuffled))) == [
+                cm.extension(ctx, p) for p in shuffled
+            ]
+        assert list(extensions(ctx, [])) == []
+
+    def test_extensions_share_the_prefix_and(self):
+        # In ascending order each pattern agrees with the one before above its
+        # lowest set bit and has no item below it, so it costs one AND, where
+        # a fresh extension costs one per item.
+        u = cm.Universe([f"i{k}" for k in range(6)])
+        ctx = random_context(random.Random(23), u)
+        patterns = range(u.full_mask + 1)
+        expected = [cm.extension(ctx, p) for p in patterns]
+        reads = []
+
+        class CountedTids(tuple):
+            def __getitem__(self, i):
+                reads.append(i)
+                return tuple.__getitem__(self, i)
+
+        vars(ctx)["tids"] = CountedTids(ctx.tids)  # replaces the cached tidsets
+        assert list(extensions(ctx, patterns)) == expected
+        assert len(reads) == u.full_mask
 
     def test_zero_objects(self):
         u = cm.Universe(["a", "b"])
@@ -193,16 +238,64 @@ class TestExtentDecomposition:
         equal, _, _ = cm.verify_extent_decomposition(ctx, fam, materialize(fam))
         assert equal
 
+    @staticmethod
+    def _subset_walk(ctx, fam):
+        """The right-hand side by its definition, one projection per subset S
+        of each minimal's extent, and the number of distinct intension(S)."""
+        right, distinct = set(), 0
+        for m in fam.minimals():
+            ext_m = cm.extension(ctx, m)
+            meets = set()
+            sub = ext_m
+            while True:
+                q = cm.intension(ctx, sub)
+                meets.add(q)
+                right.add(cm.extension(ctx, fam.project(m, q)))
+                if sub == 0:
+                    break
+                sub = (sub - 1) & ext_m
+            distinct += len(meets)
+        return right, distinct
+
     def test_random_instances(self):
+        # Against the subset walk on vertex, k-gap and explicit families.
+        # Given no members, the check returns its whole right-hand side as
+        # the right-only witness.  It projects each distinct intension value
+        # of a minimal's extent once, never once per subset.
         rng = random.Random(11)
+        calls = distinct_total = subsets_total = 0
         for _ in range(25):
-            g = random_graph(rng, max_vertices=5)
-            fam = cm.ConnectedVertexFamily(g)
-            ctx = random_context(rng, fam.universe, max_objects=6)
-            equal, only_left, only_right = cm.verify_extent_decomposition(
-                ctx, fam, materialize(fam)
-            )
-            assert equal, (only_left, only_right)
+            for fam in (
+                cm.ConnectedVertexFamily(random_graph(rng, max_vertices=5)),
+                cm.KGapWordFamily(rng.randint(2, 5), rng.randint(1, 3)),
+                random_explicit_subconfluence(rng, n_items=rng.randint(2, 5)),
+            ):
+                ctx = random_context(rng, fam.universe, max_objects=6)
+                right, distinct = self._subset_walk(ctx, fam)
+                project = fam.project
+
+                def counted(m, x):
+                    nonlocal calls
+                    calls += 1
+                    return project(m, x)
+
+                fam.project = counted
+                before = calls
+                equal, only_left, only_right = cm.verify_extent_decomposition(
+                    ctx, fam, materialize(fam)
+                )
+                assert equal, (only_left, only_right)
+                assert calls - before == distinct
+                assert cm.verify_extent_decomposition(ctx, fam, ()) == (
+                    not right,
+                    (),
+                    tuple(sorted(right)),
+                )
+                distinct_total += distinct
+                subsets_total += sum(
+                    1 << cm.extension(ctx, m).bit_count() for m in fam.minimals()
+                )
+        assert distinct_total < subsets_total
 
 
 class TestExistenceCheck:

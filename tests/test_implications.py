@@ -99,6 +99,7 @@ class TestClassesAgainstOracle:
 
     def test_classes_match_oracle_across_family_kinds(self):
         rng = random.Random(61)
+        shuffler = random.Random(67)  # apart from rng, so the instances stay the same
         identity = cm.ExtensionalAbstraction.identity()
         inaccessible = 0
         for _ in range(60):
@@ -113,15 +114,18 @@ class TestClassesAgainstOracle:
                         1 << o for o, d in enumerate(ctx.descriptions) if is_subset(t, d)
                     )
                     by_extent.setdefault(extent, []).append(t)
-                classes = cm.equivalence_classes(ctx, fam, members)
-                assert [c.extent for c in classes] == sorted(by_extent)
-                for cls in classes:
-                    group = sorted(by_extent[cls.extent])
-                    assert cls.members == tuple(group)
-                    assert cls.generators == tuple(
-                        p for p in group if not any(q != p and is_subset(q, p) for q in group)
-                    )
-                    assert cls.closed == tuple(t for t in group if t in closed_all)
+                shuffled = list(members)
+                shuffler.shuffle(shuffled)
+                for order in (members, shuffled):
+                    classes = cm.equivalence_classes(ctx, fam, order)
+                    assert [c.extent for c in classes] == sorted(by_extent)
+                    for cls in classes:
+                        group = sorted(by_extent[cls.extent])
+                        assert cls.members == tuple(group)
+                        assert cls.generators == tuple(
+                            p for p in group if not any(q != p and is_subset(q, p) for q in group)
+                        )
+                        assert cls.closed == tuple(t for t in group if t in closed_all)
         assert inaccessible > 0
 
 
