@@ -243,9 +243,13 @@ class ConnectedFamily(PatternFamily):
     def augmentations(self, pattern: int) -> list[int]:
         # Exactly the items adjacent to a member: adding one keeps it connected
         # (and above the size bound), adding any other disconnects it.
+        adj = self._adj
         neighbors = 0
-        for v in iter_indices(pattern):
-            neighbors |= self._adj[v]
+        rest = pattern
+        while rest:  # iter_indices inlined: one call per expanded closure
+            low = rest & -rest
+            neighbors |= adj[low.bit_length() - 1]
+            rest ^= low
         return list(iter_indices(neighbors & ~pattern))
 
     @cached_property

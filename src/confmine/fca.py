@@ -77,8 +77,10 @@ def extension(ctx: ObjectContext, pattern: int) -> int:
         return 0
     e = ctx.all_objects_mask
     tids = ctx.tids
-    for i in iter_indices(pattern):
-        e &= tids[i]
+    while pattern:  # iter_indices inlined: one or two calls per closure
+        low = pattern & -pattern
+        e &= tids[low.bit_length() - 1]
+        pattern ^= low
     return e
 
 
@@ -118,8 +120,11 @@ def extensions(ctx: ObjectContext, patterns: Iterable[int]) -> Iterator[int]:
 def intension(ctx: ObjectContext, extent: int) -> int:
     """Intersection of the descriptions over an extent; the full universe if empty."""
     acc = ctx.universe.full_mask
-    for i in iter_indices(extent):
-        acc &= ctx.descriptions[i]
+    descriptions = ctx.descriptions
+    while extent:  # iter_indices inlined: one call per closure
+        low = extent & -extent
+        acc &= descriptions[low.bit_length() - 1]
+        extent ^= low
     return acc
 
 

@@ -15,7 +15,7 @@ Python's recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .families import ExplicitFamily, PatternFamily, is_strongly_accessible
 from .fca import (
@@ -58,16 +58,18 @@ class MinerConfig:
             raise ValueError("family and context must share the item universe")
 
 
-@dataclass(frozen=True)
-class MineEvent:
+# Trace events are named tuples, not frozen dataclasses: the miner builds one
+# per closure, and a tuple is built without a ``__setattr__`` call per field.
+# They stay immutable and hashable, but compare equal to any tuple of their
+# fields, so tell the kinds apart with ``isinstance``.
+class MineEvent(NamedTuple):
     """A closed pattern emission; ``parent_intent`` is its enumeration-tree parent."""
 
     concept: Concept
     parent_intent: int | None
 
 
-@dataclass(frozen=True)
-class PruneEvent:
+class PruneEvent(NamedTuple):
     """A closure that was computed but not expanded.
 
     Exactly one of ``blocked_by_minimal`` (closure contains an excluded
@@ -83,8 +85,7 @@ class PruneEvent:
     at_root: bool = False
 
 
-@dataclass(frozen=True)
-class MinimalEvent:
+class MinimalEvent(NamedTuple):
     """Outer-loop bookkeeping: a minimal was processed and joined the exclusion list."""
 
     minimal: int
@@ -171,11 +172,11 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
                         )
                     blocker = _first_including(q, excluded)
                     if blocker is not None:
-                        yield PruneEvent(q, pattern, blocked_by_minimal=blocker)
+                        yield PruneEvent(q, pattern, blocker)
                         continue
                     hit = _first_including(q, items)
                     if hit is not None:
-                        yield PruneEvent(q, pattern, blocked_by_item=hit.bit_length() - 1)
+                        yield PruneEvent(q, pattern, None, hit.bit_length() - 1)
                         continue
                     yield MineEvent(Concept(q_extent, q, m, q_extent == 0), pattern)
                     if q_extent == 0:
@@ -187,7 +188,7 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
                     break
             enumerated = True
         else:
-            yield PruneEvent(p, None, blocked_by_minimal=blocker, at_root=True)
+            yield PruneEvent(p, None, blocker, None, True)
             enumerated = False
         # The minimal joins the exclusion list whether or not its closure was
         # expanded: any closed pattern containing it also contains the earlier
@@ -198,7 +199,7 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
 
 def mine(cfg: MinerConfig) -> Iterator[MineEvent]:
     """Stream every (abstract) support-closed pattern of the family exactly once."""
-    events = (ev for ev in mine_trace(cfg) if isinstance(ev, MineEvent))
+    events = (ev for ev in mine_trace(cfg) if type(ev) is MineEvent)
     if not cfg.emit_empty_support:
         events = (ev for ev in events if not ev.concept.empty_support)
     return events

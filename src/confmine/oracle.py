@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .confluence import (
     ExplicitConfluence,
+    NotConfluenceError,
     closure_from_local_meet_subset,
     is_closed_under_local_meet,
     is_confluence,
@@ -213,12 +214,13 @@ def verify_all(
     run("subconfluence", _check_subconfluence, members)
     run("closure_exists_everywhere", _check_closure_total, ctx, members, abstraction)
     poset = family_poset(members)
-    conf_verdict = is_confluence(poset)
-    checks["confluence_order"] = CheckResult(
-        bool(conf_verdict), "" if conf_verdict else f"witness {conf_verdict.witness!r}"
-    )
-    if conf_verdict:
+    # Building the confluence checks it: the one is_confluence pass on the poset.
+    try:
         conf = ExplicitConfluence(poset)
+    except NotConfluenceError as exc:
+        checks["confluence_order"] = CheckResult(False, f"witness {exc.witness!r}")
+    else:
+        checks["confluence_order"] = CheckResult(True)
         run("local_join_is_union", _check_local_join, conf, poset, members)
         run(
             "closed_set_locally_meet_closed",

@@ -60,6 +60,63 @@ class TestClosePattern:
             close(cfg, wedge_universe.mask("a"))
 
 
+def _sample_events():
+    """One record of each kind, built afresh on each call."""
+    return {
+        MineEvent: MineEvent(cm.Concept(0b011, 0b101, 0b001, False), None),
+        PruneEvent: PruneEvent(0b111, 0b101, blocked_by_item=1),
+        MinimalEvent: MinimalEvent(0b001, True),
+    }
+
+
+class TestTraceEventRecords:
+    """The record contract of the three trace event kinds."""
+
+    FIELDS = {
+        MineEvent: ("concept", "parent_intent"),
+        PruneEvent: ("closure", "parent_intent", "blocked_by_minimal", "blocked_by_item", "at_root"),
+        MinimalEvent: ("minimal", "enumerated"),
+    }
+
+    @pytest.mark.parametrize("kind", [MineEvent, PruneEvent, MinimalEvent], ids=lambda k: k.__name__)
+    def test_fields_cannot_be_assigned(self, kind):
+        ev = _sample_events()[kind]
+        for name in self.FIELDS[kind]:
+            with pytest.raises(AttributeError):
+                setattr(ev, name, 7)
+
+    @pytest.mark.parametrize("kind", [MineEvent, PruneEvent, MinimalEvent], ids=lambda k: k.__name__)
+    def test_equal_records_hash_equal(self, kind):
+        one, two = _sample_events()[kind], _sample_events()[kind]
+        assert one is not two
+        assert one == two and hash(one) == hash(two)
+        assert len({one, two}) == 1
+
+    def test_prune_defaults(self):
+        ev = PruneEvent(0b11, None)
+        assert ev.blocked_by_minimal is None
+        assert ev.blocked_by_item is None
+        assert ev.at_root is False
+        assert PruneEvent(0b11, 0b01, None, 1) == PruneEvent(0b11, 0b01, blocked_by_item=1)
+
+    def test_repr(self):
+        events = _sample_events()
+        assert repr(events[MineEvent]) == (
+            "MineEvent(concept=Concept(extent=3, intent=5, anchor_minimal=1, "
+            "empty_support=False), parent_intent=None)"
+        )
+        assert repr(events[PruneEvent]) == (
+            "PruneEvent(closure=7, parent_intent=5, blocked_by_minimal=None, "
+            "blocked_by_item=1, at_root=False)"
+        )
+        assert repr(events[MinimalEvent]) == "MinimalEvent(minimal=1, enumerated=True)"
+
+    def test_isinstance_tells_kinds_apart(self):
+        kinds = (MineEvent, PruneEvent, MinimalEvent)
+        for kind, ev in _sample_events().items():
+            assert [k for k in kinds if isinstance(ev, k)] == [kind]
+
+
 class TestWedgeTrace:
     def test_golden_event_trace(self, wedge_family, wedge_context, wedge_universe):
         u = wedge_universe

@@ -6,6 +6,8 @@ import random
 import pytest
 
 import confmine as cm
+import confmine.confluence
+import confmine.oracle
 from confmine.families import FamilyError, PatternFamily, _connected_sets, subconfluence_violation
 from confmine.oracle import CheckResult, _check_subconfluence, family_poset, oracle_closed_set
 from confmine.order import powerset_lattice
@@ -189,6 +191,44 @@ class TestVerifyAll:
         one = cm.verify_all(quad_context, quad_edge_family, seed=12).to_dict(u, quad_context.objects)
         two = cm.verify_all(quad_context, quad_edge_family, seed=12).to_dict(u, quad_context.objects)
         assert one == two
+
+    def test_checks_the_confluence_once(self, quad_edge_family, quad_context, monkeypatch):
+        posets, checked = [], []
+        family_poset_ = confmine.oracle.family_poset
+        is_confluence_ = confmine.confluence.is_confluence
+
+        def recording_family_poset(members):
+            posets.append(family_poset_(members))
+            return posets[-1]
+
+        def counting_is_confluence(poset):
+            checked.append(poset)
+            return is_confluence_(poset)
+
+        monkeypatch.setattr(confmine.oracle, "family_poset", recording_family_poset)
+        monkeypatch.setattr(confmine.oracle, "is_confluence", counting_is_confluence)
+        monkeypatch.setattr(confmine.confluence, "is_confluence", counting_is_confluence)
+        report = cm.verify_all(quad_context, quad_edge_family, seed=1)
+        assert report.ok, report.first_counterexample()
+        assert len(posets) == 1
+        assert sum(p is posets[0] for p in checked) == 1
+
+    def test_non_confluence_reported_with_its_witness(self, five_universe):
+        u = five_universe
+
+        class NotAConfluence(cm.ExplicitFamily):
+            def members(self):
+                # a's up set {a, ab, ac} has no greatest element
+                return iter([u.mask("a"), u.mask("ab"), u.mask("ac")])
+
+        fam = NotAConfluence([u.mask("a")], u)
+        ctx = cm.ObjectContext(("o1",), (u.mask("ab"),), u)
+        report = cm.verify_all(ctx, fam, seed=0)
+        verdict = cm.is_confluence(family_poset(cm.materialize(fam)))
+        assert not verdict
+        assert report.checks["confluence_order"] == CheckResult(False, f"witness {verdict.witness!r}")
+        assert "local_join_is_union" not in report.checks
+        assert not report.ok
 
 
 class TestOracleCatchesContractViolations:
