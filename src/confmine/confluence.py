@@ -14,8 +14,8 @@ from .order import (
     OperatorMap,
     Verdict,
     _greatest_of,
-    _least_of,
     classify_operator,
+    closure_from_subset,
 )
 from .patterns import iter_indices
 
@@ -44,17 +44,20 @@ def is_confluence(poset: FinitePoset) -> Verdict:
     """Check that every minimal element's up set is a lattice.
 
     The witness is ``(m, None)`` when the up set of m lacks a greatest
-    element, or ``(m, (x, y))`` when x and y lack a meet inside it.
+    element, or ``(m, (x, y))`` when x and y lack a meet inside it.  A down
+    set S inside the up set U has a greatest element g exactly when
+    ``S == down[g] & U``, so each test is one set lookup.
     """
+    down = poset.down
     for m in iter_indices(poset.minimal_mask()):
         up = poset.up[m]
-        if _greatest_of(poset, up) is None:
-            return Verdict(False, (poset.ids[m], None))
         elems = list(iter_indices(up))
+        principal = {down[g] & up for g in elems}
+        if up not in principal:
+            return Verdict(False, (poset.ids[m], None))
         for a, x in enumerate(elems):
             for y in elems[a + 1 :]:
-                lb = poset.down[x] & poset.down[y] & up
-                if lb == 0 or _greatest_of(poset, lb) is None:
+                if down[x] & down[y] & up not in principal:
                     return Verdict(False, (poset.ids[m], (poset.ids[x], poset.ids[y])))
     return Verdict(True)
 
@@ -71,6 +74,7 @@ class ExplicitConfluence:
         self.local_tops = {}
         for m in self.minimal_indices:
             self.local_tops[m] = _greatest_of(carrier, carrier.up[m])
+        self._least_by_up = {u: g for g, u in enumerate(carrier.up)}
 
     @property
     def n(self) -> int:
@@ -95,11 +99,8 @@ class ExplicitConfluence:
         return g
 
     def local_join(self, x: int, y: int) -> int | None:
-        """Least common upper bound inside the confluence, or None if there is none."""
-        ub = self.carrier.up[x] & self.carrier.up[y]
-        if ub == 0:
-            return None
-        return _least_of(self.carrier, ub)
+        """Least common upper bound, the g with ``up[g] == up[x] & up[y]``, or None."""
+        return self._least_by_up.get(self.carrier.up[x] & self.carrier.up[y])
 
 
 def is_closed_under_local_meet(conf: ExplicitConfluence, members: int) -> Verdict:
@@ -131,13 +132,7 @@ def closure_from_local_meet_subset(conf: ExplicitConfluence, members: int) -> Op
     verdict = is_closed_under_local_meet(conf, members)
     if not verdict:
         raise NotLocallyMeetClosedError(verdict.witness)
-    p = conf.carrier
-    table = []
-    for t in range(p.n):
-        g = _least_of(p, members & p.up[t])
-        assert g is not None  # guaranteed: the local top is a member
-        table.append(g)
-    return OperatorMap(p, table)
+    return closure_from_subset(conf.carrier, members)[0]  # total: local tops are members
 
 
 def is_subconfluence(host: FiniteLattice, members: int) -> Verdict:

@@ -15,8 +15,8 @@ from typing import Sequence
 from .confluence import (
     ExplicitConfluence,
     NotConfluenceError,
+    NotLocallyMeetClosedError,
     closure_from_local_meet_subset,
-    is_closed_under_local_meet,
     is_confluence,
 )
 from .families import PatternFamily
@@ -281,10 +281,10 @@ def _check_theorem_closed_set(
     closed_mask = 0
     for t in closed:
         closed_mask |= 1 << poset.index(t)
-    verdict = is_closed_under_local_meet(conf, closed_mask)
-    if not verdict:
-        return CheckResult(False, f"closed set not locally meet closed: {verdict.witness!r}")
-    op = closure_from_local_meet_subset(conf, closed_mask)
+    try:
+        op = closure_from_local_meet_subset(conf, closed_mask)
+    except NotLocallyMeetClosedError as exc:
+        return CheckResult(False, f"closed set not locally meet closed: {exc.witness!r}")
     cls = classify_operator(op)
     if cls.kind != "closure":
         return CheckResult(False, f"reconstructed operator is {cls.kind}: {cls.witness!r}")

@@ -154,16 +154,12 @@ class FinitePoset:
 
 
 def _greatest_of(poset: FinitePoset, mask: int) -> int | None:
-    """Index of the maximum of the element set ``mask``, or None."""
+    """Index of the maximum of the element set ``mask``, or None, by a scan.
+
+    On ``poset.dual()`` it finds the minimum.
+    """
     for g in iter_indices(mask):
         if mask & ~poset.down[g] == 0:
-            return g
-    return None
-
-
-def _least_of(poset: FinitePoset, mask: int) -> int | None:
-    for g in iter_indices(mask):
-        if mask & ~poset.up[g] == 0:
             return g
     return None
 
@@ -191,10 +187,16 @@ class FiniteLattice:
 
     @classmethod
     def from_poset(cls, poset: FinitePoset) -> "FiniteLattice":
-        """Derive meet/join tables from the order, failing on any missing bound."""
-        n = poset.n
-        top = _greatest_of(poset, poset.full_mask)
-        bottom = _least_of(poset, poset.full_mask)
+        """Derive meet/join tables from the order, failing on any missing bound.
+
+        A down set S has a greatest element g exactly when ``S == down[g]``
+        (dually for up sets), so each bound, meet and join is one lookup.
+        """
+        n, down, up = poset.n, poset.down, poset.up
+        below = {d: g for g, d in enumerate(down)}
+        above = {u: g for g, u in enumerate(up)}
+        top = below.get(poset.full_mask)
+        bottom = above.get(poset.full_mask)
         if top is None:
             raise LatticeError("poset has no top element")
         if bottom is None:
@@ -203,13 +205,13 @@ class FiniteLattice:
         join = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                g = _greatest_of(poset, poset.down[i] & poset.down[j])
+                g = below.get(down[i] & down[j])
                 if g is None:
                     raise LatticeError(
                         f"pair ({poset.ids[i]!r}, {poset.ids[j]!r}) has no meet"
                     )
                 meet[i][j] = meet[j][i] = g
-                l = _least_of(poset, poset.up[i] & poset.up[j])
+                l = above.get(up[i] & up[j])
                 if l is None:
                     raise LatticeError(
                         f"pair ({poset.ids[i]!r}, {poset.ids[j]!r}) has no join"
@@ -220,21 +222,23 @@ class FiniteLattice:
     def _verify(self) -> None:
         p = self.poset
         n = p.n
+        cells = set(range(n))
+        for table in (self.meet_table, self.join_table):
+            if len(table) != n or any(len(r) != n or not cells.issuperset(r) for r in table):
+                raise LatticeError(f"meet and join tables must be {n}x{n} over range({n})")
+        if not {self.top, self.bottom} <= cells:
+            raise LatticeError(f"declared top or bottom outside range({n})")
         if p.down[self.top] != p.full_mask:
             raise LatticeError("declared top is not above every element")
         if p.up[self.bottom] != p.full_mask:
             raise LatticeError("declared bottom is not below every element")
         for i in range(n):
             for j in range(n):
-                m = self.meet_table[i][j]
-                lb = p.down[i] & p.down[j]
-                if not ((lb >> m) & 1) or lb & ~p.down[m]:
+                if p.down[self.meet_table[i][j]] != p.down[i] & p.down[j]:
                     raise LatticeError(
                         f"meet({p.ids[i]!r}, {p.ids[j]!r}) is not the greatest lower bound"
                     )
-                v = self.join_table[i][j]
-                ub = p.up[i] & p.up[j]
-                if not ((ub >> v) & 1) or ub & ~p.up[v]:
+                if p.up[self.join_table[i][j]] != p.up[i] & p.up[j]:
                     raise LatticeError(
                         f"join({p.ids[i]!r}, {p.ids[j]!r}) is not the least upper bound"
                     )
@@ -399,8 +403,7 @@ def closure_from_subset(
     """
     table = []
     for x in range(poset.n):
-        cand = members & poset.up[x]
-        g = _least_of(poset, cand) if cand else None
+        g = _greatest_of(poset.dual(), members & poset.up[x])
         if g is None:
             return None, poset.ids[x]
         table.append(g)

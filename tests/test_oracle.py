@@ -2,6 +2,7 @@
 computation, the bundled verification report, and the tests' random generators."""
 
 import random
+import sys
 
 import pytest
 
@@ -9,7 +10,13 @@ import confmine as cm
 import confmine.confluence
 import confmine.oracle
 from confmine.families import FamilyError, PatternFamily, _connected_sets, subconfluence_violation
-from confmine.oracle import CheckResult, _check_subconfluence, family_poset, oracle_closed_set
+from confmine.oracle import (
+    CheckResult,
+    _check_subconfluence,
+    _check_theorem_closed_set,
+    family_poset,
+    oracle_closed_set,
+)
 from confmine.order import powerset_lattice
 from confmine.patterns import is_subset, iter_indices
 
@@ -212,6 +219,31 @@ class TestVerifyAll:
         assert report.ok, report.first_counterexample()
         assert len(posets) == 1
         assert sum(p is posets[0] for p in checked) == 1
+
+    def test_checks_local_meet_closure_once(self, quad_edge_family, quad_context, monkeypatch):
+        calls = []
+        original = confmine.confluence.is_closed_under_local_meet
+
+        def counting_check(conf, members):
+            calls.append(members)
+            return original(conf, members)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "confmine" and vars(module).get(
+                "is_closed_under_local_meet"
+            ) is original:
+                monkeypatch.setattr(module, "is_closed_under_local_meet", counting_check)
+        report = cm.verify_all(quad_context, quad_edge_family, seed=1)
+        assert report.ok, report.first_counterexample()
+        assert len(calls) == 1
+
+    def test_closed_set_not_locally_meet_closed_detail(self):
+        # a, b below abc, abd below abcd: the local top abcd is left out
+        a, b, abc, abd, abcd = 0b1, 0b10, 0b111, 0b1011, 0b1111
+        poset = family_poset([a, b, abc, abd, abcd])
+        conf = cm.ExplicitConfluence(poset)
+        result = _check_theorem_closed_set(None, None, conf, poset, list(poset.ids), None, [a, abc])
+        assert result == CheckResult(False, "closed set not locally meet closed: (1, None)")
 
     def test_non_confluence_reported_with_its_witness(self, five_universe):
         u = five_universe

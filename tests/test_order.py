@@ -102,6 +102,69 @@ class TestPowersetLattice:
             FiniteLattice.from_poset(poset)
 
 
+class TestLatticeVerify:
+    def test_accepts_true_tables(self):
+        lat = powerset_lattice(2)
+        FiniteLattice(lat.poset, lat.meet_table, lat.join_table, lat.top, lat.bottom)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "top -1",
+            "bottom -4",
+            "2x2 meet table",
+            "meet table of -1",
+            "join -1 for ab",
+            "join row too short",
+        ],
+    )
+    def test_rejects_out_of_range_input(self, case):
+        # negative indices used to wrap around (-1 is ab, -4 is the empty
+        # set), and short or negative tables raised IndexError or ValueError
+        lat = powerset_lattice(2)
+        meet, join = lat.meet_table, lat.join_table
+        top, bottom = lat.top, lat.bottom
+        if case == "top -1":
+            top = -1
+        elif case == "bottom -4":
+            bottom = -4
+        elif case == "2x2 meet table":
+            meet = [[0, 0], [0, 1]]
+        elif case == "meet table of -1":
+            meet = [[-1] * 4 for _ in range(4)]
+        elif case == "join -1 for ab":
+            join = [[-1 if v == 3 else v for v in row] for row in join]
+        else:
+            join = join[:3] + (join[3][:3],)
+        with pytest.raises(LatticeError):
+            FiniteLattice(lat.poset, meet, join, top, bottom)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("top", "declared top"),
+            ("bottom", "declared bottom"),
+            ("meet", "greatest lower bound"),
+            ("join", "least upper bound"),
+        ],
+    )
+    def test_rejects_wrong_bounds(self, field, message):
+        lat = powerset_lattice(2)  # elements 0, a, b, ab
+        meet = [list(r) for r in lat.meet_table]
+        join = [list(r) for r in lat.join_table]
+        top, bottom = lat.top, lat.bottom
+        if field == "top":
+            top = 1
+        elif field == "bottom":
+            bottom = 1
+        elif field == "meet":
+            meet[3][3] = 1  # a lower bound of ab with ab, not the greatest
+        else:
+            join[0][0] = 1  # an upper bound of 0 with 0, not the least
+        with pytest.raises(LatticeError, match=message):
+            FiniteLattice(lat.poset, meet, join, top, bottom)
+
+
 class TestClassifyOperator:
     def test_identity_is_closure_and_interior(self, p4):
         cls = cm.classify_operator(OperatorMap.identity(p4.poset))
