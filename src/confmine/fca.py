@@ -190,11 +190,12 @@ class ExtensionalAbstraction:
 def anchor_minimal(fam: PatternFamily, pattern: int) -> int:
     """The least-mask minimal family member inside a pattern.
 
-    This is the anchor the miner reports for an emitted concept: there it is
-    the root minimal of the concept's subtree, known without this scan.
+    This is the anchor of the pattern's concept, and the miner's duplicate
+    test: a closure is enumerated only in the subtree of its anchor.
     """
+    outside = ~pattern  # is_subset inlined: this scan runs once per closure
     for m in fam.minimals():
-        if is_subset(m, pattern):
+        if not m & outside:
             return m
     raise ValueError("family member lies above no minimal member")
 

@@ -1,11 +1,11 @@
 """Depth-first listing of (abstract) support-closed patterns of a strongly
 accessible family, each emitted exactly once.
 
-The traversal keeps two exclusion lists.  The outer loop walks minimal family
-members in mask order: each minimal's closure roots a subtree, and once a
-minimal has been handled it joins the minimal-exclusion list so that later
-subtrees skip every closure containing it (a closure containing an earlier
-minimal was already reached from that minimal's subtree).  Inside a subtree,
+The outer loop walks minimal family members in mask order, and each minimal's
+closure roots a subtree.  A closed pattern is enumerated only in the subtree
+of its anchor, the least-mask minimal inside it (``fca.anchor_minimal``):
+every closure of the subtree of m contains m, so a closure whose anchor is not
+m contains an earlier minimal and is pruned as a duplicate.  Inside a subtree,
 an item exclusion list extended left-to-right across sibling branches prevents
 revisiting patterns through a different augmentation order.  The traversal
 runs on an explicit stack, so tree depth is bounded by memory alone, not by
@@ -22,6 +22,7 @@ from .fca import (
     Concept,
     ExtensionalAbstraction,
     ObjectContext,
+    anchor_minimal,
     closure_and_extent,
     extension,
 )
@@ -72,10 +73,10 @@ class MineEvent(NamedTuple):
 class PruneEvent(NamedTuple):
     """A closure that was computed but not expanded.
 
-    Exactly one of ``blocked_by_minimal`` (closure contains an excluded
-    minimal) and ``blocked_by_item`` (closure hits the item exclusion list)
-    is set; ``at_root`` marks prunes of a minimal's own closure in the outer
-    loop.
+    Exactly one of ``blocked_by_minimal`` (the closure's anchor, a minimal
+    before the subtree's root) and ``blocked_by_item`` (closure hits the item
+    exclusion list) is set; ``at_root`` marks prunes of a minimal's own
+    closure in the outer loop.
     """
 
     closure: int
@@ -86,7 +87,8 @@ class PruneEvent(NamedTuple):
 
 
 class MinimalEvent(NamedTuple):
-    """Outer-loop bookkeeping: a minimal was processed and joined the exclusion list."""
+    """Outer-loop bookkeeping: a minimal was processed; ``enumerated`` when it
+    anchors its own closure, so that its subtree ran."""
 
     minimal: int
     enumerated: bool
@@ -95,11 +97,10 @@ class MinimalEvent(NamedTuple):
 TraceEvent = Union[MineEvent, PruneEvent, MinimalEvent]
 
 
-def _first_including(pattern: int, excluded: Iterable[int]) -> int | None:
-    """The first mask of ``excluded`` inside ``pattern``; serves both exclusion
-    lists, since a one-bit mask lies inside ``pattern`` exactly when its item does."""
-    outside = ~pattern  # is_subset inlined: this scan runs once or twice per closure
-    for m in excluded:
+def _first_including(pattern: int, items: Iterable[int]) -> int | None:
+    """The first one-bit mask of the item exclusion list inside ``pattern``."""
+    outside = ~pattern  # is_subset inlined: this scan runs once per closure
+    for m in items:
         if not m & outside:
             return m
     return None
@@ -139,15 +140,14 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
     fam = cfg.family
     ctx = cfg.context
     tids = ctx.tids
-    excluded: list[int] = []
     for m in fam.minimals():
         m_extent = extension(ctx, m)
         p, abstract_extent = close_pattern(cfg, m, m_extent)
-        blocker = _first_including(p, excluded)
-        if blocker is None:
-            # m anchors every concept of its subtree: those closures contain m
-            # and, having passed the exclusion check, no earlier minimal, and
-            # minimals() is sorted by mask.
+        root_anchor = anchor_minimal(fam, p)
+        if root_anchor == m:
+            # m anchors every concept of its subtree: each closure there
+            # contains m, so one whose anchor is not m holds an earlier
+            # minimal, whose subtree reached it, and is pruned.
             yield MineEvent(Concept(abstract_extent, p, m, abstract_extent == 0), None)
             # Depth-first over frames (closed pattern q, carried extent X,
             # pending augmentations, item exclusion list as one-bit masks).  X
@@ -170,9 +170,9 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
                         raise ValueError(
                             "family projection is not extensive; the family violates its contract"
                         )
-                    blocker = _first_including(q, excluded)
-                    if blocker is not None:
-                        yield PruneEvent(q, pattern, blocker)
+                    anchor = anchor_minimal(fam, q)
+                    if anchor != m:
+                        yield PruneEvent(q, pattern, anchor)
                         continue
                     hit = _first_including(q, items)
                     if hit is not None:
@@ -186,15 +186,9 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
                     stack.append((pattern, ext, pending, items + [1 << e]))
                     stack.append((q, child_extent, iter(fam.augmentations(q)), items))
                     break
-            enumerated = True
         else:
-            yield PruneEvent(p, None, blocker, None, True)
-            enumerated = False
-        # The minimal joins the exclusion list whether or not its closure was
-        # expanded: any closed pattern containing it also contains the earlier
-        # minimal that blocked it, so only duplicates are ever pruned.
-        excluded.append(m)
-        yield MinimalEvent(m, enumerated)
+            yield PruneEvent(p, None, root_anchor, None, True)
+        yield MinimalEvent(m, root_anchor == m)
 
 
 def mine(cfg: MinerConfig) -> Iterator[MineEvent]:

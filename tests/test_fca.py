@@ -9,6 +9,7 @@ import confmine as cm
 from confmine.families import ExplicitFamily
 from confmine.fca import (
     ContextError,
+    anchor_minimal,
     context_from_rows,
     extensions,
     load_abstraction,
@@ -142,6 +143,14 @@ class TestSupportClosure:
     def test_rejects_non_member(self, five_context, five_family, five_universe):
         with pytest.raises(ValueError):
             cm.support_closure(five_context, five_family, five_universe.mask("ab"))
+
+
+class TestAnchorMinimal:
+    def test_rejects_pattern_above_no_minimal(self, wedge_family, wedge_universe):
+        # "bcd" holds neither minimal "ab" nor "ac"; nor does the empty pattern
+        for pat in ("bcd", ""):
+            with pytest.raises(ValueError, match="above no minimal"):
+                anchor_minimal(wedge_family, wedge_universe.mask(pat))
 
 
 class TestAbstractSupportClosure:

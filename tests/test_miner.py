@@ -340,11 +340,13 @@ class TestQuadGraphMining:
 
 
 class TestExclusionListPlacements:
-    """A minimal whose root closure is pruned still joins the exclusion list.
+    """A minimal whose root closure is pruned still blocks later closures.
 
-    The alternative (only excluding minimals whose subtree ran, as a literal
-    pseudo-code reading would do) produces the same output on every instance;
-    this case distinguishes the two by the exclusion bookkeeping itself.
+    The miner prunes every closure whose anchor (least-mask minimal inside it)
+    is not its subtree's root, so a minimal blocks whether or not its own
+    subtree ran.  The alternative (only excluding minimals whose subtree ran,
+    as a literal pseudo-code reading would do) produces the same output on
+    every instance; this case distinguishes the two by the bookkeeping itself.
     """
 
     @pytest.fixture
@@ -561,15 +563,48 @@ class TestRootAnchorsAcrossFamilyKinds:
                     got = intents(mined)
                     assert len(got) == len(set(got))
                     assert set(got) == oracle_closed_set(ctx, members, abstraction)
-                    self._check_boley_invariants(trace)
+                    self._check_boley_invariants(fam, trace)
+
+    def test_one_anchor_per_closure(self, monkeypatch):
+        # the anchor is the miner's only duplicate test: computed once for
+        # every closure, emitted or pruned, at the root or below it
+        calls = 0
+
+        def counted(fam, pattern):
+            nonlocal calls
+            calls += 1
+            return anchor_minimal(fam, pattern)
+
+        monkeypatch.setattr("confmine.miner.anchor_minimal", counted)
+        rng = random.Random(2012)
+        for _ in range(4):
+            for fam in self._families(rng):
+                ctx = random_context(rng, fam.universe, max_objects=6)
+                for abstraction in self._abstractions(rng, ctx.n_objects):
+                    cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
+                    calls = 0
+                    trace = list(cm.mine_trace(cfg))
+                    assert calls == sum(
+                        isinstance(ev, (MineEvent, PruneEvent)) for ev in trace
+                    )
 
     @staticmethod
-    def _check_boley_invariants(trace):
+    def _check_boley_invariants(fam, trace):
         """Boley et al. (TCS 2010): a parent is emitted before its child, and
-        every prune repeats an earlier emission and names a true blocker."""
+        every prune repeats an earlier emission and names a true blocker.  A
+        minimal blocker is the closure's anchor, a minimal before the root of
+        the subtree the prune happens in."""
+        # the root minimal of each event's subtree: the next MinimalEvent's
+        roots = []
+        root = None
+        for ev in reversed(trace):
+            if isinstance(ev, MinimalEvent):
+                root = ev.minimal
+            roots.append(root)
+        roots.reverse()
         emitted: set[int] = set()
         processed: set[int] = set()
-        for ev in trace:
+        for ev, root in zip(trace, roots):
             if isinstance(ev, MinimalEvent):
                 processed.add(ev.minimal)
                 continue
@@ -586,6 +621,8 @@ class TestRootAnchorsAcrossFamilyKinds:
             if ev.blocked_by_minimal is not None:
                 assert is_subset(ev.blocked_by_minimal, ev.closure)
                 assert ev.blocked_by_minimal in processed
+                assert ev.blocked_by_minimal == anchor_minimal(fam, ev.closure)
+                assert ev.blocked_by_minimal < root
             else:
                 assert (ev.closure >> ev.blocked_by_item) & 1
                 assert not (parent >> ev.blocked_by_item) & 1
