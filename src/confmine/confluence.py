@@ -13,7 +13,6 @@ from .order import (
     FinitePoset,
     OperatorMap,
     Verdict,
-    _greatest_of,
     classify_operator,
     closure_from_subset,
 )
@@ -40,63 +39,76 @@ class NotLocallyMeetClosedError(ValueError):
         self.witness = witness
 
 
+def _local_bounds(poset: FinitePoset) -> tuple[dict[int, dict[int, int]], Verdict]:
+    """The confluence test, keeping each minimal m's table ``{down[g] & up[m]: g}``.
+
+    A down set S inside the up set U has a greatest element g exactly when
+    ``S == down[g] & U``, so every bound inside ``up[m]`` is one lookup.
+    """
+    down, ids = poset.down, poset.ids
+    bounds = {}
+    for m in iter_indices(poset.minimal_mask()):
+        up = poset.up[m]
+        elems = list(iter_indices(up))
+        table = {down[g] & up: g for g in elems}
+        if up not in table:
+            return bounds, Verdict(False, (ids[m], None))
+        for a, x in enumerate(elems):
+            for y in elems[a + 1 :]:
+                if down[x] & down[y] & up not in table:
+                    return bounds, Verdict(False, (ids[m], (ids[x], ids[y])))
+        bounds[m] = table
+    return bounds, Verdict(True)
+
+
 def is_confluence(poset: FinitePoset) -> Verdict:
     """Check that every minimal element's up set is a lattice.
 
     The witness is ``(m, None)`` when the up set of m lacks a greatest
-    element, or ``(m, (x, y))`` when x and y lack a meet inside it.  A down
-    set S inside the up set U has a greatest element g exactly when
-    ``S == down[g] & U``, so each test is one set lookup.
+    element, or ``(m, (x, y))`` when x and y lack a meet inside it.
     """
-    down = poset.down
-    for m in iter_indices(poset.minimal_mask()):
-        up = poset.up[m]
-        elems = list(iter_indices(up))
-        principal = {down[g] & up for g in elems}
-        if up not in principal:
-            return Verdict(False, (poset.ids[m], None))
-        for a, x in enumerate(elems):
-            for y in elems[a + 1 :]:
-                if down[x] & down[y] & up not in principal:
-                    return Verdict(False, (poset.ids[m], (poset.ids[x], poset.ids[y])))
-    return Verdict(True)
+    return _local_bounds(poset)[1]
 
 
 class ExplicitConfluence:
-    """A materialized confluence: carrier poset, minimal elements, local tops."""
+    """A materialized confluence: carrier poset, minimal elements, local tops,
+    and the bound table of each minimal's up set that the confluence test built."""
 
     def __init__(self, carrier: FinitePoset):
-        verdict = is_confluence(carrier)
+        self._bounds, verdict = _local_bounds(carrier)
         if not verdict:
             raise NotConfluenceError(verdict.witness)
         self.carrier = carrier
-        self.minimal_indices = tuple(iter_indices(carrier.minimal_mask()))
-        self.local_tops = {}
-        for m in self.minimal_indices:
-            self.local_tops[m] = _greatest_of(carrier, carrier.up[m])
+        self.minimal_indices = tuple(self._bounds)
+        self.local_tops = {m: table[carrier.up[m]] for m, table in self._bounds.items()}
         self._least_by_up = {u: g for g, u in enumerate(carrier.up)}
 
     @property
     def n(self) -> int:
         return self.carrier.n
 
-    def local_top_of(self, t: int) -> int:
-        """The greatest element of the up set of t (equal for every minimal below t)."""
+    def _minimal_below(self, t: int) -> int:
         for m in self.minimal_indices:
             if self.carrier.leq(m, t):
-                return self.local_tops[m]
+                return m
         raise ValueError("element below no minimal; poset is corrupt")
 
+    def local_top_of(self, t: int) -> int:
+        """The greatest element of the up set of t (equal for every minimal below t)."""
+        return self.local_tops[self._minimal_below(t)]
+
     def local_meet(self, t: int, x: int, y: int) -> int:
-        """Greatest lower bound of {x, y} within the up set of t."""
-        up = self.carrier.up[t]
+        """Greatest lower bound of {x, y} within the up set of t.
+
+        Their meet in the up set of a minimal m below t lies above t, so it is
+        this bound: one lookup in m's table.
+        """
+        c = self.carrier
+        up = c.up[t]
         if not ((up >> x) & 1 and (up >> y) & 1):
             raise ValueError("local meet arguments must lie above the base element")
-        lb = self.carrier.down[x] & self.carrier.down[y] & up
-        g = _greatest_of(self.carrier, lb)
-        if g is None:
-            raise NotConfluenceError((self.carrier.ids[t], (self.carrier.ids[x], self.carrier.ids[y])))
-        return g
+        m = self._minimal_below(t)
+        return self._bounds[m][c.down[x] & c.down[y] & c.up[m]]
 
     def local_join(self, x: int, y: int) -> int | None:
         """Least common upper bound, the g with ``up[g] == up[x] & up[y]``, or None."""
@@ -173,10 +185,8 @@ class InteriorFamily:
         p = self.host.poset
         if not p.leq(t, x):
             raise ValueError("projection argument must lie above the base")
-        cand = self.members & p.up[t] & p.down[x]
-        g = _greatest_of(p, cand)
-        assert g is not None  # join-closedness above t guarantees a greatest member
-        return g
+        # the family is join-closed above t, so this join is its greatest member below x
+        return self.host.join_all(self.members & p.up[t] & p.down[x])
 
     def local_top(self, t: int) -> int:
         return self.project(t, self.host.top)

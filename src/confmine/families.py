@@ -131,27 +131,9 @@ class PatternFamily(ABC):
             if not (pattern >> e) & 1 and self.contains(pattern | bit(e))
         ]
 
+    @abstractmethod
     def members(self) -> Iterator[int]:
-        """Every member exactly once, in no fixed order.
-
-        This default grows the members breadth-first from the minimals by
-        single-item augmentations, so it is complete only for strongly
-        accessible families (each member is then reachable from a minimal
-        inside it).
-        """
-        seen = set(self.minimals())
-        yield from seen
-        frontier = list(seen)
-        while frontier:
-            nxt: list[int] = []
-            for p in frontier:
-                for e in self.augmentations(p):
-                    q = p | bit(e)
-                    if q not in seen:
-                        seen.add(q)
-                        yield q
-                        nxt.append(q)
-            frontier = nxt
+        """Every member exactly once, in no fixed order."""
 
     def local_top(self, member: int) -> int:
         return self.project(member, self.universe.full_mask)

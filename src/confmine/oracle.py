@@ -29,12 +29,11 @@ from .fca import (
 )
 from .miner import MinerConfig, NotStronglyAccessibleError, mine
 from .order import (
-    FiniteLattice,
     FinitePoset,
     OperatorMap,
+    Verdict,
     classify_operator,
     closure_from_subset,
-    is_meet_closed,
 )
 from .patterns import Universe, bit, is_subset, iter_indices, mask_of
 
@@ -71,9 +70,7 @@ def materialize(fam: PatternFamily, budget: int = 4096) -> list[int]:
     """Every family member, sorted by mask, as ``fam.members()`` lists them.
 
     Raises :class:`BudgetExceededError` as soon as a member beyond the budget
-    turns up, so its ``partial`` is always ``budget + 1``.  Explicit and
-    connected families list themselves completely; the ``PatternFamily``
-    default needs a strongly accessible family.
+    turns up, so its ``partial`` is always ``budget + 1``.
     """
     found: list[int] = []
     for p in fam.members():
@@ -303,17 +300,29 @@ def _check_theorem_closed_set(
     return CheckResult(True)
 
 
+def _meet_closed_above(conf: ExplicitConfluence, m: int, members: int) -> Verdict:
+    """Are ``members``, inside the up set of the minimal m, closed under its meets?
+    The witness is the missing local top or the first escaping pair in index order."""
+    ids = conf.carrier.ids
+    top = conf.local_tops[m]
+    if not (members >> top) & 1:
+        return Verdict(False, ids[top])
+    elems = list(iter_indices(members))
+    for a, x in enumerate(elems):
+        for y in elems[a + 1 :]:
+            if not (members >> conf.local_meet(m, x, y)) & 1:
+                return Verdict(False, (ids[x], ids[y]))
+    return Verdict(True)
+
+
 def _check_meet_closed_per_minimal(conf, poset, closed) -> CheckResult:
     closed_set = set(closed)
+    closed_mask = mask_of(i for i, t in enumerate(poset.ids) if t in closed_set)
     for m in conf.minimal_indices:
         up = poset.up[m]
+        verdict = _meet_closed_above(conf, m, closed_mask & up)
         sub, old = poset.restrict(up)
-        lat = FiniteLattice.from_poset(sub)
-        c_mask = 0
-        for k, o in enumerate(old):
-            if poset.ids[o] in closed_set:
-                c_mask |= 1 << k
-        verdict = is_meet_closed(lat, c_mask)
+        c_mask = mask_of(k for k, o in enumerate(old) if (closed_mask >> o) & 1)
         op, witness = closure_from_subset(sub, c_mask)
         if bool(verdict) != (op is not None):
             return CheckResult(

@@ -153,17 +153,6 @@ class FinitePoset:
         return f"FinitePoset(n={self.n})"
 
 
-def _greatest_of(poset: FinitePoset, mask: int) -> int | None:
-    """Index of the maximum of the element set ``mask``, or None, by a scan.
-
-    On ``poset.dual()`` it finds the minimum.
-    """
-    for g in iter_indices(mask):
-        if mask & ~poset.down[g] == 0:
-            return g
-    return None
-
-
 class FiniteLattice:
     """A finite lattice: a poset with total meet/join tables and both bounds."""
 
@@ -400,10 +389,13 @@ def closure_from_subset(
 
     Succeeds iff for every element x the members above x have a least one;
     the returned witness is the first x (index order) for which they do not.
+    That least member is the g with ``members & up[x] == members & up[g]``,
+    so each element is one lookup.
     """
+    least = {members & poset.up[g]: g for g in iter_indices(members)}
     table = []
     for x in range(poset.n):
-        g = _greatest_of(poset.dual(), members & poset.up[x])
+        g = least.get(members & poset.up[x])
         if g is None:
             return None, poset.ids[x]
         table.append(g)

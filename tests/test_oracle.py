@@ -9,9 +9,10 @@ import pytest
 import confmine as cm
 import confmine.confluence
 import confmine.oracle
-from confmine.families import FamilyError, PatternFamily, _connected_sets, subconfluence_violation
+from confmine.families import FamilyError, _connected_sets, subconfluence_violation
 from confmine.oracle import (
     CheckResult,
+    _check_meet_closed_per_minimal,
     _check_subconfluence,
     _check_theorem_closed_set,
     family_poset,
@@ -80,9 +81,8 @@ class TestMaterialize:
 
     def test_agrees_with_membership_scan(self):
         # The connected-set walk yields each member once; materialize agrees
-        # with a brute-force membership scan, with the PatternFamily default
-        # augmentation search and, under every smaller budget, raises at
-        # exactly budget + 1 members.
+        # with a brute-force membership scan and, under every smaller budget,
+        # raises at exactly budget + 1 members.
         rng = random.Random(53)
         checked = 0
         for _ in range(30):
@@ -92,7 +92,6 @@ class TestMaterialize:
                 full = fam.universe.full_mask
                 members = cm.materialize(fam)
                 assert members == [p for p in range(1, full + 1) if fam.contains(p)]
-                assert members == sorted(PatternFamily.members(fam))
                 for max_size in range(1, fam.universe.size + 1):
                     assert sorted(_connected_sets(fam._adj, fam.min_size, max_size)) == [
                         p for p in members if p.bit_count() <= max_size
@@ -200,21 +199,22 @@ class TestVerifyAll:
         assert one == two
 
     def test_checks_the_confluence_once(self, quad_edge_family, quad_context, monkeypatch):
+        # The confluence test lives in one builder, which both is_confluence
+        # and ExplicitConfluence call.
         posets, checked = [], []
         family_poset_ = confmine.oracle.family_poset
-        is_confluence_ = confmine.confluence.is_confluence
+        local_bounds_ = confmine.confluence._local_bounds
 
         def recording_family_poset(members):
             posets.append(family_poset_(members))
             return posets[-1]
 
-        def counting_is_confluence(poset):
+        def counting_local_bounds(poset):
             checked.append(poset)
-            return is_confluence_(poset)
+            return local_bounds_(poset)
 
         monkeypatch.setattr(confmine.oracle, "family_poset", recording_family_poset)
-        monkeypatch.setattr(confmine.oracle, "is_confluence", counting_is_confluence)
-        monkeypatch.setattr(confmine.confluence, "is_confluence", counting_is_confluence)
+        monkeypatch.setattr(confmine.confluence, "_local_bounds", counting_local_bounds)
         report = cm.verify_all(quad_context, quad_edge_family, seed=1)
         assert report.ok, report.first_counterexample()
         assert len(posets) == 1
@@ -244,6 +244,17 @@ class TestVerifyAll:
         conf = cm.ExplicitConfluence(poset)
         result = _check_theorem_closed_set(None, None, conf, poset, list(poset.ids), None, [a, abc])
         assert result == CheckResult(False, "closed set not locally meet closed: (1, None)")
+
+    def test_closed_set_not_meet_closed_above_a_minimal_detail(self):
+        # minimals a and b; above a the lattice a < ab, ac < abc
+        a, b, ab, ac, abc = 0b1, 0b10, 0b11, 0b101, 0b111
+        poset = family_poset([a, b, ab, ac, abc])
+        conf = cm.ExplicitConfluence(poset)
+        no_top = _check_meet_closed_per_minimal(conf, poset, [a, ab, ac])
+        assert no_top == CheckResult(False, "closed set above 1 not meet closed: 7")
+        escaping = _check_meet_closed_per_minimal(conf, poset, [ab, ac, abc])
+        assert escaping == CheckResult(False, "closed set above 1 not meet closed: (3, 5)")
+        assert _check_meet_closed_per_minimal(conf, poset, [a, b, ab, abc]) == CheckResult(True)
 
     def test_non_confluence_reported_with_its_witness(self, five_universe):
         u = five_universe
