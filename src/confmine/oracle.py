@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache, partial
 from typing import Sequence
 
 from .confluence import (
@@ -31,9 +32,9 @@ from .miner import MinerConfig, NotStronglyAccessibleError, mine
 from .order import (
     FinitePoset,
     OperatorMap,
-    Verdict,
     classify_operator,
     closure_from_subset,
+    meet_closed,
 )
 from .patterns import Universe, bit, is_subset, iter_indices, mask_of
 
@@ -94,11 +95,25 @@ def oracle_closure(
     """
     if pattern not in set(members):
         raise ValueError("pattern outside the family")
-    target = abstraction.apply(_support(ctx, pattern))
+    return _scan_closure(_abstract_supports(ctx, members, abstraction), pattern)
+
+
+def oracle_closed_set(
+    ctx: ObjectContext, members: Sequence[int], abstraction: ExtensionalAbstraction
+) -> set[int]:
+    """Patterns with no strict superset in the family sharing their abstract support."""
+    return _scan_closed_set(_abstract_supports(ctx, members, abstraction))
+
+
+def _abstract_supports(ctx, members, abstraction) -> dict[int, int]:
+    """Each member's abstract support, by object scan, in ``members`` order."""
+    return {t: abstraction.apply(_support(ctx, t)) for t in members}
+
+
+def _scan_closure(supports: dict[int, int], pattern: int) -> int:
+    """:func:`oracle_closure` read off a table of every member's abstract support."""
     candidates = [
-        t
-        for t in members
-        if is_subset(pattern, t) and abstraction.apply(_support(ctx, t)) == target
+        t for t, s in supports.items() if is_subset(pattern, t) and s == supports[pattern]
     ]
     maximals = tuple(
         t for t in candidates if not any(u != t and is_subset(t, u) for u in candidates)
@@ -108,15 +123,11 @@ def oracle_closure(
     return maximals[0]
 
 
-def oracle_closed_set(
-    ctx: ObjectContext, members: Sequence[int], abstraction: ExtensionalAbstraction
-) -> set[int]:
-    """Patterns with no strict superset in the family sharing their abstract support."""
-    supports = {t: abstraction.apply(_support(ctx, t)) for t in members}
+def _scan_closed_set(supports: dict[int, int]) -> set[int]:
     return {
         t
-        for t in members
-        if not any(u != t and is_subset(t, u) and supports[u] == supports[t] for u in members)
+        for t, s in supports.items()
+        if not any(u != t and is_subset(t, u) and supports[u] == s for u in supports)
     }
 
 
@@ -192,14 +203,21 @@ def verify_all(
     seed: int = 0,
     budget: int = 4096,
 ) -> OracleReport:
-    """Run every structural check against one instance and collect verdicts."""
+    """Run every structural check against one instance and collect verdicts.
+
+    Each member's abstract support, and its closure by each route, is computed
+    once and shared; a route call that raises is not cached, so raises again.
+    """
     abstraction = abstraction or ExtensionalAbstraction.identity()
     rng = random.Random(seed)
     members = materialize(fam, budget)
-    closed = sorted(oracle_closed_set(ctx, members, abstraction))
-    concepts = tuple((t, abstraction.apply(_support(ctx, t))) for t in closed)
+    supports = _abstract_supports(ctx, members, abstraction)
+    closed = sorted(_scan_closed_set(supports))
+    concepts = tuple((t, supports[t]) for t in closed)
     report = OracleReport(family_size=len(members), closed=tuple(closed), concepts=concepts)
     checks = report.checks
+    projection = cache(partial(abstract_support_closure, ctx, fam, abstraction))
+    scan = cache(partial(_scan_closure, supports))
 
     def run(name, fn, *args):
         # a check that blows up is a failed check, not a crashed report
@@ -209,7 +227,7 @@ def verify_all(
             checks[name] = CheckResult(False, f"check raised {type(exc).__name__}: {exc}")
 
     run("subconfluence", _check_subconfluence, members)
-    run("closure_exists_everywhere", _check_closure_total, ctx, members, abstraction)
+    run("closure_exists_everywhere", _check_closure_total, members, scan)
     poset = family_poset(members)
     # Building the confluence checks it: the one is_confluence pass on the poset.
     try:
@@ -222,12 +240,12 @@ def verify_all(
         run(
             "closed_set_locally_meet_closed",
             _check_theorem_closed_set,
-            ctx, fam, conf, poset, members, abstraction, closed,
+            conf, poset, closed, projection,
         )
         run("meet_closed_per_minimal", _check_meet_closed_per_minimal, conf, poset, closed)
     run("projection_coherence", _check_projection_coherence, fam, members, rng)
-    run("support_closure_laws", _check_support_closure_laws, ctx, fam, poset, members, abstraction)
-    run("oracle_agrees_with_projection", _check_closure_agreement, ctx, fam, members, abstraction)
+    run("support_closure_laws", _check_support_closure_laws, poset, projection)
+    run("oracle_agrees_with_projection", _check_closure_agreement, members, projection, scan)
     run("extent_decomposition", _check_extent_decomposition, ctx, fam, members)
     run("local_closure_laws", _check_local_closures, ctx, fam, rng)
     run("miner_matches_oracle", _check_miner, ctx, fam, abstraction, closed)
@@ -248,10 +266,10 @@ def _check_subconfluence(members: Sequence[int]) -> CheckResult:
     return CheckResult(True)
 
 
-def _check_closure_total(ctx, members, abstraction) -> CheckResult:
+def _check_closure_total(members, scan) -> CheckResult:
     for t in members:
         try:
-            oracle_closure(ctx, members, abstraction, t)
+            scan(t)
         except ClosureUndefinedError as exc:
             return CheckResult(False, str(exc))
     return CheckResult(True)
@@ -272,12 +290,8 @@ def _check_local_join(conf: ExplicitConfluence, poset: FinitePoset, members) -> 
     return CheckResult(True)
 
 
-def _check_theorem_closed_set(
-    ctx, fam, conf, poset, members, abstraction, closed
-) -> CheckResult:
-    closed_mask = 0
-    for t in closed:
-        closed_mask |= 1 << poset.index(t)
+def _check_theorem_closed_set(conf, poset, closed, projection) -> CheckResult:
+    closed_mask = mask_of(poset.index(t) for t in closed)
     try:
         op = closure_from_local_meet_subset(conf, closed_mask)
     except NotLocallyMeetClosedError as exc:
@@ -287,9 +301,8 @@ def _check_theorem_closed_set(
         return CheckResult(False, f"reconstructed operator is {cls.kind}: {cls.witness!r}")
     if op.range_mask() != closed_mask:
         return CheckResult(False, "reconstructed closure range differs from the closed set")
-    for t in members:
-        i = poset.index(t)
-        if poset.ids[op.table[i]] != abstract_support_closure(ctx, fam, abstraction, t):
+    for i, t in enumerate(poset.ids):
+        if poset.ids[op.table[i]] != projection(t):
             return CheckResult(
                 False, f"reconstructed closure disagrees with support closure at {t}"
             )
@@ -300,27 +313,14 @@ def _check_theorem_closed_set(
     return CheckResult(True)
 
 
-def _meet_closed_above(conf: ExplicitConfluence, m: int, members: int) -> Verdict:
-    """Are ``members``, inside the up set of the minimal m, closed under its meets?
-    The witness is the missing local top or the first escaping pair in index order."""
-    ids = conf.carrier.ids
-    top = conf.local_tops[m]
-    if not (members >> top) & 1:
-        return Verdict(False, ids[top])
-    elems = list(iter_indices(members))
-    for a, x in enumerate(elems):
-        for y in elems[a + 1 :]:
-            if not (members >> conf.local_meet(m, x, y)) & 1:
-                return Verdict(False, (ids[x], ids[y]))
-    return Verdict(True)
-
-
 def _check_meet_closed_per_minimal(conf, poset, closed) -> CheckResult:
     closed_set = set(closed)
     closed_mask = mask_of(i for i, t in enumerate(poset.ids) if t in closed_set)
     for m in conf.minimal_indices:
         up = poset.up[m]
-        verdict = _meet_closed_above(conf, m, closed_mask & up)
+        verdict = meet_closed(
+            poset.ids, closed_mask & up, conf.local_tops[m], partial(conf.local_meet, m)
+        )
         sub, old = poset.restrict(up)
         c_mask = mask_of(k for k, o in enumerate(old) if (closed_mask >> o) & 1)
         op, witness = closure_from_subset(sub, c_mask)
@@ -350,11 +350,8 @@ def _check_projection_coherence(fam, members, rng) -> CheckResult:
     return CheckResult(True)
 
 
-def _check_support_closure_laws(ctx, fam, poset, members, abstraction) -> CheckResult:
-    table = [
-        poset.index(abstract_support_closure(ctx, fam, abstraction, t))
-        for t in poset.ids
-    ]
+def _check_support_closure_laws(poset, projection) -> CheckResult:
+    table = [poset.index(projection(t)) for t in poset.ids]
     cls = classify_operator(OperatorMap(poset, table))
     if cls.kind != "closure":
         return CheckResult(
@@ -363,10 +360,9 @@ def _check_support_closure_laws(ctx, fam, poset, members, abstraction) -> CheckR
     return CheckResult(True)
 
 
-def _check_closure_agreement(ctx, fam, members, abstraction) -> CheckResult:
+def _check_closure_agreement(members, projection, scan) -> CheckResult:
     for t in members:
-        fast = abstract_support_closure(ctx, fam, abstraction, t)
-        slow = oracle_closure(ctx, members, abstraction, t)
+        fast, slow = projection(t), scan(t)
         if fast != slow:
             return CheckResult(False, f"projection route {fast} != scan route {slow} at {t}")
     return CheckResult(True)

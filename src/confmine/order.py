@@ -9,7 +9,7 @@ through this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .patterns import content_lines, iter_indices
 
@@ -410,21 +410,23 @@ def interior_from_subset(
     return (None, witness) if op is None else (OperatorMap(poset, op.table), None)
 
 
-def is_meet_closed(lattice: FiniteLattice, members: int) -> Verdict:
-    """Is ``members`` closed under all meets (the empty meet being top)?
-
-    Finiteness reduces the check to top membership plus pairwise meets; the
-    witness is the missing top or the first offending pair in index order.
-    """
-    p = lattice.poset
-    if not (members >> lattice.top) & 1:
-        return Verdict(False, p.ids[lattice.top])
+def meet_closed(ids: Sequence[Hashable], members: int, top: int, meet: Callable) -> Verdict:
+    """Does ``members`` hold ``top`` and the ``meet`` of each two of its elements?
+    The witness is the missing top or the first offending pair in index order."""
+    if not (members >> top) & 1:
+        return Verdict(False, ids[top])
     elems = list(iter_indices(members))
     for a, i in enumerate(elems):
         for j in elems[a + 1 :]:
-            if not (members >> lattice.meet_table[i][j]) & 1:
-                return Verdict(False, (p.ids[i], p.ids[j]))
+            if not (members >> meet(i, j)) & 1:
+                return Verdict(False, (ids[i], ids[j]))
     return Verdict(True)
+
+
+def is_meet_closed(lattice: FiniteLattice, members: int) -> Verdict:
+    """Is ``members`` closed under all meets (the empty meet being top)?  By
+    finiteness that is top membership plus closure under pairwise meets."""
+    return meet_closed(lattice.poset.ids, members, lattice.top, lattice.meet)
 
 
 def is_join_closed(lattice: FiniteLattice, members: int) -> Verdict:

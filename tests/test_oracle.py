@@ -3,6 +3,7 @@ computation, the bundled verification report, and the tests' random generators."
 
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -23,6 +24,7 @@ from confmine.patterns import is_subset, iter_indices
 
 from conftest import build_context
 from randomized import (
+    random_context,
     random_explicit_subconfluence,
     random_graph,
     random_subconfluence_masks,
@@ -237,12 +239,38 @@ class TestVerifyAll:
         assert report.ok, report.first_counterexample()
         assert len(calls) == 1
 
+    def test_one_closure_per_member_and_route(self, monkeypatch):
+        # The projection route is read by three checks and the scan route by
+        # two; each must still run once per member.
+        rng = random.Random(17)
+        fam = cm.ConnectedVertexFamily(random_graph(rng, max_vertices=7, edge_prob=0.5))
+        ctx = random_context(rng, fam.universe, max_objects=10)
+        members = cm.materialize(fam)
+        assert 20 <= len(members) <= 80
+        projected, scanned = Counter(), Counter()
+        projection_ = confmine.oracle.abstract_support_closure
+        scan_ = confmine.oracle._scan_closure
+
+        def counting_projection(ctx, fam, abstraction, pattern):
+            projected[pattern] += 1
+            return projection_(ctx, fam, abstraction, pattern)
+
+        def counting_scan(supports, pattern):
+            scanned[pattern] += 1
+            return scan_(supports, pattern)
+
+        monkeypatch.setattr(confmine.oracle, "abstract_support_closure", counting_projection)
+        monkeypatch.setattr(confmine.oracle, "_scan_closure", counting_scan)
+        report = cm.verify_all(ctx, fam, cm.ExtensionalAbstraction.frequency(2), seed=5)
+        assert report.ok, report.first_counterexample()
+        assert projected == scanned == Counter(members)
+
     def test_closed_set_not_locally_meet_closed_detail(self):
         # a, b below abc, abd below abcd: the local top abcd is left out
         a, b, abc, abd, abcd = 0b1, 0b10, 0b111, 0b1011, 0b1111
         poset = family_poset([a, b, abc, abd, abcd])
         conf = cm.ExplicitConfluence(poset)
-        result = _check_theorem_closed_set(None, None, conf, poset, list(poset.ids), None, [a, abc])
+        result = _check_theorem_closed_set(conf, poset, [a, abc], None)
         assert result == CheckResult(False, "closed set not locally meet closed: (1, None)")
 
     def test_closed_set_not_meet_closed_above_a_minimal_detail(self):
@@ -265,13 +293,39 @@ class TestVerifyAll:
                 return iter([u.mask("a"), u.mask("ab"), u.mask("ac")])
 
         fam = NotAConfluence([u.mask("a")], u)
-        ctx = cm.ObjectContext(("o1",), (u.mask("ab"),), u)
-        report = cm.verify_all(ctx, fam, seed=0)
         verdict = cm.is_confluence(family_poset(cm.materialize(fam)))
         assert not verdict
-        assert report.checks["confluence_order"] == CheckResult(False, f"witness {verdict.witness!r}")
-        assert "local_join_is_union" not in report.checks
-        assert not report.ok
+        outside = "check raised ValueError: projection base must belong to the family"
+        undefined = "support closure undefined at 1: maximal candidates (3, 5)"
+        # Under "ab" the closure of a is ab; under "abc" a, ab and ac share
+        # their support, so the scan route has two maximal candidates above a.
+        expected = {
+            "ab": (
+                CheckResult(True),
+                CheckResult(False, "projection route 1 != scan route 3 at 1"),
+                CheckResult(False, "extent image mismatch: left-only (0,), right-only ()"),
+            ),
+            "abc": (
+                CheckResult(False, undefined),
+                CheckResult(False, f"check raised ClosureUndefinedError: {undefined}"),
+                CheckResult(True),
+            ),
+        }
+        for description, (total, agreement, extents) in expected.items():
+            ctx = cm.ObjectContext(("o1",), (u.mask(description),), u)
+            report = cm.verify_all(ctx, fam, seed=0)
+            assert report.checks == {
+                "subconfluence": CheckResult(False, "witness (1, 3, 5)"),
+                "closure_exists_everywhere": total,
+                "confluence_order": CheckResult(False, f"witness {verdict.witness!r}"),
+                "projection_coherence": CheckResult(False, outside),
+                "support_closure_laws": CheckResult(False, outside),
+                "oracle_agrees_with_projection": agreement,
+                "extent_decomposition": extents,
+                "local_closure_laws": CheckResult(True),
+                "miner_matches_oracle": CheckResult(False, "miner [1] != oracle [3, 5]"),
+            }
+            assert not report.ok
 
 
 class TestOracleCatchesContractViolations:
@@ -291,9 +345,30 @@ class TestOracleCatchesContractViolations:
             ("o1", "o2"), (u.mask("ab"), u.mask("abc")), u
         )
         report = cm.verify_all(ctx, fam, seed=0)
-        assert not report.ok
-        name, detail = report.first_counterexample()
-        assert name and detail
+        assert report.checks == {
+            "subconfluence": CheckResult(True),
+            "closure_exists_everywhere": CheckResult(True),
+            "confluence_order": CheckResult(True),
+            "local_join_is_union": CheckResult(True),
+            "closed_set_locally_meet_closed": CheckResult(
+                False, "reconstructed closure disagrees with support closure at 1"
+            ),
+            "meet_closed_per_minimal": CheckResult(True),
+            "projection_coherence": CheckResult(False, "projections at 7 and 3 disagree on 15"),
+            "support_closure_laws": CheckResult(True),
+            "oracle_agrees_with_projection": CheckResult(
+                False, "projection route 1 != scan route 3 at 1"
+            ),
+            "extent_decomposition": CheckResult(
+                False, "extent image mismatch: left-only (2,), right-only ()"
+            ),
+            "local_closure_laws": CheckResult(True),
+            "miner_matches_oracle": CheckResult(False, "miner [1, 2, 3, 7] != oracle [3, 7]"),
+        }
+        assert report.first_counterexample() == (
+            "closed_set_locally_meet_closed",
+            "reconstructed closure disagrees with support closure at 1",
+        )
 
     def test_broken_membership_detected(self, five_universe):
         u = five_universe
@@ -306,6 +381,24 @@ class TestOracleCatchesContractViolations:
         fam = BrokenMembership([u.mask(p) for p in ("a", "b", "ab", "abc")], u)
         ctx = cm.ObjectContext(("o1",), (u.mask("abc"),), u)
         report = cm.verify_all(ctx, fam, seed=0)
+        # every check that reaches the projection route at ab raises there
+        raised = CheckResult(
+            False, "check raised ValueError: projection base must belong to the family"
+        )
+        assert report.checks == {
+            "subconfluence": CheckResult(True),
+            "closure_exists_everywhere": CheckResult(True),
+            "confluence_order": CheckResult(True),
+            "local_join_is_union": CheckResult(True),
+            "closed_set_locally_meet_closed": raised,
+            "meet_closed_per_minimal": CheckResult(True),
+            "projection_coherence": raised,
+            "support_closure_laws": raised,
+            "oracle_agrees_with_projection": raised,
+            "extent_decomposition": CheckResult(True),
+            "local_closure_laws": CheckResult(True),
+            "miner_matches_oracle": CheckResult(True),
+        }
         assert not report.ok
 
 
