@@ -8,6 +8,8 @@ equivalently a subset closed under join above any common member.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .order import (
     FiniteLattice,
     FinitePoset,
@@ -15,6 +17,7 @@ from .order import (
     Verdict,
     classify_operator,
     closure_from_subset,
+    meet_closed,
 )
 from .patterns import iter_indices
 
@@ -80,6 +83,7 @@ class ExplicitConfluence:
             raise NotConfluenceError(verdict.witness)
         self.carrier = carrier
         self.minimal_indices = tuple(self._bounds)
+        self._minimal_mask = sum(1 << m for m in self._bounds)
         self.local_tops = {m: table[carrier.up[m]] for m, table in self._bounds.items()}
         self._least_by_up = {u: g for g, u in enumerate(carrier.up)}
 
@@ -88,10 +92,10 @@ class ExplicitConfluence:
         return self.carrier.n
 
     def _minimal_below(self, t: int) -> int:
-        for m in self.minimal_indices:
-            if self.carrier.leq(m, t):
-                return m
-        raise ValueError("element below no minimal; poset is corrupt")
+        below = self.carrier.down[t] & self._minimal_mask
+        if not below:
+            raise ValueError("element below no minimal; poset is corrupt")
+        return (below & -below).bit_length() - 1
 
     def local_top_of(self, t: int) -> int:
         """The greatest element of the up set of t (equal for every minimal below t)."""
@@ -124,13 +128,9 @@ def is_closed_under_local_meet(conf: ExplicitConfluence, members: int) -> Verdic
     p = conf.carrier
     for t in range(p.n):
         top_t = conf.local_top_of(t)
-        if not (members >> top_t) & 1:
-            return Verdict(False, (p.ids[t], None))
-        elems = list(iter_indices(members & p.up[t]))
-        for a, x in enumerate(elems):
-            for y in elems[a + 1 :]:
-                if not (members >> conf.local_meet(t, x, y)) & 1:
-                    return Verdict(False, (p.ids[t], (p.ids[x], p.ids[y])))
+        verdict = meet_closed(p.ids, members & p.up[t], top_t, partial(conf.local_meet, t))
+        if not verdict:
+            return Verdict(False, (p.ids[t], verdict.witness if (members >> top_t) & 1 else None))
     return Verdict(True)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cache, partial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .confluence import (
     ExplicitConfluence,
@@ -95,14 +95,16 @@ def oracle_closure(
     """
     if pattern not in set(members):
         raise ValueError("pattern outside the family")
-    return _scan_closure(_abstract_supports(ctx, members, abstraction), pattern)
+    poset = family_poset({t for t in members if is_subset(pattern, t)})
+    return _scan_closure(poset, _abstract_supports(ctx, poset.ids, abstraction), pattern)
 
 
 def oracle_closed_set(
     ctx: ObjectContext, members: Sequence[int], abstraction: ExtensionalAbstraction
 ) -> set[int]:
     """Patterns with no strict superset in the family sharing their abstract support."""
-    return _scan_closed_set(_abstract_supports(ctx, members, abstraction))
+    poset = family_poset(set(members))
+    return _scan_closed_set(poset, _abstract_supports(ctx, poset.ids, abstraction))
 
 
 def _abstract_supports(ctx, members, abstraction) -> dict[int, int]:
@@ -110,29 +112,29 @@ def _abstract_supports(ctx, members, abstraction) -> dict[int, int]:
     return {t: abstraction.apply(_support(ctx, t)) for t in members}
 
 
-def _scan_closure(supports: dict[int, int], pattern: int) -> int:
-    """:func:`oracle_closure` read off a table of every member's abstract support."""
-    candidates = [
-        t for t, s in supports.items() if is_subset(pattern, t) and s == supports[pattern]
-    ]
-    maximals = tuple(
-        t for t in candidates if not any(u != t and is_subset(t, u) for u in candidates)
+def _scan_closure(poset: FinitePoset, supports: dict[int, int], pattern: int) -> int:
+    """:func:`oracle_closure` read off the inclusion order and every member's support."""
+    ids, up = poset.ids, poset.up
+    same = mask_of(
+        j for j in iter_indices(up[poset.index(pattern)]) if supports[ids[j]] == supports[pattern]
     )
+    maximals = tuple(ids[j] for j in iter_indices(same) if up[j] & same == 1 << j)
     if len(maximals) != 1:
         raise ClosureUndefinedError(pattern, maximals)
     return maximals[0]
 
 
-def _scan_closed_set(supports: dict[int, int]) -> set[int]:
+def _scan_closed_set(poset: FinitePoset, supports: dict[int, int]) -> set[int]:
+    ids = poset.ids
     return {
         t
-        for t, s in supports.items()
-        if not any(u != t and is_subset(t, u) and supports[u] == s for u in supports)
+        for i, t in enumerate(ids)
+        if not any(supports[ids[j]] == supports[t] for j in iter_indices(poset.up[i] & ~(1 << i)))
     }
 
 
-def family_poset(members: Sequence[int]) -> FinitePoset:
-    """The inclusion order on materialized members, with masks as element ids."""
+def family_poset(members: Iterable[int]) -> FinitePoset:
+    """The inclusion order on distinct members, sorted by mask, with masks as ids."""
     ordered = sorted(members)
     up = []
     for x in ordered:
@@ -205,19 +207,20 @@ def verify_all(
 ) -> OracleReport:
     """Run every structural check against one instance and collect verdicts.
 
-    Each member's abstract support, and its closure by each route, is computed
+    The members' inclusion order, supports and closures by each route are computed
     once and shared; a route call that raises is not cached, so raises again.
     """
     abstraction = abstraction or ExtensionalAbstraction.identity()
     rng = random.Random(seed)
     members = materialize(fam, budget)
+    poset = family_poset(members)
     supports = _abstract_supports(ctx, members, abstraction)
-    closed = sorted(_scan_closed_set(supports))
+    closed = sorted(_scan_closed_set(poset, supports))
     concepts = tuple((t, supports[t]) for t in closed)
     report = OracleReport(family_size=len(members), closed=tuple(closed), concepts=concepts)
     checks = report.checks
     projection = cache(partial(abstract_support_closure, ctx, fam, abstraction))
-    scan = cache(partial(_scan_closure, supports))
+    scan = cache(partial(_scan_closure, poset, supports))
 
     def run(name, fn, *args):
         # a check that blows up is a failed check, not a crashed report
@@ -226,9 +229,8 @@ def verify_all(
         except Exception as exc:
             checks[name] = CheckResult(False, f"check raised {type(exc).__name__}: {exc}")
 
-    run("subconfluence", _check_subconfluence, members)
+    run("subconfluence", _check_subconfluence, poset)
     run("closure_exists_everywhere", _check_closure_total, members, scan)
-    poset = family_poset(members)
     # Building the confluence checks it: the one is_confluence pass on the poset.
     try:
         conf = ExplicitConfluence(poset)
@@ -236,14 +238,14 @@ def verify_all(
         checks["confluence_order"] = CheckResult(False, f"witness {exc.witness!r}")
     else:
         checks["confluence_order"] = CheckResult(True)
-        run("local_join_is_union", _check_local_join, conf, poset, members)
+        run("local_join_is_union", _check_local_join, conf, poset)
         run(
             "closed_set_locally_meet_closed",
             _check_theorem_closed_set,
             conf, poset, closed, projection,
         )
         run("meet_closed_per_minimal", _check_meet_closed_per_minimal, conf, poset, closed)
-    run("projection_coherence", _check_projection_coherence, fam, members, rng)
+    run("projection_coherence", _check_projection_coherence, fam, poset, rng)
     run("support_closure_laws", _check_support_closure_laws, poset, projection)
     run("oracle_agrees_with_projection", _check_closure_agreement, members, projection, scan)
     run("extent_decomposition", _check_extent_decomposition, ctx, fam, members)
@@ -252,13 +254,13 @@ def verify_all(
     return report
 
 
-def _check_subconfluence(members: Sequence[int]) -> CheckResult:
+def _check_subconfluence(poset: FinitePoset) -> CheckResult:
     """Any two members above a common member t have their union in the family;
     the witness is the first (t, x, y) in mask order whose union escapes."""
-    member_set = set(members)
-    ordered = sorted(member_set)
-    for t in ordered:
-        above = [x for x in ordered if is_subset(t, x)]
+    ids = poset.ids
+    member_set = set(ids)
+    for t, up in zip(ids, poset.up):
+        above = [ids[j] for j in iter_indices(up)]
         for a, x in enumerate(above):
             for y in above[a + 1 :]:
                 if x | y not in member_set:
@@ -275,7 +277,7 @@ def _check_closure_total(members, scan) -> CheckResult:
     return CheckResult(True)
 
 
-def _check_local_join(conf: ExplicitConfluence, poset: FinitePoset, members) -> CheckResult:
+def _check_local_join(conf: ExplicitConfluence, poset: FinitePoset) -> CheckResult:
     n = poset.n
     for x in range(n):
         for y in range(x, n):
@@ -314,8 +316,7 @@ def _check_theorem_closed_set(conf, poset, closed, projection) -> CheckResult:
 
 
 def _check_meet_closed_per_minimal(conf, poset, closed) -> CheckResult:
-    closed_set = set(closed)
-    closed_mask = mask_of(i for i, t in enumerate(poset.ids) if t in closed_set)
+    closed_mask = mask_of(poset.index(t) for t in closed)
     for m in conf.minimal_indices:
         up = poset.up[m]
         verdict = meet_closed(
@@ -336,13 +337,12 @@ def _check_meet_closed_per_minimal(conf, poset, closed) -> CheckResult:
     return CheckResult(True)
 
 
-def _check_projection_coherence(fam, members, rng) -> CheckResult:
+def _check_projection_coherence(fam, poset, rng) -> CheckResult:
     full = fam.universe.full_mask
-    member_list = list(members)
+    ids = poset.ids
     for _ in range(40):
-        t = rng.choice(member_list)
-        below = [q for q in member_list if is_subset(q, t)]
-        q = rng.choice(below)
+        i = rng.choice(range(poset.n))
+        t, q = ids[i], ids[rng.choice(list(iter_indices(poset.down[i])))]
         extra = rng.randrange(full + 1)
         x = t | extra
         if fam.project(t, x) != fam.project(q, x):

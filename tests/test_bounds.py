@@ -25,6 +25,7 @@ from confmine.confluence import (
 from confmine.oracle import family_poset
 from confmine.order import (
     FiniteLattice,
+    FinitePoset,
     LatticeError,
     closure_from_subset,
     powerset_lattice,
@@ -261,7 +262,7 @@ class TestAgainstTheDefinition:
         assert closed
 
 
-def test_principal_bounds_need_no_scan():
+def test_principal_bounds_need_no_scan(monkeypatch):
     # Every bound is a lookup in a principal-set table: no bound scan is left.
     assert not hasattr(confmine.order, "_greatest_of")
     assert not hasattr(confmine.confluence, "_greatest_of")
@@ -275,3 +276,24 @@ def test_principal_bounds_need_no_scan():
         FiniteLattice.from_poset(poset)
     for m in iter_indices(poset.minimal_mask()):
         FiniteLattice.from_poset(poset.restrict(poset.up[m])[0])
+
+    def no_leq(self, i, j):
+        raise AssertionError(f"leq({i}, {j}) called")
+
+    # Nor is the minimal below t found by a scan: once a confluence is built,
+    # every local top and local meet is answered without a single leq.
+    confluences = 0
+    for _, poset in instances():
+        if not is_confluence(poset):
+            continue
+        conf = ExplicitConfluence(poset)
+        confluences += 1
+        with monkeypatch.context() as patch:
+            patch.setattr(FinitePoset, "leq", no_leq)
+            for t in range(poset.n):
+                conf.local_top_of(t)
+                above = list(iter_indices(poset.up[t]))
+                for a, x in enumerate(above):
+                    for y in above[a:]:
+                        conf.local_meet(t, x, y)
+    assert confluences > 100

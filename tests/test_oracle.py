@@ -24,6 +24,7 @@ from confmine.patterns import is_subset, iter_indices
 
 from conftest import build_context
 from randomized import (
+    random_abstraction,
     random_context,
     random_explicit_subconfluence,
     random_graph,
@@ -164,6 +165,55 @@ class TestOracleClosedSet:
         assert got == {u.mask("abd"), u.mask("acd"), u.mask("abcd")}
 
 
+def definition_closure(ctx, members, abstraction, t):
+    """The maximal members above t sharing its abstract support, by scan of
+    every object and member: ``(closure, None)`` or ``(None, maximals)``."""
+
+    def supp(p):
+        return abstraction.apply(
+            sum(1 << o for o, d in enumerate(ctx.descriptions) if is_subset(p, d))
+        )
+
+    same = {u for u in members if is_subset(t, u) and supp(u) == supp(t)}
+    maximals = {u for u in same if not any(u != v and is_subset(u, v) for v in same)}
+    return (next(iter(maximals)), None) if len(maximals) == 1 else (None, maximals)
+
+
+class TestOracleWrapperInputs:
+    def test_any_order_and_repeats_give_the_definition(self):
+        # Random mask sets, most of them not subconfluences, given sorted and
+        # distinct, then shuffled with repeats: the same closures or the same
+        # undefined-closure maximals, and the same closed set, as the definition.
+        rng = random.Random(97)
+        undefined = 0
+        for _ in range(300):
+            n_items = rng.randint(1, 5)
+            u = cm.Universe(tuple("abcde"[:n_items]))
+            distinct = sorted({rng.randrange(1 << n_items) for _ in range(rng.randint(1, 10))})
+            repeated = distinct + [rng.choice(distinct) for _ in range(rng.randint(1, 5))]
+            rng.shuffle(repeated)
+            ctx = random_context(rng, u, max_objects=6)
+            abstraction = random_abstraction(rng, len(ctx.descriptions))
+            closed = {
+                t
+                for t in distinct
+                if definition_closure(ctx, distinct, abstraction, t) == (t, None)
+            }
+            for members in (distinct, repeated):
+                for t in distinct:
+                    expected, maximals = definition_closure(ctx, distinct, abstraction, t)
+                    if maximals is None:
+                        assert cm.oracle_closure(ctx, members, abstraction, t) == expected
+                    else:
+                        with pytest.raises(cm.ClosureUndefinedError) as exc:
+                            cm.oracle_closure(ctx, members, abstraction, t)
+                        assert set(exc.value.maximals) == maximals
+                        assert len(exc.value.maximals) == len(maximals)
+                        undefined += 1
+                assert oracle_closed_set(ctx, members, abstraction) == closed
+        assert undefined > 50
+
+
 class TestVerifyAll:
     def test_quad_instance_all_pass(self, quad_edge_family, quad_context):
         report = cm.verify_all(quad_context, quad_edge_family, seed=1)
@@ -255,9 +305,9 @@ class TestVerifyAll:
             projected[pattern] += 1
             return projection_(ctx, fam, abstraction, pattern)
 
-        def counting_scan(supports, pattern):
+        def counting_scan(poset, supports, pattern):
             scanned[pattern] += 1
-            return scan_(supports, pattern)
+            return scan_(poset, supports, pattern)
 
         monkeypatch.setattr(confmine.oracle, "abstract_support_closure", counting_projection)
         monkeypatch.setattr(confmine.oracle, "_scan_closure", counting_scan)
@@ -425,7 +475,7 @@ class TestSubconfluenceCheck:
             members = list(members)
             rng.shuffle(members)
             witness = subconfluence_violation(members)
-            expected = _check_subconfluence(members)
+            expected = _check_subconfluence(family_poset(members))
             if witness is None:
                 assert expected == CheckResult(True)
             else:
