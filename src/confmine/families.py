@@ -116,9 +116,21 @@ class PatternFamily(ABC):
     def minimals(self) -> tuple[int, ...]:
         """Minimal members, sorted by bit-mask value for deterministic mining."""
 
-    @abstractmethod
     def project(self, member: int, x: int) -> int:
-        """Greatest family member below x containing ``member`` (requires x >= member)."""
+        """Greatest family member below x containing ``member``.  Checks the contract
+        (a member base, x above it, a result above it) around the family's ``_project``."""
+        if not self.contains(member):
+            raise ValueError("projection base must belong to the family")
+        if not is_subset(member, x):
+            raise ValueError("projection argument must contain the base")
+        result = self._project(member, x)
+        if not is_subset(member, result):
+            raise ValueError("family projection is not extensive; the family violates its contract")
+        return result
+
+    @abstractmethod
+    def _project(self, member: int, x: int) -> int:
+        """``project`` once its arguments have passed the contract checks."""
 
     def augmentations(self, pattern: int) -> list[int]:
         """Item indices e such that pattern + e stays in the family.
@@ -137,12 +149,6 @@ class PatternFamily(ABC):
 
     def local_top(self, member: int) -> int:
         return self.project(member, self.universe.full_mask)
-
-    def _check_projection_args(self, member: int, x: int) -> None:
-        if not self.contains(member):
-            raise ValueError("projection base must belong to the family")
-        if not is_subset(member, x):
-            raise ValueError("projection argument must contain the base")
 
 
 def _component_from(seed: int, within: int, adjacency: Sequence[int]) -> int:
@@ -249,8 +255,7 @@ class ConnectedFamily(PatternFamily):
                     comps[w] = comp
         return tuple(comps)
 
-    def project(self, member: int, x: int) -> int:
-        self._check_projection_args(member, x)
+    def _project(self, member: int, x: int) -> int:
         # A member is connected, so its component within x is the whole
         # component of any one of its items whenever x covers that component.
         top = self._components[(member & -member).bit_length() - 1]
@@ -337,8 +342,7 @@ class ExplicitFamily(PatternFamily):
     def minimals(self) -> tuple[int, ...]:
         return self._minimals
 
-    def project(self, member: int, x: int) -> int:
-        self._check_projection_args(member, x)
+    def _project(self, member: int, x: int) -> int:
         best = member
         for q in self.patterns:
             if is_subset(member, q) and is_subset(q, x):

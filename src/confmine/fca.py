@@ -217,7 +217,7 @@ def closure_and_extent(
     the powerset closure of the abstract support, projected at the pattern
     itself.  With an empty abstract support the powerset closure is the whole
     universe, so the result is the local top of the pattern's component.
-    Raises ``ValueError`` (from the projection) for non-members.
+    Raises ``ValueError`` (from the projection) for non-members or a non-extensive projection.
     """
     abstract_extent = abstraction.apply(extent)
     return fam.project(pattern, intension(ctx, abstract_extent)), abstract_extent

@@ -6,16 +6,16 @@ closure roots a subtree.  A closed pattern is enumerated only in the subtree
 of its anchor, the least-mask minimal inside it (``fca.anchor_minimal``):
 every closure of the subtree of m contains m, so a closure whose anchor is not
 m contains an earlier minimal and is pruned as a duplicate.  Inside a subtree,
-an item exclusion list extended left-to-right across sibling branches prevents
-revisiting patterns through a different augmentation order.  The traversal
-runs on an explicit stack, so tree depth is bounded by memory alone, not by
-Python's recursion limit.
+an item exclusion mask (Boley et al., TCS 2010), extended left-to-right across
+sibling branches, prevents revisiting patterns through a different
+augmentation order.  The traversal runs on an explicit stack, so tree depth is
+bounded by memory alone, not by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 from .families import ExplicitFamily, PatternFamily, is_strongly_accessible
 from .fca import (
@@ -26,7 +26,6 @@ from .fca import (
     closure_and_extent,
     extension,
 )
-from .patterns import is_subset
 
 
 class NotStronglyAccessibleError(ValueError):
@@ -74,9 +73,9 @@ class PruneEvent(NamedTuple):
     """A closure that was computed but not expanded.
 
     Exactly one of ``blocked_by_minimal`` (the closure's anchor, a minimal
-    before the subtree's root) and ``blocked_by_item`` (closure hits the item
-    exclusion list) is set; ``at_root`` marks prunes of a minimal's own
-    closure in the outer loop.
+    before the subtree's root) and ``blocked_by_item`` (the least item of the
+    exclusion mask inside the closure) is set; ``at_root`` marks prunes of a
+    minimal's own closure in the outer loop.
     """
 
     closure: int
@@ -97,22 +96,14 @@ class MinimalEvent(NamedTuple):
 TraceEvent = Union[MineEvent, PruneEvent, MinimalEvent]
 
 
-def _first_including(pattern: int, items: Iterable[int]) -> int | None:
-    """The first one-bit mask of the item exclusion list inside ``pattern``."""
-    outside = ~pattern  # is_subset inlined: this scan runs once per closure
-    for m in items:
-        if not m & outside:
-            return m
-    return None
-
-
 def close_pattern(cfg: MinerConfig, pattern: int, extent: int) -> tuple[int, int]:
     """Close a family member carrying ``extent``: (closed pattern, abstract extent).
 
     ``extent`` is the pattern's plain support or any superset X of it with
-    ``apply(X)`` inside that support, as for ``fca.closure_and_extent``.  The
-    powerset closure of the abstract support (the whole universe when that
-    support is empty), projected at the pattern; ``ValueError`` for non-members.
+    ``apply(X)`` inside that support, as for ``fca.closure_and_extent``.  Returns the
+    powerset closure of the abstract support (the universe when it is empty),
+    projected at the pattern.  Raises ``ValueError`` for non-members or a
+    non-extensive projection.
     """
     return closure_and_extent(cfg.context, cfg.family, cfg.abstraction, pattern, extent)
 
@@ -150,41 +141,37 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
             # minimal, whose subtree reached it, and is pruned.
             yield MineEvent(Concept(abstract_extent, p, m, abstract_extent == 0), None)
             # Depth-first over frames (closed pattern q, carried extent X,
-            # pending augmentations, item exclusion list as one-bit masks).  X
-            # is the extent q's closure was called with: ext(m) at the root,
-            # the parent frame's X & tids[e] for a child.  Invariant: X ⊇
-            # ext(q) and apply(X) ⊆ ext(q).  As apply is an interior operator,
+            # pending augmentations, item exclusion mask).  X is the extent
+            # q's closure was called with: ext(m) at the root, the parent
+            # frame's X & tids[e] for a child.  Invariant: X ⊇ ext(q) and
+            # apply(X) ⊆ ext(q).  As apply is an interior operator,
             # apply(X & t) == apply(ext(q) & t) for every t, so a child closes
             # from X & tids[e] exactly as from its own plain extent, and its
             # frame keeps the invariant.  A frame that expands a child goes
-            # back on the stack under it, its list extended by the child's
+            # back on the stack under it, its mask extended by the child's
             # item, so sibling branches never revisit each other's patterns.
-            stack = [(p, m_extent, iter(fam.augmentations(p)), [])] if abstract_extent else []
+            stack = [(p, m_extent, iter(fam.augmentations(p)), 0)] if abstract_extent else []
             while stack:
-                pattern, ext, pending, items = stack.pop()
+                pattern, ext, pending, excluded = stack.pop()
                 for e in pending:
                     child = pattern | (1 << e)
                     child_extent = ext & tids[e]
                     q, q_extent = close_pattern(cfg, child, child_extent)
-                    if not is_subset(child, q):
-                        raise ValueError(
-                            "family projection is not extensive; the family violates its contract"
-                        )
                     anchor = anchor_minimal(fam, q)
                     if anchor != m:
                         yield PruneEvent(q, pattern, anchor)
                         continue
-                    hit = _first_including(q, items)
-                    if hit is not None:
-                        yield PruneEvent(q, pattern, None, hit.bit_length() - 1)
+                    hit = q & excluded
+                    if hit:
+                        yield PruneEvent(q, pattern, None, (hit & -hit).bit_length() - 1)
                         continue
                     yield MineEvent(Concept(q_extent, q, m, q_extent == 0), pattern)
                     if q_extent == 0:
                         # A local top: nothing above it can change support.
-                        items.append(1 << e)
+                        excluded |= 1 << e
                         continue
-                    stack.append((pattern, ext, pending, items + [1 << e]))
-                    stack.append((q, child_extent, iter(fam.augmentations(q)), items))
+                    stack.append((pattern, ext, pending, excluded | 1 << e))
+                    stack.append((q, child_extent, iter(fam.augmentations(q)), excluded))
                     break
         else:
             yield PruneEvent(p, None, root_anchor, None, True)

@@ -205,6 +205,65 @@ class TestExplicitFamily:
         assert fam.universe.names == ("a", "b", "c", "e")
 
 
+def _contract_case(kind):
+    """(family, a non-member, a member) of one family kind."""
+    path = path_graph("a", "b", "c", "d")
+    if kind == "vertex":
+        fam = cm.ConnectedVertexFamily(path)
+        return fam, fam.universe.mask("ac"), fam.universe.mask("ab")
+    if kind == "vertex-min-size-2":
+        fam = cm.ConnectedVertexFamily(path, min_size=2)
+        return fam, fam.universe.mask("a"), fam.universe.mask("bc")
+    if kind == "edge":
+        fam = cm.ConnectedEdgeFamily(path)
+        return fam, fam.universe.mask(["a-b", "c-d"]), fam.universe.mask(["a-b", "b-c"])
+    if kind == "kgap":
+        fam = cm.KGapWordFamily(5, 1)
+        return fam, fam.universe.mask(["a1", "a3"]), fam.universe.mask(["a2", "a3"])
+    fam = explicit_family_from_names([("a", "b"), ("a", "c"), ("a", "b", "c")])
+    return fam, fam.universe.mask("a"), fam.universe.mask("ab")
+
+
+class _BaseDroppingFamily(ExplicitFamily):
+    """Breaks the projection contract: the result leaves out the base's least item."""
+
+    def _project(self, member, x):
+        return super()._project(member, x) & ~(member & -member)
+
+
+class TestProjectionContract:
+    """``PatternFamily.project`` checks its arguments and its result once, for
+    every family kind; families implement only ``_project``."""
+
+    KINDS = ("vertex", "vertex-min-size-2", "edge", "kgap", "explicit")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rejects_non_member_base(self, kind):
+        fam, outside, _ = _contract_case(kind)
+        assert not fam.contains(outside)
+        with pytest.raises(ValueError, match="^projection base must belong to the family$"):
+            fam.project(outside, fam.universe.full_mask)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rejects_argument_missing_a_base_item(self, kind):
+        fam, _, member = _contract_case(kind)
+        x = fam.universe.full_mask & ~(member & -member)
+        with pytest.raises(ValueError, match="^projection argument must contain the base$"):
+            fam.project(member, x)
+
+    def test_non_extensive_projection_rejected_on_every_path(self):
+        u = cm.Universe(["a", "b", "c"])
+        fam = _BaseDroppingFamily([u.mask("ab"), u.mask("abc")], u)
+        ctx = cm.ObjectContext(("o1",), (u.mask("abc"),), u)
+        message = "^family projection is not extensive; the family violates its contract$"
+        with pytest.raises(ValueError, match=message):
+            fam.project(u.mask("ab"), u.mask("abc"))
+        with pytest.raises(ValueError, match=message):
+            cm.support_closure(ctx, fam, u.mask("ab"))
+        with pytest.raises(ValueError, match=message):
+            list(cm.mine_trace(cm.MinerConfig(family=fam, context=ctx)))
+
+
 class TestStrongAccessibility:
     def test_wedge_family_accessible(self, wedge_family):
         assert is_strongly_accessible(wedge_family.patterns)

@@ -1,4 +1,4 @@
-"""Miner behavior: the closure step, golden traversal traces, exclusion-list
+"""Miner behavior: the closure step, golden traversal traces, exclusion
 semantics, degeneration to classical closed-itemset mining, and oracle parity."""
 
 import random
@@ -274,6 +274,30 @@ GOLDEN_TRACES = {
 }
 
 
+# A 4-cycle v0-v2-v1-v3 with chord v2-v3, under the identity abstraction.
+# Under v0 v3 the exclusion mask gets v2 (the root's earlier branch v0 v1 v2)
+# and then v1 (the expanded child v0 v1 v3), so the prune of v0 v1 v2 v3 there
+# names v1, the least excluded item inside it, not v2, the one excluded first.
+EXCLUSION_WITNESS_TRACE = [
+    ("emit", "v0", "o1 o2 o3", "v0", False, None),
+    ("emit", "v0 v1 v2", "o2", "v0", False, "v0"),
+    ("emit", "v0 v1 v2 v3", "{}", "v0", True, "v0 v1 v2"),
+    ("emit", "v0 v3", "o1 o3", "v0", False, "v0"),
+    ("emit", "v0 v1 v3", "o3", "v0", False, "v0 v3"),
+    ("prune", "v0 v1 v2 v3", "v0 v1 v3", None, "v2", False),
+    ("prune", "v0 v1 v2 v3", "v0 v3", None, "v1", False),
+    ("minimal", "v0", True),
+    ("emit", "v1", "o2 o3", "v1", False, None),
+    ("prune", "v0 v1 v2", "v1", "v0", None, False),
+    ("prune", "v0 v1 v3", "v1", "v0", None, False),
+    ("minimal", "v1", True),
+    ("prune", "v0 v1 v2", None, "v0", None, True),
+    ("minimal", "v2", False),
+    ("prune", "v0 v3", None, "v0", None, True),
+    ("minimal", "v3", False),
+]
+
+
 class TestGoldenTraces:
     """The full event sequence, every field, on the ``tests/data`` instances:
     emissions (intent, extent, anchor, empty-support flag, parent), prunes
@@ -282,6 +306,18 @@ class TestGoldenTraces:
     @pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
     def test_event_sequence(self, name):
         assert _render_trace(_data_instance(name)) == GOLDEN_TRACES[name]
+
+    def test_item_prune_names_least_excluded_item(self):
+        graph = cm.GraphSpec.build(
+            ("v0", "v1", "v2", "v3"),
+            [("v0", "v2"), ("v0", "v3"), ("v1", "v2"), ("v1", "v3"), ("v2", "v3")],
+        )
+        fam = cm.ConnectedVertexFamily(graph)
+        ctx = build_context(
+            fam.universe, {"o1": "v0 v3", "o2": "v0 v1 v2", "o3": "v0 v1 v3"}
+        )
+        cfg = cm.MinerConfig(family=fam, context=ctx)
+        assert _render_trace(cfg) == EXCLUSION_WITNESS_TRACE
 
 
 class TestQuadGraphMining:

@@ -4,6 +4,7 @@ computation, the bundled verification report, and the tests' random generators."
 import random
 import sys
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -19,8 +20,8 @@ from confmine.oracle import (
     family_poset,
     oracle_closed_set,
 )
-from confmine.order import powerset_lattice
-from confmine.patterns import is_subset, iter_indices
+from confmine.order import closure_from_subset, meet_closed, powerset_lattice
+from confmine.patterns import is_subset, iter_indices, mask_of
 
 from conftest import build_context
 from randomized import (
@@ -333,6 +334,39 @@ class TestVerifyAll:
         escaping = _check_meet_closed_per_minimal(conf, poset, [ab, ac, abc])
         assert escaping == CheckResult(False, "closed set above 1 not meet closed: (3, 5)")
         assert _check_meet_closed_per_minimal(conf, poset, [a, b, ab, abc]) == CheckResult(True)
+
+    def test_per_minimal_check_matches_restricted_subposets(self):
+        # The check reads closure existence above each minimal off the full
+        # order.  Against the definition, a closure_from_subset on each
+        # minimal's own up set, it must give the same report, failures included.
+        def by_restriction(conf, poset, closed):
+            closed_mask = mask_of(poset.index(t) for t in closed)
+            for m in conf.minimal_indices:
+                up = poset.up[m]
+                verdict = meet_closed(
+                    poset.ids, closed_mask & up, conf.local_tops[m], partial(conf.local_meet, m)
+                )
+                sub, old = poset.restrict(up)
+                c_mask = mask_of(k for k, o in enumerate(old) if (closed_mask >> o) & 1)
+                if bool(verdict) != (closure_from_subset(sub, c_mask)[0] is not None):
+                    return CheckResult(False, f"disagree above {poset.ids[m]}")
+                if not verdict:
+                    return CheckResult(
+                        False,
+                        f"closed set above {poset.ids[m]} not meet closed: {verdict.witness!r}",
+                    )
+            return CheckResult(True)
+
+        rng = random.Random(47)
+        outcomes = Counter()
+        for _ in range(400):
+            poset = family_poset(random_subconfluence_masks(rng, 5))
+            conf = cm.ExplicitConfluence(poset)
+            closed = [t for t in poset.ids if rng.random() < 0.7]
+            result = _check_meet_closed_per_minimal(conf, poset, closed)
+            assert result == by_restriction(conf, poset, closed)
+            outcomes[result.passed] += 1
+        assert outcomes[True] > 50 and outcomes[False] > 50
 
     def test_non_confluence_reported_with_its_witness(self, five_universe):
         u = five_universe
