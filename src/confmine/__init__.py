@@ -41,8 +41,8 @@ from .fca import (
     ConceptConfluence,
     ExtensionalAbstraction,
     ObjectContext,
-    abstract_support_closure,
     build_concept_confluence,
+    closure_and_extent,
     extension,
     intension,
     support_closure,
@@ -121,10 +121,10 @@ __all__ = [
     "PruneEvent",
     "Universe",
     "Verdict",
-    "abstract_support_closure",
     "build_concept_confluence",
     "check_implication",
     "classify_operator",
+    "closure_and_extent",
     "closure_from_local_meet_subset",
     "closure_from_subset",
     "compose_interior_closure",

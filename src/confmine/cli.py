@@ -173,10 +173,7 @@ def mine_command(fmt, sorted_output, emit_empty_support, **source):
     try:
         inst = _load_instance(**source)
         cfg = miner_mod.MinerConfig(
-            family=inst.family,
-            context=inst.context,
-            abstraction=inst.abstraction,
-            emit_empty_support=emit_empty_support,
+            family=inst.family, context=inst.context, abstraction=inst.abstraction
         )
         events = miner_mod.mine(cfg)
     except miner_mod.NotStronglyAccessibleError as exc:
@@ -185,6 +182,8 @@ def mine_command(fmt, sorted_output, emit_empty_support, **source):
         _fail(exc.code, str(exc))
     universe = inst.family.universe
     concepts = (ev.concept for ev in events)
+    if not emit_empty_support:
+        concepts = (c for c in concepts if not c.empty_support)
     if sorted_output:
         concepts = sorted(concepts, key=lambda c: (" ".join(universe.names_of(c.intent)), c.extent))
     for concept in concepts:
@@ -248,7 +247,7 @@ def check_command(poset_path, budget, **source):
     except oracle_mod.BudgetExceededError as exc:
         click.echo(f"strongly-accessible: unknown ({exc})")
         return
-    verdict = fam_mod.is_strongly_accessible(members)
+    verdict = inst.family.strongly_accessible()
     universe = inst.family.universe
     if verdict:
         click.echo(f"strongly-accessible: ok ({len(members)} members)")

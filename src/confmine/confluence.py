@@ -184,7 +184,7 @@ class InteriorFamily:
             raise ValueError("projection base must belong to the family")
         p = self.host.poset
         if not p.leq(t, x):
-            raise ValueError("projection argument must lie above the base")
+            raise ValueError("projection argument must contain the base")
         # the family is join-closed above t, so this join is its greatest member below x
         return self.host.join_all(self.members & p.up[t] & p.down[x])
 

@@ -150,6 +150,11 @@ class PatternFamily(ABC):
     def local_top(self, member: int) -> int:
         return self.project(member, self.universe.full_mask)
 
+    def strongly_accessible(self) -> Verdict:
+        """``is_strongly_accessible`` over every member; implicit families hold it
+        by construction, so only explicit ones compute it."""
+        return Verdict(True)
+
 
 def _component_from(seed: int, within: int, adjacency: Sequence[int]) -> int:
     """Connected component of the seed bits inside ``within``, by breadth-first growth."""
@@ -341,6 +346,9 @@ class ExplicitFamily(PatternFamily):
 
     def minimals(self) -> tuple[int, ...]:
         return self._minimals
+
+    def strongly_accessible(self) -> Verdict:
+        return is_strongly_accessible(self.patterns)
 
     def _project(self, member: int, x: int) -> int:
         best = member

@@ -6,7 +6,9 @@ with the same (abstract) support set: project the plain powerset closure
 intension(extension(t)) onto the family at any minimal member below t.  In a
 confluence every minimal m below t gives the same projection, and so does t
 itself (m <= t <= x makes project_t(x) == project_m(x)), so closures project
-from the pattern and never look up a minimal.
+from the pattern and never look up a minimal.  ``closure_and_extent`` is the
+one closure formula, under any extensional abstraction; ``support_closure`` is
+its identity-abstraction wrapper.
 """
 
 from __future__ import annotations
@@ -75,9 +77,12 @@ def extension(ctx: ObjectContext, pattern: int) -> int:
     """
     if pattern & ~ctx.universe.full_mask:
         return 0
+    # iter_indices inlined: the miner calls this once per root minimal, as
+    # children carry their extent (minsize-anchor seed 0: 10,322 calls for
+    # 28,817 closures).
     e = ctx.all_objects_mask
     tids = ctx.tids
-    while pattern:  # iter_indices inlined: one or two calls per closure
+    while pattern:
         low = pattern & -pattern
         e &= tids[low.bit_length() - 1]
         pattern ^= low
@@ -223,21 +228,11 @@ def closure_and_extent(
     return fam.project(pattern, intension(ctx, abstract_extent)), abstract_extent
 
 
-def abstract_support_closure(
-    ctx: ObjectContext,
-    fam: PatternFamily,
-    abstraction: ExtensionalAbstraction,
-    pattern: int,
-) -> int:
-    """Support closure through an extensional abstraction."""
-    return closure_and_extent(ctx, fam, abstraction, pattern, extension(ctx, pattern))[0]
-
-
 def support_closure(ctx: ObjectContext, fam: PatternFamily, pattern: int) -> int:
-    """Greatest family member above ``pattern`` with the same support set."""
-    return abstract_support_closure(
-        ctx, fam, ExtensionalAbstraction.identity(), pattern
-    )
+    """Greatest family member above ``pattern`` with the same support set:
+    ``closure_and_extent`` under the identity abstraction."""
+    identity = ExtensionalAbstraction.identity()
+    return closure_and_extent(ctx, fam, identity, pattern, extension(ctx, pattern))[0]
 
 
 @dataclass(frozen=True)

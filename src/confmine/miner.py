@@ -10,6 +10,11 @@ an item exclusion mask (Boley et al., TCS 2010), extended left-to-right across
 sibling branches, prevents revisiting patterns through a different
 augmentation order.  The traversal runs on an explicit stack, so tree depth is
 bounded by memory alone, not by Python's recursion limit.
+
+The family answers for its own strong accessibility
+(``PatternFamily.strongly_accessible``), checked once before the walk.  Every
+concept is emitted, those with an empty abstract support included: they are
+flagged and never expanded, and dropping them is left to the caller.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Union
 
-from .families import ExplicitFamily, PatternFamily, is_strongly_accessible
+from .families import PatternFamily
 from .fca import (
     Concept,
     ExtensionalAbstraction,
@@ -29,29 +34,21 @@ from .fca import (
 
 
 class NotStronglyAccessibleError(ValueError):
-    def __init__(self, witness: tuple[int, int], message: str | None = None):
-        super().__init__(
-            message
-            or f"family is not strongly accessible: no augmentation chain for {witness!r}"
-        )
+    def __init__(self, witness: tuple[int, int], message: str):
+        super().__init__(message)
         self.witness = witness
 
 
 @dataclass(frozen=True)
 class MinerConfig:
-    """What to mine: a family and a context sharing one universe, plus options.
-
-    ``emit_empty_support`` keeps concepts whose abstract support is empty
-    (exactly the local tops under a too-strict abstraction); they are flagged
-    either way and never expanded.
-    """
+    """What to mine: a family and a context sharing one universe, and the
+    extensional abstraction that supports are read through."""
 
     family: PatternFamily
     context: ObjectContext
     abstraction: ExtensionalAbstraction = field(
         default_factory=ExtensionalAbstraction.identity
     )
-    emit_empty_support: bool = True
 
     def __post_init__(self):
         if self.family.universe != self.context.universe:
@@ -111,19 +108,17 @@ def close_pattern(cfg: MinerConfig, pattern: int, extent: int) -> tuple[int, int
 def mine_trace(cfg: MinerConfig) -> Iterator[TraceEvent]:
     """Full traversal trace: emissions, prunes, and minimal bookkeeping.
 
-    Explicit families are rejected up front unless strongly accessible;
-    implicit families are trusted per their constructor guarantees.
+    A family whose ``strongly_accessible()`` fails is rejected up front.
     """
-    if isinstance(cfg.family, ExplicitFamily):
-        verdict = is_strongly_accessible(cfg.family.patterns)
-        if not verdict:
-            t1, t2 = verdict.witness
-            u = cfg.family.universe
-            raise NotStronglyAccessibleError(
-                verdict.witness,
-                "family is not strongly accessible: no single-item chain "
-                f"from {u.format(t1)} to {u.format(t2)}",
-            )
+    verdict = cfg.family.strongly_accessible()
+    if not verdict:
+        t1, t2 = verdict.witness
+        u = cfg.family.universe
+        raise NotStronglyAccessibleError(
+            verdict.witness,
+            "family is not strongly accessible: no single-item chain "
+            f"from {u.format(t1)} to {u.format(t2)}",
+        )
     return _mine_trace_iter(cfg)
 
 
@@ -179,8 +174,6 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
 
 
 def mine(cfg: MinerConfig) -> Iterator[MineEvent]:
-    """Stream every (abstract) support-closed pattern of the family exactly once."""
-    events = (ev for ev in mine_trace(cfg) if type(ev) is MineEvent)
-    if not cfg.emit_empty_support:
-        events = (ev for ev in events if not ev.concept.empty_support)
-    return events
+    """Stream every (abstract) support-closed pattern of the family exactly once,
+    empty-support concepts (flagged, never expanded) included."""
+    return (ev for ev in mine_trace(cfg) if type(ev) is MineEvent)

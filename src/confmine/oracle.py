@@ -24,7 +24,8 @@ from .families import PatternFamily
 from .fca import (
     ExtensionalAbstraction,
     ObjectContext,
-    abstract_support_closure,
+    closure_and_extent,
+    extension,
     intension,
     verify_extent_decomposition,
 )
@@ -218,7 +219,9 @@ def verify_all(
     concepts = tuple((t, supports[t]) for t in closed)
     report = OracleReport(family_size=len(members), closed=tuple(closed), concepts=concepts)
     checks = report.checks
-    projection = cache(partial(abstract_support_closure, ctx, fam, abstraction))
+    projection = cache(
+        lambda t: closure_and_extent(ctx, fam, abstraction, t, extension(ctx, t))[0]
+    )
     scan = cache(partial(_scan_closure, poset, supports))
 
     def run(name, fn, *args):

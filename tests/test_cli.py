@@ -6,7 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from confmine import miner
+from confmine import families, miner
 from confmine.cli import main
 
 from conftest import DATA
@@ -276,6 +276,19 @@ class TestCheckCommand:
         result = invoke(runner, "check", "--graph", DATA / "quad.graph", "--edge-mode")
         assert result.exit_code == 0
         assert "strongly-accessible: ok (14 members)" in result.output
+
+    def test_graph_family_check_skips_pair_loop(self, runner, monkeypatch):
+        # A connected family answers by construction: the pair loop never runs.
+        def refuse(members):
+            raise AssertionError("is_strongly_accessible called on a connected family")
+
+        monkeypatch.setattr(families, "is_strongly_accessible", refuse)
+        result = invoke(runner, "check", "--graph", DATA / "quad.graph", "--edge-mode")
+        assert result.exit_code == 0
+        assert result.stdout.splitlines() == [
+            "subconfluence: ok",
+            "strongly-accessible: ok (14 members)",
+        ]
 
     def test_poset_confluence_ok(self, runner):
         result = invoke(runner, "check", "--poset", DATA / "chain.poset")

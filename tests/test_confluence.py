@@ -174,10 +174,10 @@ class TestInteriorFamily:
     def test_rejects_bad_arguments(self):
         host = powerset_lattice(4)
         fam = InteriorFamily(host, mask_of([m("ab"), m("ac")]))
-        with pytest.raises(ValueError):
-            fam.project(m("a"), m("abc"))  # base outside the family
-        with pytest.raises(ValueError):
-            fam.project(m("ab"), m("a"))  # argument below the base
+        with pytest.raises(ValueError, match="^projection base must belong to the family$"):
+            fam.project(m("a"), m("abc"))
+        with pytest.raises(ValueError, match="^projection argument must contain the base$"):
+            fam.project(m("ab"), m("a"))
 
     def test_projection_coherence(self):
         host = powerset_lattice(5)

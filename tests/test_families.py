@@ -289,6 +289,30 @@ class TestStrongAccessibility:
         fam = cm.ConnectedVertexFamily(path_graph("a", "b", "c", "d", "e"), min_size=2)
         assert is_strongly_accessible(materialize(fam))
 
+    def test_family_answer_matches_definition(self):
+        # Each family's own answer is the pair loop over its members, verdict
+        # and witness both; the explicit ones are often not strongly accessible.
+        rng = random.Random(43)
+        u = cm.Universe(["a", "b", "c", "d", "e"])
+        explicit_verdicts = []
+        for _ in range(40):
+            g = random_graph(rng, max_vertices=6)
+            families = [cm.KGapWordFamily(rng.randint(2, 6), rng.randint(1, 3))]
+            for min_size in (1, 2, 3):
+                try:
+                    families.append(cm.ConnectedVertexFamily(g, min_size))
+                except FamilyError:
+                    pass  # no connected vertex set that large
+            if len(g.edges) <= 8:
+                families.append(cm.ConnectedEdgeFamily(g))
+            for fam in families:
+                assert fam.strongly_accessible() == is_strongly_accessible(materialize(fam))
+            fam = ExplicitFamily(random_subconfluence_masks(rng, 5), u)
+            verdict = fam.strongly_accessible()
+            assert verdict == is_strongly_accessible(materialize(fam))
+            explicit_verdicts.append(bool(verdict))
+        assert True in explicit_verdicts and False in explicit_verdicts
+
     def test_verdict_matches_chain_search(self):
         def chain_exists(t1, t2, members):
             stack, seen = [t1], {t1}

@@ -158,20 +158,26 @@ class TestAbstractSupportClosure:
         u = five_universe
         expected = {"a": "a", "b": "b", "abc": "abcd", "abd": "abcd", "abcd": "abcd"}
         for pat, want in expected.items():
-            got = cm.abstract_support_closure(five_context, five_family, pair_abstraction, u.mask(pat))
+            t = u.mask(pat)
+            got = cm.closure_and_extent(
+                five_context, five_family, pair_abstraction, t, cm.extension(five_context, t)
+            )[0]
             assert got == u.mask(want)
 
     def test_identity_equals_plain(self, wedge_context, wedge_family):
         ident = cm.ExtensionalAbstraction.identity()
         for t in wedge_family.patterns:
-            assert cm.abstract_support_closure(
-                wedge_context, wedge_family, ident, t
-            ) == cm.support_closure(wedge_context, wedge_family, t)
+            assert cm.closure_and_extent(
+                wedge_context, wedge_family, ident, t, cm.extension(wedge_context, t)
+            )[0] == cm.support_closure(wedge_context, wedge_family, t)
 
     def test_frequency_collapses_rare_patterns(self, wedge_context, wedge_family, wedge_universe):
         u = wedge_universe
         freq2 = cm.ExtensionalAbstraction.frequency(2)
-        got = cm.abstract_support_closure(wedge_context, wedge_family, freq2, u.mask("abc"))
+        t = u.mask("abc")
+        got = cm.closure_and_extent(
+            wedge_context, wedge_family, freq2, t, cm.extension(wedge_context, t)
+        )[0]
         assert got == u.mask("abcd")  # support dropped below 2, so the local top
 
 

@@ -347,16 +347,6 @@ class TestQuadGraphMining:
         got = {u.format(ev.concept.intent): ev.concept.empty_support for ev in events}
         assert got == {"a": False, "b": False, "a b c d": True}
 
-    def test_skip_empty_support(self, quad_edge_family, quad_context, pair_abstraction):
-        u = quad_edge_family.universe
-        cfg = cm.MinerConfig(
-            family=quad_edge_family,
-            context=quad_context,
-            abstraction=pair_abstraction,
-            emit_empty_support=False,
-        )
-        assert sorted(intents(cm.mine(cfg))) == sorted([u.mask("a"), u.mask("b")])
-
     def test_empty_support_never_expanded(self, quad_edge_family, quad_context, pair_abstraction):
         cfg = cm.MinerConfig(
             family=quad_edge_family, context=quad_context, abstraction=pair_abstraction
@@ -494,6 +484,22 @@ class TestMinerValidation:
         with pytest.raises(cm.NotStronglyAccessibleError):
             cm.mine_trace(cfg)
 
+    def test_asks_the_family_for_strong_accessibility(self, quad_edge_family, quad_context):
+        # The gate reads the family's own answer, whatever the family's class.
+        u = quad_edge_family.universe
+        witness = (u.mask("a"), u.mask("ab"))
+
+        class Refusing(cm.ConnectedEdgeFamily):
+            def strongly_accessible(self):
+                return cm.Verdict(False, witness)
+
+        fam = Refusing(quad_edge_family.graph)
+        cfg = cm.MinerConfig(family=fam, context=quad_context)
+        message = "^family is not strongly accessible: no single-item chain from a to a b$"
+        with pytest.raises(cm.NotStronglyAccessibleError, match=message) as exc:
+            cm.mine_trace(cfg)
+        assert exc.value.witness == witness
+
     def test_rejects_universe_mismatch(self, five_family, wedge_context):
         with pytest.raises(ValueError, match="universe"):
             cm.MinerConfig(family=five_family, context=wedge_context)
@@ -543,7 +549,8 @@ class TestMinerAgainstOracle:
             for ev in events:
                 c = ev.concept
                 assert c.extent == abstraction.apply(cm.extension(ctx, c.intent))
-                assert cm.abstract_support_closure(ctx, fam, abstraction, c.intent) == c.intent
+                extent = cm.extension(ctx, c.intent)
+                assert cm.closure_and_extent(ctx, fam, abstraction, c.intent, extent)[0] == c.intent
                 assert c.empty_support == (c.extent == 0)
 
 

@@ -123,7 +123,9 @@ class TestOracleClosure:
         for t in members:
             assert cm.oracle_closure(
                 five_context, members, pair_abstraction, t
-            ) == cm.abstract_support_closure(five_context, five_family, pair_abstraction, t)
+            ) == cm.closure_and_extent(
+                five_context, five_family, pair_abstraction, t, cm.extension(five_context, t)
+            )[0]
 
     def test_undefined_on_violating_family(self):
         u = cm.Universe(["a", "b", "c", "d"])
@@ -299,18 +301,18 @@ class TestVerifyAll:
         members = cm.materialize(fam)
         assert 20 <= len(members) <= 80
         projected, scanned = Counter(), Counter()
-        projection_ = confmine.oracle.abstract_support_closure
+        projection_ = confmine.oracle.closure_and_extent
         scan_ = confmine.oracle._scan_closure
 
-        def counting_projection(ctx, fam, abstraction, pattern):
+        def counting_projection(ctx, fam, abstraction, pattern, extent):
             projected[pattern] += 1
-            return projection_(ctx, fam, abstraction, pattern)
+            return projection_(ctx, fam, abstraction, pattern, extent)
 
         def counting_scan(poset, supports, pattern):
             scanned[pattern] += 1
             return scan_(poset, supports, pattern)
 
-        monkeypatch.setattr(confmine.oracle, "abstract_support_closure", counting_projection)
+        monkeypatch.setattr(confmine.oracle, "closure_and_extent", counting_projection)
         monkeypatch.setattr(confmine.oracle, "_scan_closure", counting_scan)
         report = cm.verify_all(ctx, fam, cm.ExtensionalAbstraction.frequency(2), seed=5)
         assert report.ok, report.first_counterexample()
