@@ -122,15 +122,18 @@ class ExplicitConfluence:
 def is_closed_under_local_meet(conf: ExplicitConfluence, members: int) -> Verdict:
     """Check a subset is closed under every local meet, including the empty one.
 
-    Witness is ``(t, None)`` when the local top above t is missing from the
-    subset, ``(t, (x, y))`` for an escaping pairwise local meet.
+    Each local meet above t is one above a minimal m below t, so only the up
+    sets of the minimals are tried.  The witness is ``(m, None)`` when the
+    local top above the first failing minimal m is missing from the subset,
+    ``(m, (x, y))`` for an escaping pairwise local meet; when the index order
+    extends the order, m is also the first failing element in index order.
     """
     p = conf.carrier
-    for t in range(p.n):
-        top_t = conf.local_top_of(t)
-        verdict = meet_closed(p.ids, members & p.up[t], top_t, partial(conf.local_meet, t))
+    for m in conf.minimal_indices:
+        top = conf.local_tops[m]
+        verdict = meet_closed(p.ids, members & p.up[m], top, partial(conf.local_meet, m))
         if not verdict:
-            return Verdict(False, (p.ids[t], verdict.witness if (members >> top_t) & 1 else None))
+            return Verdict(False, (p.ids[m], verdict.witness if (members >> top) & 1 else None))
     return Verdict(True)
 
 

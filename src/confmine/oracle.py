@@ -16,8 +16,7 @@ from typing import Iterable, Sequence
 from .confluence import (
     ExplicitConfluence,
     NotConfluenceError,
-    NotLocallyMeetClosedError,
-    closure_from_local_meet_subset,
+    is_closed_under_local_meet,
     is_confluence,
 )
 from .families import PatternFamily
@@ -30,12 +29,7 @@ from .fca import (
     verify_extent_decomposition,
 )
 from .miner import MinerConfig, NotStronglyAccessibleError, mine
-from .order import (
-    FinitePoset,
-    OperatorMap,
-    classify_operator,
-    meet_closed,
-)
+from .order import FinitePoset, OperatorMap, classify_operator, closure_from_subset
 from .patterns import Universe, bit, is_subset, iter_indices, mask_of
 
 
@@ -207,8 +201,9 @@ def verify_all(
 ) -> OracleReport:
     """Run every structural check against one instance and collect verdicts.
 
-    The members' inclusion order, supports and closures by each route are computed
-    once and shared; a route call that raises is not cached, so raises again.
+    The members' inclusion order, supports, closures by each route and the closed
+    set's local-meet verdict are computed once and shared; a call that raises is
+    not cached, so raises again.
     """
     abstraction = abstraction or ExtensionalAbstraction.identity()
     rng = random.Random(seed)
@@ -240,13 +235,19 @@ def verify_all(
         checks["confluence_order"] = CheckResult(False, f"witness {exc.witness!r}")
     else:
         checks["confluence_order"] = CheckResult(True)
+        closed_mask = mask_of(poset.index(t) for t in closed)
+        meet_verdict = cache(partial(is_closed_under_local_meet, conf, closed_mask))
         run("local_join_is_union", _check_local_join, conf, poset)
         run(
             "closed_set_locally_meet_closed",
             _check_theorem_closed_set,
-            conf, poset, closed, projection,
+            poset, closed_mask, projection, meet_verdict,
         )
-        run("meet_closed_per_minimal", _check_meet_closed_per_minimal, conf, poset, closed)
+        run(
+            "meet_closed_per_minimal",
+            _check_meet_closed_per_minimal,
+            conf, poset, closed_mask, meet_verdict,
+        )
     run("projection_coherence", _check_projection_coherence, fam, poset, rng)
     run("support_closure_laws", _check_support_closure_laws, poset, projection)
     run("oracle_agrees_with_projection", _check_closure_agreement, members, projection, scan)
@@ -294,12 +295,11 @@ def _check_local_join(conf: ExplicitConfluence, poset: FinitePoset) -> CheckResu
     return CheckResult(True)
 
 
-def _check_theorem_closed_set(conf, poset, closed, projection) -> CheckResult:
-    closed_mask = mask_of(poset.index(t) for t in closed)
-    try:
-        op = closure_from_local_meet_subset(conf, closed_mask)
-    except NotLocallyMeetClosedError as exc:
-        return CheckResult(False, f"closed set not locally meet closed: {exc.witness!r}")
+def _check_theorem_closed_set(poset, closed_mask, projection, meet_verdict) -> CheckResult:
+    verdict = meet_verdict()
+    if not verdict:
+        return CheckResult(False, f"closed set not locally meet closed: {verdict.witness!r}")
+    op = closure_from_subset(poset, closed_mask)[0]  # total: the verdict holds
     cls = classify_operator(op)
     if cls.kind != "closure":
         return CheckResult(False, f"reconstructed operator is {cls.kind}: {cls.witness!r}")
@@ -317,27 +317,25 @@ def _check_theorem_closed_set(conf, poset, closed, projection) -> CheckResult:
     return CheckResult(True)
 
 
-def _check_meet_closed_per_minimal(conf, poset, closed) -> CheckResult:
+def _check_meet_closed_per_minimal(conf, poset, closed_mask, meet_verdict) -> CheckResult:
     """Above each minimal m, ``closed & up[m]`` is meet closed iff a closure onto it
     exists: iff each x above m has ``closed & up[x]`` equal to a ``closed & up[g]``,
-    g closed.  Members above x lie above m, so the full order answers for every m."""
-    closed_mask = mask_of(poset.index(t) for t in closed)
-    least = {closed_mask & poset.up[g] for g in iter_indices(closed_mask)}
-    unclosable = mask_of(x for x in range(poset.n) if closed_mask & poset.up[x] not in least)
+    g closed.  Members above x lie above m, so the full order answers for every m.
+    Meet closure is read off the shared verdict: the minimals before its witness
+    pass, and the witness fails on its pair or its missing local top."""
+    ids, up = poset.ids, poset.up
+    least = {closed_mask & up[g] for g in iter_indices(closed_mask)}
+    unclosable = mask_of(x for x in range(poset.n) if closed_mask & up[x] not in least)
+    verdict = meet_verdict()
     for m in conf.minimal_indices:
-        up = poset.up[m]
-        verdict = meet_closed(
-            poset.ids, closed_mask & up, conf.local_tops[m], partial(conf.local_meet, m)
-        )
-        if bool(verdict) != (not up & unclosable):
+        failed = not verdict and verdict.witness[0] == ids[m]
+        if failed != bool(up[m] & unclosable):
             return CheckResult(
-                False,
-                f"meet-closedness and subset-closure existence disagree above {poset.ids[m]}",
+                False, f"meet-closedness and subset-closure existence disagree above {ids[m]}"
             )
-        if not verdict:
-            return CheckResult(
-                False, f"closed set above {poset.ids[m]} not meet closed: {verdict.witness!r}"
-            )
+        if failed:
+            detail = verdict.witness[1] or ids[conf.local_tops[m]]
+            return CheckResult(False, f"closed set above {ids[m]} not meet closed: {detail!r}")
     return CheckResult(True)
 
 

@@ -6,7 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from confmine import families, miner
+from confmine import families, miner, oracle
 from confmine.cli import main
 
 from conftest import DATA
@@ -271,6 +271,27 @@ class TestCheckCommand:
         result = invoke(runner, "check", "--explicit", DATA / "quad.family")
         assert result.exit_code == 0
         assert "strongly-accessible: FAIL" in result.output
+
+    def test_failing_family_answers_before_listing_members(self, runner, monkeypatch):
+        # The FAIL line needs no member list, so a budget of 1 does not hide it.
+        def refuse(fam, budget):
+            raise AssertionError("materialize called on a failing family")
+
+        monkeypatch.setattr(oracle, "materialize", refuse)
+        result = invoke(runner, "check", "--explicit", DATA / "quad.family", "--budget", 1)
+        assert result.exit_code == 0
+        assert result.stdout.splitlines() == [
+            "subconfluence: ok",
+            "strongly-accessible: FAIL no augmentation chain from a to a b c",
+        ]
+
+    def test_family_over_budget_still_answers(self, runner):
+        result = invoke(runner, "check", "--kgap", 14, 2, "--budget", 5)
+        assert result.exit_code == 0
+        assert result.stdout.splitlines() == [
+            "subconfluence: ok",
+            "strongly-accessible: ok (more than 5 members)",
+        ]
 
     def test_graph_family_check(self, runner):
         result = invoke(runner, "check", "--graph", DATA / "quad.graph", "--edge-mode")

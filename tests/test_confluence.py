@@ -2,6 +2,8 @@
 subconfluences, interior projections, and lifted closures."""
 
 import random
+from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,14 @@ from hypothesis import strategies as st
 import confmine as cm
 from confmine.confluence import ExplicitConfluence, InteriorFamily, NotLocallyMeetClosedError
 from confmine.oracle import family_poset
-from confmine.order import FiniteLattice, OperatorMap, powerset_lattice
+from confmine.order import (
+    FiniteLattice,
+    FinitePoset,
+    OperatorMap,
+    Verdict,
+    meet_closed,
+    powerset_lattice,
+)
 from confmine.patterns import is_subset, iter_indices, mask_of
 
 from randomized import random_subconfluence_masks
@@ -272,6 +281,56 @@ def test_locally_meet_closed_iff_closure_subset(seed):
     else:
         with pytest.raises(NotLocallyMeetClosedError):
             cm.closure_from_local_meet_subset(conf, members)
+
+
+def _meet_closed_above(conf: ExplicitConfluence, members: int, t: int) -> Verdict:
+    """The local-meet test above one element t, with t's witness."""
+    p = conf.carrier
+    top = conf.local_top_of(t)
+    verdict = meet_closed(p.ids, members & p.up[t], top, partial(conf.local_meet, t))
+    if verdict:
+        return verdict
+    return Verdict(False, (p.ids[t], verdict.witness if (members >> top) & 1 else None))
+
+
+def _shuffled(poset: FinitePoset, rng: random.Random) -> FinitePoset:
+    """The same order under a random index order, which need not extend it."""
+    order = list(range(poset.n))
+    rng.shuffle(order)
+    pos = {o: k for k, o in enumerate(order)}
+    up = [mask_of(pos[j] for j in iter_indices(poset.up[o])) for o in order]
+    return FinitePoset([poset.ids[o] for o in order], up)
+
+
+def test_minimal_elements_decide_local_meet_closure():
+    # The definition tries every element t in index order.  The verdict must
+    # agree; so must the witness when the index order extends the order, and
+    # otherwise the witness is a minimal whose own test fails.
+    rng = random.Random(83)
+    failures, moved = Counter(), 0
+    for trial in range(2400):
+        poset = family_poset(random_subconfluence_masks(rng, 6, n_seeds=6))
+        mask_sorted = trial % 2 == 0
+        conf = ExplicitConfluence(poset if mask_sorted else _shuffled(poset, rng))
+        members = mask_of(i for i in range(poset.n) if rng.random() < 0.5)
+        members |= mask_of(top for top in conf.local_tops.values() if rng.random() < 0.5)
+        verdict = cm.is_closed_under_local_meet(conf, members)
+        definition = next(
+            (v for t in range(poset.n) if not (v := _meet_closed_above(conf, members, t))),
+            Verdict(True),
+        )
+        assert bool(verdict) == bool(definition)
+        if verdict:
+            continue
+        failures[mask_sorted] += 1
+        if mask_sorted:
+            assert verdict == definition
+        else:
+            m = conf.carrier.index(verdict.witness[0])
+            assert m in conf.minimal_indices
+            assert verdict == _meet_closed_above(conf, members, m)
+            moved += verdict != definition
+    assert failures[True] > 300 and failures[False] > 300 and moved > 30
 
 
 @given(st.integers(0, 10_000))

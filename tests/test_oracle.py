@@ -292,6 +292,29 @@ class TestVerifyAll:
         assert report.ok, report.first_counterexample()
         assert len(calls) == 1
 
+    def test_local_meets_tried_once(self, monkeypatch):
+        # Both local-meet checks read one verdict: verify_all makes exactly the
+        # local_meet calls of a single is_closed_under_local_meet pass.
+        rng = random.Random(27)
+        fam = cm.ConnectedVertexFamily(random_graph(rng, max_vertices=7, edge_prob=0.5))
+        ctx = random_context(rng, fam.universe, max_objects=10)
+        calls = []
+        local_meet_ = cm.ExplicitConfluence.local_meet
+
+        def counting_local_meet(conf, t, x, y):
+            calls.append((t, x, y))
+            return local_meet_(conf, t, x, y)
+
+        monkeypatch.setattr(cm.ExplicitConfluence, "local_meet", counting_local_meet)
+        report = cm.verify_all(ctx, fam, seed=3)
+        assert report.ok, report.first_counterexample()
+        in_report = len(calls)
+        poset = family_poset(cm.materialize(fam))
+        closed = mask_of(poset.index(t) for t in report.closed)
+        assert cm.is_closed_under_local_meet(cm.ExplicitConfluence(poset), closed)
+        single_pass = len(calls) - in_report
+        assert in_report == single_pass > 100
+
     def test_one_closure_per_member_and_route(self, monkeypatch):
         # The projection route is read by three checks and the scan route by
         # two; each must still run once per member.
@@ -323,7 +346,10 @@ class TestVerifyAll:
         a, b, abc, abd, abcd = 0b1, 0b10, 0b111, 0b1011, 0b1111
         poset = family_poset([a, b, abc, abd, abcd])
         conf = cm.ExplicitConfluence(poset)
-        result = _check_theorem_closed_set(conf, poset, [a, abc], None)
+        closed = mask_of(poset.index(t) for t in [a, abc])
+        result = _check_theorem_closed_set(
+            poset, closed, None, partial(cm.is_closed_under_local_meet, conf, closed)
+        )
         assert result == CheckResult(False, "closed set not locally meet closed: (1, None)")
 
     def test_closed_set_not_meet_closed_above_a_minimal_detail(self):
@@ -331,11 +357,17 @@ class TestVerifyAll:
         a, b, ab, ac, abc = 0b1, 0b10, 0b11, 0b101, 0b111
         poset = family_poset([a, b, ab, ac, abc])
         conf = cm.ExplicitConfluence(poset)
-        no_top = _check_meet_closed_per_minimal(conf, poset, [a, ab, ac])
+
+        def check(*closed):
+            mask = mask_of(poset.index(t) for t in closed)
+            verdict = partial(cm.is_closed_under_local_meet, conf, mask)
+            return _check_meet_closed_per_minimal(conf, poset, mask, verdict)
+
+        no_top = check(a, ab, ac)
         assert no_top == CheckResult(False, "closed set above 1 not meet closed: 7")
-        escaping = _check_meet_closed_per_minimal(conf, poset, [ab, ac, abc])
+        escaping = check(ab, ac, abc)
         assert escaping == CheckResult(False, "closed set above 1 not meet closed: (3, 5)")
-        assert _check_meet_closed_per_minimal(conf, poset, [a, b, ab, abc]) == CheckResult(True)
+        assert check(a, b, ab, abc) == CheckResult(True)
 
     def test_per_minimal_check_matches_restricted_subposets(self):
         # The check reads closure existence above each minimal off the full
@@ -365,7 +397,9 @@ class TestVerifyAll:
             poset = family_poset(random_subconfluence_masks(rng, 5))
             conf = cm.ExplicitConfluence(poset)
             closed = [t for t in poset.ids if rng.random() < 0.7]
-            result = _check_meet_closed_per_minimal(conf, poset, closed)
+            mask = mask_of(poset.index(t) for t in closed)
+            verdict = partial(cm.is_closed_under_local_meet, conf, mask)
+            result = _check_meet_closed_per_minimal(conf, poset, mask, verdict)
             assert result == by_restriction(conf, poset, closed)
             outcomes[result.passed] += 1
         assert outcomes[True] > 50 and outcomes[False] > 50
