@@ -246,7 +246,7 @@ def check_command(poset_path, budget, **source):
     if not verdict:
         t1, t2 = map(inst.family.universe.format, verdict.witness)
         click.echo(f"strongly-accessible: FAIL no augmentation chain from {t1} to {t2}")
-        return
+        sys.exit(VALIDATION_EXIT)
     # the members are listed only to be counted, and at most budget + 1 of them
     try:
         count = str(len(oracle_mod.materialize(inst.family, budget)))

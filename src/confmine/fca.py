@@ -211,6 +211,8 @@ def closure_and_extent(
     abstraction: ExtensionalAbstraction,
     pattern: int,
     extent: int,
+    *,
+    checked: bool = True,
 ) -> tuple[int, int]:
     """(abstract support closure, abstract support) of a family member.
 
@@ -222,10 +224,11 @@ def closure_and_extent(
     the powerset closure of the abstract support, projected at the pattern
     itself.  With an empty abstract support the powerset closure is the whole
     universe, so the result is the local top of the pattern's component.
-    Raises ``ValueError`` (from the projection) for non-members or a non-extensive projection.
+    Raises ``ValueError`` (from the projection) for a non-extensive projection,
+    and, unless ``checked`` is false, for a non-member pattern.
     """
     abstract_extent = abstraction.apply(extent)
-    return fam.project(pattern, intension(ctx, abstract_extent)), abstract_extent
+    return fam.project(pattern, intension(ctx, abstract_extent), checked=checked), abstract_extent
 
 
 def support_closure(ctx: ObjectContext, fam: PatternFamily, pattern: int) -> int:

@@ -93,16 +93,20 @@ class MinimalEvent(NamedTuple):
 TraceEvent = Union[MineEvent, PruneEvent, MinimalEvent]
 
 
-def close_pattern(cfg: MinerConfig, pattern: int, extent: int) -> tuple[int, int]:
+def close_pattern(
+    cfg: MinerConfig, pattern: int, extent: int, *, checked: bool = True
+) -> tuple[int, int]:
     """Close a family member carrying ``extent``: (closed pattern, abstract extent).
 
     ``extent`` is the pattern's plain support or any superset X of it with
     ``apply(X)`` inside that support, as for ``fca.closure_and_extent``.  Returns the
     powerset closure of the abstract support (the universe when it is empty),
-    projected at the pattern.  Raises ``ValueError`` for non-members or a
-    non-extensive projection.
+    projected at the pattern.  Raises ``ValueError`` for a non-extensive
+    projection, and, unless ``checked`` is false, for a non-member pattern.
     """
-    return closure_and_extent(cfg.context, cfg.family, cfg.abstraction, pattern, extent)
+    return closure_and_extent(
+        cfg.context, cfg.family, cfg.abstraction, pattern, extent, checked=checked
+    )
 
 
 def mine_trace(cfg: MinerConfig) -> Iterator[TraceEvent]:
@@ -128,7 +132,9 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
     tids = ctx.tids
     for m in fam.minimals():
         m_extent = extension(ctx, m)
-        p, abstract_extent = close_pattern(cfg, m, m_extent)
+        # Unchecked: each base is a minimal or ``pattern + e`` for an augmentation
+        # e, so a member, and lies in the intension of apply(X) ⊆ its extent.
+        p, abstract_extent = close_pattern(cfg, m, m_extent, checked=False)
         root_anchor = anchor_minimal(fam, p)
         if root_anchor == m:
             # m anchors every concept of its subtree: each closure there
@@ -151,7 +157,7 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
                 for e in pending:
                     child = pattern | (1 << e)
                     child_extent = ext & tids[e]
-                    q, q_extent = close_pattern(cfg, child, child_extent)
+                    q, q_extent = close_pattern(cfg, child, child_extent, checked=False)
                     anchor = anchor_minimal(fam, q)
                     if anchor != m:
                         yield PruneEvent(q, pattern, anchor)

@@ -269,7 +269,7 @@ class TestCheckCommand:
 
     def test_quad_family_reports_inaccessibility(self, runner):
         result = invoke(runner, "check", "--explicit", DATA / "quad.family")
-        assert result.exit_code == 0
+        assert result.exit_code == 1
         assert "strongly-accessible: FAIL" in result.output
 
     def test_failing_family_answers_before_listing_members(self, runner, monkeypatch):
@@ -279,7 +279,7 @@ class TestCheckCommand:
 
         monkeypatch.setattr(oracle, "materialize", refuse)
         result = invoke(runner, "check", "--explicit", DATA / "quad.family", "--budget", 1)
-        assert result.exit_code == 0
+        assert result.exit_code == 1
         assert result.stdout.splitlines() == [
             "subconfluence: ok",
             "strongly-accessible: FAIL no augmentation chain from a to a b c",

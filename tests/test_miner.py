@@ -554,6 +554,32 @@ class TestMinerAgainstOracle:
                 assert c.empty_support == (c.extent == 0)
 
 
+def _vertex_family(rng, min_size):
+    while True:
+        try:
+            return cm.ConnectedVertexFamily(random_graph(rng, max_vertices=6), min_size)
+        except FamilyError:
+            continue  # no connected vertex set that large
+
+
+def _family_kinds(rng):
+    """One random family of each kind: vertex with min_size 1-3, edge, k-gap, explicit."""
+    for min_size in (1, 2, 3):
+        yield _vertex_family(rng, min_size)
+    yield cm.ConnectedEdgeFamily(random_graph(rng, max_vertices=5))
+    yield cm.KGapWordFamily(rng.randint(2, 6), rng.randint(1, 3))
+    yield random_explicit_subconfluence(rng, n_items=4, require_strong_accessibility=True)
+
+
+def _abstraction_kinds(rng, n_objects):
+    """Identity, a random frequency threshold and random generators."""
+    yield cm.ExtensionalAbstraction.identity()
+    yield cm.ExtensionalAbstraction.frequency(rng.randint(1, n_objects))
+    yield cm.ExtensionalAbstraction.from_generators(
+        rng.randrange(1 << n_objects) for _ in range(rng.randint(1, 3))
+    )
+
+
 class TestRootAnchorsAcrossFamilyKinds:
     """Every emitted concept's anchor (its subtree's root minimal) is the
     least-mask minimal inside its intent, its extent is the abstraction of
@@ -561,36 +587,13 @@ class TestRootAnchorsAcrossFamilyKinds:
     set, for every family kind under identity, frequency and generator
     abstractions."""
 
-    @staticmethod
-    def _vertex_family(rng, min_size):
-        while True:
-            try:
-                return cm.ConnectedVertexFamily(random_graph(rng, max_vertices=6), min_size)
-            except FamilyError:
-                continue  # no connected vertex set that large
-
-    def _families(self, rng):
-        for min_size in (1, 2, 3):
-            yield self._vertex_family(rng, min_size)
-        yield cm.ConnectedEdgeFamily(random_graph(rng, max_vertices=5))
-        yield cm.KGapWordFamily(rng.randint(2, 6), rng.randint(1, 3))
-        yield random_explicit_subconfluence(rng, n_items=4, require_strong_accessibility=True)
-
-    @staticmethod
-    def _abstractions(rng, n_objects):
-        yield cm.ExtensionalAbstraction.identity()
-        yield cm.ExtensionalAbstraction.frequency(rng.randint(1, n_objects))
-        yield cm.ExtensionalAbstraction.from_generators(
-            rng.randrange(1 << n_objects) for _ in range(rng.randint(1, 3))
-        )
-
     def test_random_instances(self):
         rng = random.Random(2002)
         for _ in range(8):
-            for fam in self._families(rng):
+            for fam in _family_kinds(rng):
                 members = materialize(fam)
                 ctx = random_context(rng, fam.universe, max_objects=6)
-                for abstraction in self._abstractions(rng, ctx.n_objects):
+                for abstraction in _abstraction_kinds(rng, ctx.n_objects):
                     cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
                     trace = list(cm.mine_trace(cfg))
                     mined = [ev for ev in trace if isinstance(ev, MineEvent)]
@@ -621,9 +624,9 @@ class TestRootAnchorsAcrossFamilyKinds:
         monkeypatch.setattr("confmine.miner.anchor_minimal", counted)
         rng = random.Random(2012)
         for _ in range(4):
-            for fam in self._families(rng):
+            for fam in _family_kinds(rng):
                 ctx = random_context(rng, fam.universe, max_objects=6)
-                for abstraction in self._abstractions(rng, ctx.n_objects):
+                for abstraction in _abstraction_kinds(rng, ctx.n_objects):
                     cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
                     calls = 0
                     trace = list(cm.mine_trace(cfg))
@@ -669,6 +672,94 @@ class TestRootAnchorsAcrossFamilyKinds:
             else:
                 assert (ev.closure >> ev.blocked_by_item) & 1
                 assert not (parent >> ev.blocked_by_item) & 1
+
+
+class AssertingProjection(cm.PatternFamily):
+    """A family that answers as ``inner`` does, except that its ``_project``
+    asserts the two argument checks ``project(..., checked=False)`` skips."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.universe = inner.universe
+
+    def contains(self, pattern):
+        return self.inner.contains(pattern)
+
+    def minimals(self):
+        return self.inner.minimals()
+
+    def members(self):
+        return self.inner.members()
+
+    def augmentations(self, pattern):
+        return self.inner.augmentations(pattern)
+
+    def strongly_accessible(self):
+        return self.inner.strongly_accessible()
+
+    def _project(self, member, x):
+        assert self.inner.contains(member), "unchecked projection base is not a member"
+        assert is_subset(member, x), "unchecked projection argument misses a base item"
+        return self.inner._project(member, x)
+
+
+# Each public closure route, called as (config, pattern, carried extent); all
+# keep the default ``checked=True``.
+CLOSURE_ROUTES = {
+    "close_pattern": close_pattern,
+    "closure_and_extent": lambda cfg, p, x: cm.closure_and_extent(
+        cfg.context, cfg.family, cfg.abstraction, p, x
+    ),
+    "support_closure": lambda cfg, p, x: cm.support_closure(cfg.context, cfg.family, p),
+}
+
+
+class TestUncheckedProjection:
+    """The miner projects its own members with ``checked=False``; every other
+    caller keeps the argument checks."""
+
+    def test_miner_projects_only_valid_arguments(self, monkeypatch):
+        rng = random.Random(2019)
+        for _ in range(8):
+            for inner in _family_kinds(rng):
+                fam = AssertingProjection(inner)
+                ctx = random_context(rng, fam.universe, max_objects=6)
+                for abstraction in _abstraction_kinds(rng, ctx.n_objects):
+                    cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
+                    unchecked = list(cm.mine_trace(cfg))
+                    with monkeypatch.context() as m:
+                        # every projection checked, as before the keyword existed
+                        m.setattr(
+                            "confmine.miner.close_pattern",
+                            lambda cfg, pattern, extent, **_: close_pattern(cfg, pattern, extent),
+                        )
+                        checked = list(cm.mine_trace(cfg))
+                    assert unchecked == checked
+
+    def test_wrapper_catches_invalid_arguments(self, wedge_family, wedge_universe):
+        u = wedge_universe
+        fam = AssertingProjection(wedge_family)
+        with pytest.raises(AssertionError, match="not a member"):
+            fam.project(u.mask("a"), u.full_mask, checked=False)
+        with pytest.raises(AssertionError, match="misses a base item"):
+            fam.project(u.mask("ab"), u.mask("ad"), checked=False)
+
+    @pytest.mark.parametrize("route", sorted(CLOSURE_ROUTES))
+    def test_non_member_rejected(self, route, wedge_family, wedge_context, wedge_universe):
+        cfg = cm.MinerConfig(family=wedge_family, context=wedge_context)
+        non_member = wedge_universe.mask("a")
+        with pytest.raises(ValueError, match="must belong to the family"):
+            CLOSURE_ROUTES[route](cfg, non_member, cm.extension(cfg.context, non_member))
+
+    # support_closure reads x off the pattern's own support, which contains it
+    @pytest.mark.parametrize("route", ["close_pattern", "closure_and_extent"])
+    def test_argument_missing_a_base_item_rejected(
+        self, route, wedge_family, wedge_context, wedge_universe
+    ):
+        cfg = cm.MinerConfig(family=wedge_family, context=wedge_context)
+        # carried extent: every object, whose intension a d misses the base's b
+        with pytest.raises(ValueError, match="must contain the base"):
+            CLOSURE_ROUTES[route](cfg, wedge_universe.mask("ab"), cfg.context.all_objects_mask)
 
 
 class TestDeepTraversal:

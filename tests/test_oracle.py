@@ -455,7 +455,7 @@ class TestOracleCatchesContractViolations:
         u = five_universe
 
         class BrokenProjection(cm.ExplicitFamily):
-            def project(self, member, x):
+            def _project(self, member, x):
                 return member  # wrong: ignores everything above the base
 
         fam = BrokenProjection(
