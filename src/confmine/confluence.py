@@ -160,7 +160,7 @@ def is_subconfluence(host: FiniteLattice, members: int) -> Verdict:
         above = list(iter_indices(members & p.up[t]))
         for a, x in enumerate(above):
             for y in above[a + 1 :]:
-                if not (members >> host.join_table[x][y]) & 1:
+                if not (members >> host.join(x, y)) & 1:
                     return Verdict(False, (p.ids[t], p.ids[x], p.ids[y]))
     return Verdict(True)
 
@@ -202,13 +202,11 @@ def lift_closure(fam: InteriorFamily, f: OperatorMap) -> OperatorMap:
     result lives on the induced subposet of the family.
     """
     host_poset = fam.host.poset
-    if f.domain is not host_poset and (
-        f.domain.ids != host_poset.ids or f.domain.up != host_poset.up
-    ):
+    if f.domain != host_poset:
         raise ValueError("closure must live on the family's host lattice")
     if not classify_operator(f).is_closure:
         raise ValueError("operator is not a closure on the host lattice")
-    sub, old = fam.host.poset.restrict(fam.members)
+    sub, old = host_poset.restrict(fam.members)
     pos = {o: k for k, o in enumerate(old)}
     table = [pos[fam.project(t, f.table[t])] for t in old]
     return OperatorMap(sub, table)

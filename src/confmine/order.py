@@ -82,16 +82,19 @@ class FinitePoset:
         """Build from a cover relation: ``covers[x]`` lists elements directly below x.
 
         The reflexive-transitive closure is computed here; cycles surface as
-        antisymmetry violations.
+        antisymmetry violations, and an id outside ``ids`` as a PosetError.
         """
         ids = tuple(ids)
         index = {e: i for i, e in enumerate(ids)}
         up = [1 << i for i in range(len(ids))]
         parents_of: list[list[int]] = [[] for _ in ids]  # direct successors of each element
         for parent, below in covers.items():
-            p = index[parent]
+            if parent not in index:
+                raise PosetError(f"unknown element {parent!r}")
             for child in below:
-                parents_of[index[child]].append(p)
+                if child not in index:
+                    raise PosetError(f"element {parent!r} covers unknown element {child!r}")
+                parents_of[index[child]].append(index[parent])
         changed = True
         while changed:
             changed = False
@@ -149,38 +152,31 @@ class FinitePoset:
             self._dual = d
         return self._dual
 
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, FinitePoset) and self.ids == other.ids and self.up == other.up
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ids, self.up))
+
     def __repr__(self) -> str:
         return f"FinitePoset(n={self.n})"
 
 
 class FiniteLattice:
-    """A finite lattice: a poset with total meet/join tables and both bounds."""
+    """A finite lattice, built from its order alone.
 
-    def __init__(
-        self,
-        poset: FinitePoset,
-        meet: Sequence[Sequence[int]],
-        join: Sequence[Sequence[int]],
-        top: int,
-        bottom: int,
-        _verify: bool = True,
-    ):
-        self.poset = poset
-        self.meet_table = tuple(tuple(row) for row in meet)
-        self.join_table = tuple(tuple(row) for row in join)
-        self.top = top
-        self.bottom = bottom
-        self._dual: FiniteLattice | None = None
-        if _verify:
-            self._verify()
+    A down set S has a greatest element g exactly when ``S == down[g]``
+    (dually for up sets), so instead of n x n tables the lattice keeps the two
+    lookups ``{down[g]: g}`` and ``{up[g]: g}``: the top, the bottom and each
+    meet and join is one lookup, and ``meet_all`` ANDs the down sets and looks
+    the result up once.  Construction raises :class:`LatticeError` at the
+    first missing bound: top, bottom, then each pair's meet and join in index
+    order.
+    """
 
-    @classmethod
-    def from_poset(cls, poset: FinitePoset) -> "FiniteLattice":
-        """Derive meet/join tables from the order, failing on any missing bound.
-
-        A down set S has a greatest element g exactly when ``S == down[g]``
-        (dually for up sets), so each bound, meet and join is one lookup.
-        """
+    def __init__(self, poset: FinitePoset):
         n, down, up = poset.n, poset.down, poset.up
         below = {d: g for g, d in enumerate(down)}
         above = {u: g for g, u in enumerate(up)}
@@ -190,64 +186,41 @@ class FiniteLattice:
             raise LatticeError("poset has no top element")
         if bottom is None:
             raise LatticeError("poset has no bottom element")
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                g = below.get(down[i] & down[j])
-                if g is None:
-                    raise LatticeError(
-                        f"pair ({poset.ids[i]!r}, {poset.ids[j]!r}) has no meet"
-                    )
-                meet[i][j] = meet[j][i] = g
-                l = above.get(up[i] & up[j])
-                if l is None:
-                    raise LatticeError(
-                        f"pair ({poset.ids[i]!r}, {poset.ids[j]!r}) has no join"
-                    )
-                join[i][j] = join[j][i] = l
-        return cls(poset, meet, join, top, bottom, _verify=False)
-
-    def _verify(self) -> None:
-        p = self.poset
-        n = p.n
-        cells = set(range(n))
-        for table in (self.meet_table, self.join_table):
-            if len(table) != n or any(len(r) != n or not cells.issuperset(r) for r in table):
-                raise LatticeError(f"meet and join tables must be {n}x{n} over range({n})")
-        if not {self.top, self.bottom} <= cells:
-            raise LatticeError(f"declared top or bottom outside range({n})")
-        if p.down[self.top] != p.full_mask:
-            raise LatticeError("declared top is not above every element")
-        if p.up[self.bottom] != p.full_mask:
-            raise LatticeError("declared bottom is not below every element")
-        for i in range(n):
-            for j in range(n):
-                if p.down[self.meet_table[i][j]] != p.down[i] & p.down[j]:
-                    raise LatticeError(
-                        f"meet({p.ids[i]!r}, {p.ids[j]!r}) is not the greatest lower bound"
-                    )
-                if p.up[self.join_table[i][j]] != p.up[i] & p.up[j]:
-                    raise LatticeError(
-                        f"join({p.ids[i]!r}, {p.ids[j]!r}) is not the least upper bound"
-                    )
+        # With a top, pairwise meets give every join (the join of x and y is the
+        # meet of their common upper bounds), so a lattice is confirmed by one
+        # C-level scan of meets per row; the pair walk only names the first gap.
+        if not all(
+            all(map(below.__contains__, map(d.__and__, down[i:]))) for i, d in enumerate(down)
+        ):
+            for i in range(n):
+                for j in range(i, n):
+                    if down[i] & down[j] not in below:
+                        raise LatticeError(f"pair ({poset.ids[i]!r}, {poset.ids[j]!r}) has no meet")
+                    if up[i] & up[j] not in above:
+                        raise LatticeError(f"pair ({poset.ids[i]!r}, {poset.ids[j]!r}) has no join")
+        self.poset = poset
+        self._below, self._above = below, above
+        self.top, self.bottom = top, bottom
+        self._dual: FiniteLattice | None = None
 
     @property
     def n(self) -> int:
         return self.poset.n
 
     def meet(self, i: int, j: int) -> int:
-        return self.meet_table[i][j]
+        down = self.poset.down
+        return self._below[down[i] & down[j]]
 
     def join(self, i: int, j: int) -> int:
-        return self.join_table[i][j]
+        up = self.poset.up
+        return self._above[up[i] & up[j]]
 
     def meet_all(self, mask: int) -> int:
         """Meet of an element set; the empty meet is the top element."""
-        acc = self.top
+        acc = self.poset.full_mask
         for i in iter_indices(mask):
-            acc = self.meet_table[acc][i]
-        return acc
+            acc &= self.poset.down[i]
+        return self._below[acc]
 
     def join_all(self, mask: int) -> int:
         """Join of an element set; the empty join is the bottom element."""
@@ -256,13 +229,13 @@ class FiniteLattice:
     def dual(self) -> "FiniteLattice":
         """The opposite lattice: meets and joins, top and bottom trade places.
 
-        Built once, on first use, sharing this lattice's tables; its dual is
+        Built once, on first use, sharing this lattice's lookups; its dual is
         this lattice.
         """
         if self._dual is None:
             d = object.__new__(FiniteLattice)
             d.poset = self.poset.dual()
-            d.meet_table, d.join_table = self.join_table, self.meet_table
+            d._below, d._above = self._above, self._below
             d.top, d.bottom = self.bottom, self.top
             d._dual = self
             self._dual = d
@@ -273,14 +246,14 @@ class FiniteLattice:
 
 
 def powerset_lattice(n_items: int) -> FiniteLattice:
-    """The lattice 2^S for a universe of ``n_items`` items.
+    """The lattice 2^S for a universe of ``n_items`` items, 0 to 10.
 
-    Element ids (and indices) are the subset masks themselves, so meets and
-    joins are plain bit operations.  Materialization is exponential; callers
-    keep n_items at desk scale.
+    Element ids (and indices) are the subset masks themselves, so the meet of
+    two elements is their AND and the join their OR.  Materialization is
+    exponential; callers keep n_items at desk scale.
     """
-    if n_items > 10:
-        raise LatticeError("materialized powerset limited to 10 items")
+    if not 0 <= n_items <= 10:
+        raise LatticeError("materialized powerset takes 0 to 10 items")
     size = 1 << n_items
     full_items = size - 1
     up = []
@@ -294,10 +267,7 @@ def powerset_lattice(n_items: int) -> FiniteLattice:
                 break
             s = (s - comp) & comp
         up.append(mask)
-    poset = FinitePoset(list(range(size)), up, _validate=False)
-    meet = [[x & y for y in range(size)] for x in range(size)]
-    join = [[x | y for y in range(size)] for x in range(size)]
-    return FiniteLattice(poset, meet, join, full_items, 0, _verify=False)
+    return FiniteLattice(FinitePoset(list(range(size)), up, _validate=False))
 
 
 class OperatorMap:
@@ -332,8 +302,7 @@ class OperatorMap:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, OperatorMap)
-            and self.domain.ids == other.domain.ids
-            and self.domain.up == other.domain.up
+            and self.domain == other.domain
             and self.table == other.table
         )
 
@@ -440,9 +409,7 @@ def compose_interior_closure(p: OperatorMap, f: OperatorMap) -> OperatorMap:
     The returned operator lives on the induced subposet of range(p), with the
     original element ids.
     """
-    if p.domain is not f.domain and (
-        p.domain.ids != f.domain.ids or p.domain.up != f.domain.up
-    ):
+    if p.domain != f.domain:
         raise ValueError("operators must share a domain")
     if not classify_operator(p).is_interior:
         raise ValueError("first operator is not an interior operator")
@@ -477,9 +444,4 @@ def load_poset(lines: Iterable[str]) -> FinitePoset:
             raise PosetError(f"line {lineno}: duplicate element {name!r}")
         ids.append(name)
         covers[name] = tokens[1:]
-    known = set(ids)
-    for name, below in covers.items():
-        for b in below:
-            if b not in known:
-                raise PosetError(f"element {name!r} covers unknown element {b!r}")
     return FinitePoset.from_covers(ids, covers)

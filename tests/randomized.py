@@ -104,7 +104,7 @@ def random_sublattice_mask(rng: random.Random, host: FiniteLattice) -> int:
         items = sorted(chosen)
         for a, i in enumerate(items):
             for j in items[a:]:
-                for v in (host.meet_table[i][j], host.join_table[i][j]):
+                for v in (host.meet(i, j), host.join(i, j)):
                     if v not in chosen:
                         chosen.add(v)
                         changed = True
@@ -120,7 +120,7 @@ HOST = powerset_lattice(5)
 def random_lattice(rng: random.Random) -> FiniteLattice:
     """A random sublattice of the 5-item powerset, reindexed from 0."""
     sub, _ = HOST.poset.restrict(random_sublattice_mask(rng, HOST))
-    return FiniteLattice.from_poset(sub)
+    return FiniteLattice(sub)
 
 
 def random_subset(rng: random.Random, n: int, force: int | None = None) -> int:
@@ -145,7 +145,7 @@ def meet_close(lat: FiniteLattice, members: int) -> int:
         elems = list(iter_indices(members))
         for a, i in enumerate(elems):
             for j in elems[a:]:
-                v = lat.meet_table[i][j]
+                v = lat.meet(i, j)
                 if not (members >> v) & 1:
                     members |= 1 << v
                     changed = True

@@ -303,7 +303,7 @@ def _suite_subconfluence_three_way(rng, runs):
         form_interior = True
         for t in iter_indices(members):
             sub, old = host.poset.restrict(host.poset.up[t])
-            lat = FiniteLattice.from_poset(sub)
+            lat = FiniteLattice(sub)
             pos = {o: k for k, o in enumerate(old)}
             fam_mask = 0
             for x in iter_indices(members & host.poset.up[t]):

@@ -74,7 +74,7 @@ def reference_is_confluence(poset):
 
 
 def reference_lattice(poset):
-    """``(meet, join, top, bottom)``, or the LatticeError message from_poset gives."""
+    """``(meet, join, top, bottom)``, or the LatticeError message FiniteLattice gives."""
     n, ids = poset.n, poset.ids
     top = greatest(poset, poset.full_mask)
     bottom = least(poset, poset.full_mask)
@@ -167,18 +167,30 @@ class TestAgainstTheDefinition:
         assert outcomes == {"ok", "no top", "pair"}
 
     def test_from_poset(self):
+        rng = random.Random(5)
         outcomes = set()
         for label, poset in instances():
             expected = reference_lattice(poset)
             try:
-                lat = FiniteLattice.from_poset(poset)
+                lat = FiniteLattice(poset)
             except LatticeError as exc:
                 got = str(exc)
                 outcomes.add(got.split("has ")[-1])
             else:
-                got = ([list(r) for r in lat.meet_table], [list(r) for r in lat.join_table],
-                       lat.top, lat.bottom)
+                cells = range(poset.n)
+                got = ([[lat.meet(i, j) for j in cells] for i in cells],
+                       [[lat.join(i, j) for j in cells] for i in cells], lat.top, lat.bottom)
                 outcomes.add("lattice")
+                dual = lat.dual()
+                for i in cells:
+                    for j in cells:
+                        assert dual.meet(i, j) == lat.join(i, j), (label, i, j)
+                        assert dual.join(i, j) == lat.meet(i, j), (label, i, j)
+                sets = [0, *(1 << i for i in cells), *(random_subset(rng, poset.n) for _ in cells)]
+                for s in sets:
+                    elems = list(iter_indices(s))
+                    assert lat.meet_all(s) == greatest(poset, between(poset, hi=elems)), (label, s)
+                    assert lat.join_all(s) == least(poset, between(poset, lo=elems)), (label, s)
             assert got == expected, label
         assert outcomes == {
             "lattice", "no top element", "no bottom element", "no meet", "no join"
@@ -266,16 +278,21 @@ def test_principal_bounds_need_no_scan(monkeypatch):
     # Every bound is a lookup in a principal-set table: no bound scan is left.
     assert not hasattr(confmine.order, "_greatest_of")
     assert not hasattr(confmine.confluence, "_greatest_of")
+    # Nor is there a second constructor or a caller-supplied table to re-check.
+    assert not hasattr(FiniteLattice, "from_poset") and not hasattr(FiniteLattice, "_verify")
     lat = powerset_lattice(6)
+    assert not hasattr(lat, "meet_table") and not hasattr(lat, "join_table")
     assert is_confluence(lat.poset)
-    derived = FiniteLattice.from_poset(lat.poset)
-    assert derived.meet_table == lat.meet_table and derived.join_table == lat.join_table
+    derived = FiniteLattice(lat.poset)
+    for x in range(lat.n):
+        for y in range(lat.n):
+            assert derived.meet(x, y) == lat.meet(x, y) and derived.join(x, y) == lat.join(x, y)
     poset = family_poset(random_explicit_subconfluence(random.Random(3), 6).patterns)
     assert is_confluence(poset)
     with contextlib.suppress(LatticeError):
-        FiniteLattice.from_poset(poset)
+        FiniteLattice(poset)
     for m in iter_indices(poset.minimal_mask()):
-        FiniteLattice.from_poset(poset.restrict(poset.up[m])[0])
+        FiniteLattice(poset.restrict(poset.up[m])[0])
 
     def no_leq(self, i, j):
         raise AssertionError(f"leq({i}, {j}) called")

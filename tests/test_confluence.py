@@ -347,7 +347,7 @@ def test_subconfluence_three_way_equivalence(seed):
     form_interior = True
     for t in iter_indices(members):
         sub, old = host.poset.restrict(host.poset.up[t])
-        lat = FiniteLattice.from_poset(sub)
+        lat = FiniteLattice(sub)
         pos = {o: k for k, o in enumerate(old)}
         fam_mask = 0
         for x in iter_indices(members & host.poset.up[t]):
@@ -387,7 +387,7 @@ def test_lifted_closure_laws(seed):
         elems = list(iter_indices(closed))
         for a, i in enumerate(elems):
             for j in elems[a:]:
-                v = host.meet_table[i][j]
+                v = host.meet(i, j)
                 if not (closed >> v) & 1:
                     closed |= 1 << v
                     changed = True

@@ -569,8 +569,8 @@ class TestRandomGenerators:
             elems = list(iter_indices(mask))
             for i in elems:
                 for j in elems:
-                    assert (mask >> host.meet_table[i][j]) & 1
-                    assert (mask >> host.join_table[i][j]) & 1
+                    assert (mask >> host.meet(i, j)) & 1
+                    assert (mask >> host.join(i, j)) & 1
 
     def test_random_graph_within_bounds(self):
         rng = random.Random(97)

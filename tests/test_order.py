@@ -81,7 +81,9 @@ class TestPowersetLattice:
 
     def test_dual_swaps_tables_and_bounds(self, p4):
         dual = p4.dual()
-        assert dual.meet_table == p4.join_table and dual.join_table == p4.meet_table
+        for x in range(p4.n):
+            for y in range(p4.n):
+                assert dual.meet(x, y) == p4.join(x, y) and dual.join(x, y) == p4.meet(x, y)
         assert (dual.top, dual.bottom) == (p4.bottom, p4.top)
 
     def test_dual_built_once(self, p4):
@@ -91,78 +93,17 @@ class TestPowersetLattice:
 
     def test_from_poset_derives_same_tables(self):
         direct = powerset_lattice(3)
-        derived = FiniteLattice.from_poset(direct.poset)
-        assert derived.meet_table == direct.meet_table
-        assert derived.join_table == direct.join_table
+        derived = FiniteLattice(direct.poset)
+        for x in range(direct.n):
+            for y in range(direct.n):
+                assert derived.meet(x, y) == direct.meet(x, y) == x & y
+                assert derived.join(x, y) == direct.join(x, y) == x | y
 
     def test_from_poset_rejects_non_lattice(self):
         # two incomparable elements with no bounds at all
         poset = FinitePoset(["x", "y"], [0b01, 0b10])
         with pytest.raises(LatticeError):
-            FiniteLattice.from_poset(poset)
-
-
-class TestLatticeVerify:
-    def test_accepts_true_tables(self):
-        lat = powerset_lattice(2)
-        FiniteLattice(lat.poset, lat.meet_table, lat.join_table, lat.top, lat.bottom)
-
-    @pytest.mark.parametrize(
-        "case",
-        [
-            "top -1",
-            "bottom -4",
-            "2x2 meet table",
-            "meet table of -1",
-            "join -1 for ab",
-            "join row too short",
-        ],
-    )
-    def test_rejects_out_of_range_input(self, case):
-        # negative indices used to wrap around (-1 is ab, -4 is the empty
-        # set), and short or negative tables raised IndexError or ValueError
-        lat = powerset_lattice(2)
-        meet, join = lat.meet_table, lat.join_table
-        top, bottom = lat.top, lat.bottom
-        if case == "top -1":
-            top = -1
-        elif case == "bottom -4":
-            bottom = -4
-        elif case == "2x2 meet table":
-            meet = [[0, 0], [0, 1]]
-        elif case == "meet table of -1":
-            meet = [[-1] * 4 for _ in range(4)]
-        elif case == "join -1 for ab":
-            join = [[-1 if v == 3 else v for v in row] for row in join]
-        else:
-            join = join[:3] + (join[3][:3],)
-        with pytest.raises(LatticeError):
-            FiniteLattice(lat.poset, meet, join, top, bottom)
-
-    @pytest.mark.parametrize(
-        "field, message",
-        [
-            ("top", "declared top"),
-            ("bottom", "declared bottom"),
-            ("meet", "greatest lower bound"),
-            ("join", "least upper bound"),
-        ],
-    )
-    def test_rejects_wrong_bounds(self, field, message):
-        lat = powerset_lattice(2)  # elements 0, a, b, ab
-        meet = [list(r) for r in lat.meet_table]
-        join = [list(r) for r in lat.join_table]
-        top, bottom = lat.top, lat.bottom
-        if field == "top":
-            top = 1
-        elif field == "bottom":
-            bottom = 1
-        elif field == "meet":
-            meet[3][3] = 1  # a lower bound of ab with ab, not the greatest
-        else:
-            join[0][0] = 1  # an upper bound of 0 with 0, not the least
-        with pytest.raises(LatticeError, match=message):
-            FiniteLattice(lat.poset, meet, join, top, bottom)
+            FiniteLattice(poset)
 
 
 class TestClassifyOperator:
@@ -297,7 +238,7 @@ class TestPosetFormat:
         )
         assert poset.leq(poset.index("bot"), poset.index("top"))
         assert not poset.leq(poset.index("x"), poset.index("y"))
-        lat = FiniteLattice.from_poset(poset)
+        lat = FiniteLattice(poset)
         assert lat.poset.ids[lat.top] == "top"
 
     def test_comments_and_blank_lines(self):
@@ -311,6 +252,19 @@ class TestPosetFormat:
     def test_unknown_element(self):
         with pytest.raises(PosetError, match="unknown"):
             load_poset(["x: covers ghost"])
+
+    def test_from_covers_unknown_covered_element(self):
+        with pytest.raises(PosetError, match="^element 'a' covers unknown element 'z'$"):
+            FinitePoset.from_covers(["a"], {"a": ["z"]})
+
+    def test_from_covers_unknown_key(self):
+        with pytest.raises(PosetError, match="^unknown element 'q'$"):
+            FinitePoset.from_covers(["a"], {"q": ["a"]})
+
+    @pytest.mark.parametrize("n_items", [-1, 11])
+    def test_powerset_size_out_of_range(self, n_items):
+        with pytest.raises(LatticeError, match="0 to 10 items"):
+            powerset_lattice(n_items)
 
     def test_cycle_detected(self):
         with pytest.raises(PosetError, match="antisymmetric"):
