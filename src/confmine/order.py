@@ -186,18 +186,12 @@ class FiniteLattice:
             raise LatticeError("poset has no top element")
         if bottom is None:
             raise LatticeError("poset has no bottom element")
-        # With a top, pairwise meets give every join (the join of x and y is the
-        # meet of their common upper bounds), so a lattice is confirmed by one
-        # C-level scan of meets per row; the pair walk only names the first gap.
-        if not all(
-            all(map(below.__contains__, map(d.__and__, down[i:]))) for i, d in enumerate(down)
-        ):
-            for i in range(n):
-                for j in range(i, n):
-                    if down[i] & down[j] not in below:
-                        raise LatticeError(f"pair ({poset.ids[i]!r}, {poset.ids[j]!r}) has no meet")
-                    if up[i] & up[j] not in above:
-                        raise LatticeError(f"pair ({poset.ids[i]!r}, {poset.ids[j]!r}) has no join")
+        for i in range(n):
+            for j in range(i, n):
+                if down[i] & down[j] not in below:
+                    raise LatticeError(f"pair ({poset.ids[i]!r}, {poset.ids[j]!r}) has no meet")
+                if up[i] & up[j] not in above:
+                    raise LatticeError(f"pair ({poset.ids[i]!r}, {poset.ids[j]!r}) has no join")
         self.poset = poset
         self._below, self._above = below, above
         self.top, self.bottom = top, bottom
