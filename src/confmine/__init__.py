@@ -38,7 +38,6 @@ from .families import (
 )
 from .fca import (
     Concept,
-    ConceptConfluence,
     ExtensionalAbstraction,
     ObjectContext,
     build_concept_confluence,
@@ -94,7 +93,6 @@ __all__ = [
     "BudgetExceededError",
     "ClosureUndefinedError",
     "Concept",
-    "ConceptConfluence",
     "ConnectedEdgeFamily",
     "ConnectedVertexFamily",
     "EquivalenceClass",

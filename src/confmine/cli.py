@@ -132,25 +132,22 @@ def _load_instance(
 
 
 def _concept_line(concept, universe: Universe, context, fmt: str) -> str:
-    intent = universe.names_of(concept.intent)
-    extent = context.object_names(concept.extent)
-    anchor = universe.names_of(concept.anchor_minimal)
     if fmt == "json":
         return json.dumps(
             {
                 "v": 1,
-                "intent": list(intent),
-                "extent": list(extent),
-                "anchor_minimal": list(anchor),
+                "intent": list(universe.names_of(concept.intent)),
+                "extent": list(context.object_names(concept.extent)),
+                "anchor_minimal": list(universe.names_of(concept.anchor_minimal)),
                 "empty_support": concept.empty_support,
             },
             separators=(",", ":"),
         )
     return "\t".join(
         [
-            " ".join(intent) or "{}",
-            " ".join(extent) or "{}",
-            " ".join(anchor) or "{}",
+            universe.format(concept.intent),
+            context.format_extent(concept.extent),
+            universe.format(concept.anchor_minimal),
             "true" if concept.empty_support else "false",
         ]
     )

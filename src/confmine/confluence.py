@@ -19,7 +19,7 @@ from .order import (
     closure_from_subset,
     meet_closed,
 )
-from .patterns import iter_indices
+from .patterns import iter_indices, mask_of
 
 
 class NotConfluenceError(ValueError):
@@ -83,7 +83,7 @@ class ExplicitConfluence:
             raise NotConfluenceError(verdict.witness)
         self.carrier = carrier
         self.minimal_indices = tuple(self._bounds)
-        self._minimal_mask = sum(1 << m for m in self._bounds)
+        self._minimal_mask = mask_of(self._bounds)
         self.local_tops = {m: table[carrier.up[m]] for m, table in self._bounds.items()}
         self._least_by_up = {u: g for g, u in enumerate(carrier.up)}
 

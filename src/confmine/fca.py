@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .families import ParseError, PatternFamily, subconfluence_violation
-from .patterns import Universe, content_lines, is_subset, iter_indices, mask_of
+from .patterns import Universe, and_rows, content_lines, is_subset, iter_indices, mask_of
 
 
 class ContextError(ValueError):
@@ -77,16 +77,7 @@ def extension(ctx: ObjectContext, pattern: int) -> int:
     """
     if pattern & ~ctx.universe.full_mask:
         return 0
-    # iter_indices inlined: the miner calls this once per root minimal, as
-    # children carry their extent (minsize-anchor seed 0: 10,322 calls for
-    # 28,817 closures).
-    e = ctx.all_objects_mask
-    tids = ctx.tids
-    while pattern:
-        low = pattern & -pattern
-        e &= tids[low.bit_length() - 1]
-        pattern ^= low
-    return e
+    return and_rows(pattern, ctx.tids, ctx.all_objects_mask)
 
 
 def extensions(ctx: ObjectContext, patterns: Iterable[int]) -> Iterator[int]:
@@ -124,13 +115,7 @@ def extensions(ctx: ObjectContext, patterns: Iterable[int]) -> Iterator[int]:
 
 def intension(ctx: ObjectContext, extent: int) -> int:
     """Intersection of the descriptions over an extent; the full universe if empty."""
-    acc = ctx.universe.full_mask
-    descriptions = ctx.descriptions
-    while extent:  # iter_indices inlined: one call per closure
-        low = extent & -extent
-        acc &= descriptions[low.bit_length() - 1]
-        extent ^= low
-    return acc
+    return and_rows(extent, ctx.descriptions, ctx.universe.full_mask)
 
 
 @dataclass(frozen=True)
@@ -248,37 +233,18 @@ class Concept:
     empty_support: bool
 
 
-@dataclass(frozen=True)
-class ConceptConfluence:
-    """All concepts of a context over a family, ordered by intent inclusion."""
-
-    concepts: tuple[Concept, ...]
-    universe: Universe
-    objects: tuple[str, ...]
-
-    def intents(self) -> tuple[int, ...]:
-        return tuple(c.intent for c in self.concepts)
-
-    def __iter__(self):
-        return iter(self.concepts)
-
-    def __len__(self) -> int:
-        return len(self.concepts)
-
-
 def build_concept_confluence(
     ctx: ObjectContext,
     fam: PatternFamily,
     abstraction: ExtensionalAbstraction | None = None,
-) -> ConceptConfluence:
-    """Enumerate every concept via the miner, sorted by (size, mask) of intent."""
+) -> tuple[Concept, ...]:
+    """Every concept, enumerated by the miner, sorted by (size, mask) of intent."""
     from . import miner  # deferred: the miner builds on this module
 
     abstraction = abstraction or ExtensionalAbstraction.identity()
     cfg = miner.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
-    concepts = [ev.concept for ev in miner.mine(cfg)]
-    concepts.sort(key=lambda c: (c.intent.bit_count(), c.intent))
-    return ConceptConfluence(tuple(concepts), fam.universe, ctx.objects)
+    concepts = (ev.concept for ev in miner.mine(cfg))
+    return tuple(sorted(concepts, key=lambda c: (c.intent.bit_count(), c.intent)))
 
 
 def verify_extent_decomposition(

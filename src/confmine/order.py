@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .patterns import content_lines, iter_indices
+from .patterns import and_rows, content_lines, iter_indices, mask_of
 
 
 class PosetError(ValueError):
@@ -122,7 +122,7 @@ class FinitePoset:
         return bool((self.up[i] >> j) & 1)
 
     def minimal_mask(self) -> int:
-        return sum(1 << i for i in range(self.n) if self.down[i] == 1 << i)
+        return mask_of(i for i in range(self.n) if self.down[i] == 1 << i)
 
     def restrict(self, member_mask: int) -> tuple["FinitePoset", list[int]]:
         """Induced subposet on the elements of ``member_mask``.
@@ -131,12 +131,7 @@ class FinitePoset:
         """
         old = list(iter_indices(member_mask))
         pos = {o: k for k, o in enumerate(old)}
-        up = []
-        for o in old:
-            mask = 0
-            for j in iter_indices(self.up[o] & member_mask):
-                mask |= 1 << pos[j]
-            up.append(mask)
+        up = [mask_of(pos[j] for j in iter_indices(self.up[o] & member_mask)) for o in old]
         return FinitePoset([self.ids[o] for o in old], up, _validate=False), old
 
     def dual(self) -> "FinitePoset":
@@ -211,10 +206,7 @@ class FiniteLattice:
 
     def meet_all(self, mask: int) -> int:
         """Meet of an element set; the empty meet is the top element."""
-        acc = self.poset.full_mask
-        for i in iter_indices(mask):
-            acc &= self.poset.down[i]
-        return self._below[acc]
+        return self._below[and_rows(mask, self.poset.down, self.poset.full_mask)]
 
     def join_all(self, mask: int) -> int:
         """Join of an element set; the empty join is the bottom element."""
@@ -288,10 +280,7 @@ class OperatorMap:
         return self.table[i]
 
     def range_mask(self) -> int:
-        mask = 0
-        for v in self.table:
-            mask |= 1 << v
-        return mask
+        return mask_of(self.table)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -7,7 +7,7 @@ stands for the item (or object) with index i.  All set algebra is therefore
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def bit(i: int) -> int:
@@ -27,6 +27,26 @@ def iter_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def or_rows(mask: int, rows: Sequence[int]) -> int:
+    """OR of ``rows[i]`` over the set bits i of ``mask``: an item set's neighbourhood."""
+    acc = 0
+    while mask:  # no generator: the miner folds once per expanded frame
+        low = mask & -mask
+        acc |= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
+def and_rows(mask: int, rows: Sequence[int], acc: int) -> int:
+    """AND of ``acc`` and ``rows[i]`` over the set bits i of ``mask``: ``extension``
+    over item tidsets and ``intension`` over object descriptions."""
+    while mask:  # no generator: the miner folds once per closure
+        low = mask & -mask
+        acc &= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
 
 
 def is_subset(a: int, b: int) -> bool:

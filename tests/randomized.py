@@ -7,8 +7,14 @@ Imported by the tests; pytest does not collect it.
 
 import random
 
-from confmine.families import ExplicitFamily, GraphSpec, is_strongly_accessible
+from confmine.families import (
+    ConnectedVertexFamily,
+    ExplicitFamily,
+    GraphSpec,
+    is_strongly_accessible,
+)
 from confmine.fca import ExtensionalAbstraction, ObjectContext
+from confmine.miner import MinerConfig
 from confmine.order import FiniteLattice, powerset_lattice
 from confmine.patterns import Universe, is_subset, iter_indices
 
@@ -25,6 +31,26 @@ def random_graph(rng: random.Random, max_vertices: int = 8, edge_prob: float = 0
         edges.append((0, 1))
     labels = tuple(f"e{i}" for i in range(len(edges)))
     return GraphSpec(vertices, tuple(edges), labels)
+
+
+def random_vertex_instance(
+    seed: int, n_vertices: int, n_edges: int, n_objects: int
+) -> MinerConfig:
+    """Connected vertex sets (``min_size`` 1) of a random graph with exactly
+    ``n_edges`` distinct edges, under uniformly random object descriptions.
+    Seed 2024 with 20/30/50 is acceptance test 09's instance."""
+    rng = random.Random(seed)
+    vertices = tuple(f"v{i}" for i in range(n_vertices))
+    pairs = set()
+    while len(pairs) < n_edges:
+        a, b = rng.randrange(n_vertices), rng.randrange(n_vertices)
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    labels = tuple(f"e{i}" for i in range(n_edges))
+    fam = ConnectedVertexFamily(GraphSpec(vertices, tuple(sorted(pairs)), labels))
+    descriptions = tuple(rng.randrange(1 << n_vertices) for _ in range(n_objects))
+    objects = tuple(f"o{i}" for i in range(n_objects))
+    return MinerConfig(family=fam, context=ObjectContext(objects, descriptions, fam.universe))
 
 
 def random_context(

@@ -29,6 +29,7 @@ from randomized import (
     random_lattice,
     random_subconfluence_masks,
     random_subset,
+    random_vertex_instance,
 )
 
 
@@ -441,18 +442,7 @@ def test_acceptance_08_lattice_degeneration():
 
 
 def test_acceptance_09_performance_sanity():
-    rng = random.Random(2024)
-    vertices = tuple(f"v{i}" for i in range(20))
-    pairs = set()
-    while len(pairs) < 30:
-        a, b = rng.randrange(20), rng.randrange(20)
-        if a != b:
-            pairs.add((min(a, b), max(a, b)))
-    graph = cm.GraphSpec(vertices, tuple(sorted(pairs)), tuple(f"e{i}" for i in range(30)))
-    fam = cm.ConnectedVertexFamily(graph)
-    descriptions = tuple(rng.randrange(1 << 20) for _ in range(50))
-    ctx = cm.ObjectContext(tuple(f"o{i}" for i in range(50)), descriptions, fam.universe)
-    cfg = cm.MinerConfig(family=fam, context=ctx)
+    cfg = random_vertex_instance(2024, 20, 30, 50)
     start = time.perf_counter()
     mined = [ev.concept.intent for ev in cm.mine(cfg)]
     elapsed = time.perf_counter() - start

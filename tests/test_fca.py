@@ -222,19 +222,19 @@ class TestConceptConfluence:
         from confmine.oracle import family_poset
 
         cc = cm.build_concept_confluence(quad_context, quad_edge_family)
-        assert cm.is_confluence(family_poset(cc.intents()))
+        assert cm.is_confluence(family_poset(tuple(c.intent for c in cc)))
 
     def test_empty_object_set(self, quad_edge_family):
         u = quad_edge_family.universe
         ctx = cm.ObjectContext((), (), u)
         cc = cm.build_concept_confluence(ctx, quad_edge_family)
         assert [c.intent for c in cc] == [u.mask("abcd")]
-        assert cc.concepts[0].empty_support
+        assert cc[0].empty_support
 
     def test_wedge_concepts(self, wedge_family, wedge_context, wedge_universe):
         u = wedge_universe
         cc = cm.build_concept_confluence(wedge_context, wedge_family)
-        assert set(cc.intents()) == {u.mask("abd"), u.mask("acd"), u.mask("abcd")}
+        assert {c.intent for c in cc} == {u.mask("abd"), u.mask("acd"), u.mask("abcd")}
 
 
 class TestExtentDecomposition:

@@ -1,8 +1,10 @@
 """Miner behavior: the closure step, golden traversal traces, exclusion
 semantics, degeneration to classical closed-itemset mining, and oracle parity."""
 
+import hashlib
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -18,6 +20,7 @@ from randomized import (
     random_context,
     random_explicit_subconfluence,
     random_graph,
+    random_vertex_instance,
 )
 
 
@@ -318,6 +321,19 @@ class TestGoldenTraces:
         )
         cfg = cm.MinerConfig(family=fam, context=ctx)
         assert _render_trace(cfg) == EXCLUSION_WITNESS_TRACE
+
+    def test_acceptance_09_instance_trace(self):
+        """Acceptance test 09's 20-vertex instance, where the ``tests/data``
+        instances have 6 items or fewer: the count of each event kind and a
+        digest of the whole trace."""
+        trace = _render_trace(random_vertex_instance(2024, 20, 30, 50))
+        prunes = [ev for ev in trace if ev[0] == "prune"]
+        assert Counter(ev[0] for ev in trace) == {"emit": 365, "prune": 2329, "minimal": 20}
+        assert sum(ev[3] is not None for ev in prunes) == 1502  # blocked by a minimal
+        assert sum(ev[4] is not None for ev in prunes) == 827  # blocked by an item
+        assert not any(ev[5] for ev in prunes)  # at a root
+        digest = hashlib.sha256(repr(trace).encode()).hexdigest()
+        assert digest == "f04914785f45a39a9db12f2b38f6c047fa540c85c95c721687ef4e3ad739c6a0"
 
 
 class TestQuadGraphMining:
