@@ -183,8 +183,9 @@ def mine_command(fmt, sorted_output, emit_empty_support, **source):
         concepts = (c for c in concepts if not c.empty_support)
     if sorted_output:
         concepts = sorted(concepts, key=lambda c: (" ".join(universe.names_of(c.intent)), c.extent))
+    write = sys.stdout.write  # one line per concept as it arrives, no flush
     for concept in concepts:
-        click.echo(_concept_line(concept, universe, inst.context, fmt))
+        write(_concept_line(concept, universe, inst.context, fmt) + "\n")
 
 
 @main.command("basis")
@@ -201,13 +202,10 @@ def basis_command(budget, **source):
         _fail(VALIDATION_EXIT, str(exc))
     except CliFailure as exc:
         _fail(exc.code, str(exc))
-    universe = inst.family.universe
-    lines = sorted(
-        f"{universe.format(imp.premise)} -> {universe.format(imp.conclusion)} [{imp.kind}]"
-        for imp in basis
-    )
-    for line in lines:
-        click.echo(line)
+    fmt = inst.family.universe.format
+    lines = sorted(f"{fmt(p)} -> {fmt(q)} [{kind}]" for p, q, kind in basis)
+    lines.append("")  # a newline after each line, and nothing for an empty basis
+    sys.stdout.write("\n".join(lines))
 
 
 @main.command("check")

@@ -63,10 +63,10 @@ class ObjectContext:
         return (1 << len(self.objects)) - 1
 
     def object_names(self, extent: int) -> tuple[str, ...]:
-        return tuple(self.objects[i] for i in iter_indices(extent))
+        return tuple([self.objects[i] for i in iter_indices(extent)])
 
     def format_extent(self, extent: int) -> str:
-        return " ".join(self.object_names(extent)) or "{}"
+        return " ".join([self.objects[i] for i in iter_indices(extent)]) or "{}"
 
 
 def extension(ctx: ObjectContext, pattern: int) -> int:

@@ -14,7 +14,7 @@ anchored at different minimals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .families import PatternFamily
 from .fca import (
@@ -27,8 +27,10 @@ from .fca import (
 from .patterns import is_subset, minimal_masks
 
 
-@dataclass(frozen=True)
-class Implication:
+class Implication(NamedTuple):
+    """premise -> conclusion between two members of one support class; a named
+    tuple, like the miner's events, since the basis builds one per pair."""
+
     premise: int
     conclusion: int
     kind: str  # "internal" | "external"
@@ -49,13 +51,14 @@ def equivalence_classes(
 ) -> list[EquivalenceClass]:
     """Group the materialized family by support set.
 
-    ``members`` may come in any order; the supports are computed with
-    prefix-shared tidset ANDs, which share the most when the members are
-    sorted by mask, as ``oracle.materialize`` returns them.  Generators are
-    the subset-minimal members of each class.  Closed members are the
-    support-closure fixpoints: each member lies above a generator of its class
-    and shares its closure, and a generator's closure is projected from the
-    class extent, its plain support.
+    ``members`` must all belong to ``fam``, as ``oracle.materialize`` lists
+    them: generators are closed without a membership test.  They may come in
+    any order; the supports are computed with prefix-shared tidset ANDs, which
+    share the most when the members are sorted by mask, as ``materialize``
+    returns them.  Generators are the subset-minimal members of each class.
+    Closed members are the support-closure fixpoints: each member lies above a
+    generator of its class and shares its closure, and a generator's closure
+    is projected from the class extent, its plain support.
     """
     by_extent: dict[int, list[int]] = {}
     for t, extent in zip(members, extensions(ctx, members)):
@@ -65,17 +68,19 @@ def equivalence_classes(
     for extent in sorted(by_extent):
         group = sorted(by_extent[extent])
         generators = minimal_masks(group)
-        closed = tuple(
-            sorted({closure_and_extent(ctx, fam, identity, g, extent)[0] for g in generators})
-        )
-        classes.append(EquivalenceClass(extent, tuple(group), generators, closed))
+        closed = {
+            closure_and_extent(ctx, fam, identity, g, extent, checked=False)[0]
+            for g in generators
+        }
+        classes.append(EquivalenceClass(extent, tuple(group), generators, tuple(sorted(closed))))
     return classes
 
 
 def minmax_basis(
     ctx: ObjectContext, fam: PatternFamily, members: Sequence[int]
 ) -> list[Implication]:
-    """Every generator -> closed pairing within a support class, premise != conclusion."""
+    """Every generator -> closed pairing within a support class, premise !=
+    conclusion, sorted; ``members`` as for ``equivalence_classes``."""
     basis = []
     for cls in equivalence_classes(ctx, fam, members):
         for p in cls.generators:
@@ -84,7 +89,7 @@ def minmax_basis(
                     continue
                 kind = "internal" if is_subset(p, q) else "external"
                 basis.append(Implication(p, q, kind))
-    basis.sort(key=lambda imp: (imp.premise, imp.conclusion))
+    basis.sort()  # by (premise, conclusion): no pair occurs twice
     return basis
 
 

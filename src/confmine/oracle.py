@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cache, partial
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .confluence import (
@@ -65,13 +66,14 @@ def materialize(fam: PatternFamily, budget: int = 4096) -> list[int]:
     """Every family member, sorted by mask, as ``fam.members()`` lists them.
 
     Raises :class:`BudgetExceededError` as soon as a member beyond the budget
-    turns up, so its ``partial`` is always ``budget + 1``.
+    turns up, so its ``partial`` is always ``budget + 1``, and ``ValueError``
+    for a negative budget.
     """
-    found: list[int] = []
-    for p in fam.members():
-        if len(found) == budget:
-            raise BudgetExceededError(budget, budget + 1)
-        found.append(p)
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    found = list(islice(fam.members(), budget + 1))
+    if len(found) > budget:
+        raise BudgetExceededError(budget, budget + 1)
     found.sort()
     return found
 

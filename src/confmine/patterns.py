@@ -101,14 +101,24 @@ class Universe:
             raise KeyError(f"unknown item {name!r}") from None
 
     def mask(self, names: Iterable[str]) -> int:
-        return mask_of(self.index(n) for n in names)
+        """Mask of the named items; ``KeyError`` as from ``index`` for an unknown name."""
+        index = self._index
+        m = 0
+        for name in names:  # no call per name: context_from_rows masks every object
+            try:
+                m |= 1 << index[name]
+            except KeyError:
+                raise KeyError(f"unknown item {name!r}") from None
+        return m
 
+    # List comprehensions, not generator expressions: CPython runs them faster,
+    # and the CLI formats every output line with these two methods.
     def names_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.names[i] for i in iter_indices(mask))
+        return tuple([self.names[i] for i in iter_indices(mask)])
 
     def format(self, mask: int) -> str:
         """Render a pattern as its item names in index order, ``{}`` if empty."""
-        return " ".join(self.names_of(mask)) or "{}"
+        return " ".join([self.names[i] for i in iter_indices(mask)]) or "{}"
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Universe) and self.names == other.names

@@ -1,11 +1,13 @@
 """Seeded random structures shared by the test suites: graphs, contexts,
 abstractions, subconfluences, and sublattices of a small powerset, plus the
-meet closure used to build closure ranges.
+meet closure used to build closure ranges and a vertex instance written in the
+CLI file formats.
 
 Imported by the tests; pytest does not collect it.
 """
 
 import random
+from pathlib import Path
 
 from confmine.families import (
     ConnectedVertexFamily,
@@ -51,6 +53,33 @@ def random_vertex_instance(
     descriptions = tuple(rng.randrange(1 << n_vertices) for _ in range(n_objects))
     objects = tuple(f"o{i}" for i in range(n_objects))
     return MinerConfig(family=fam, context=ObjectContext(objects, descriptions, fam.universe))
+
+
+def write_vertex_instance(
+    directory: Path, seed: int, n_vertices: int, n_edges: int, n_objects: int
+) -> tuple[Path, Path]:
+    """``random_vertex_instance`` in the CLI file formats: writes
+    ``instance.graph`` and ``instance.ctx`` under ``directory`` and returns
+    their paths."""
+    cfg = random_vertex_instance(seed, n_vertices, n_edges, n_objects)
+    graph, ctx = cfg.family.graph, cfg.context
+    names = graph.vertices
+    graph_path = directory / "instance.graph"
+    graph_path.write_text(
+        "".join(f"v {v}\n" for v in names)
+        + "".join(
+            f"e {names[a]} {names[b]} {label}\n"
+            for (a, b), label in zip(graph.edges, graph.edge_labels)
+        )
+    )
+    ctx_path = directory / "instance.ctx"
+    ctx_path.write_text(
+        "".join(
+            f"{o}: {' '.join(names[i] for i in iter_indices(d))}\n"
+            for o, d in zip(ctx.objects, ctx.descriptions)
+        )
+    )
+    return graph_path, ctx_path
 
 
 def random_context(

@@ -1,7 +1,9 @@
 """Command-line behavior: output formats, golden lines, exit codes, and the
 input validation paths."""
 
+import hashlib
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +12,7 @@ from confmine import families, miner, oracle
 from confmine.cli import main
 
 from conftest import DATA
+from randomized import write_vertex_instance
 
 
 @pytest.fixture
@@ -199,11 +202,28 @@ class TestMineCommand:
         )
         assert invoke(runner, *args).output == invoke(runner, *args).output
 
+    def test_names_written_as_given(self, runner, tmp_path):
+        # no ANSI escape sequence is stripped off stdout, terminal or not
+        red = "\x1b[31ma"
+        (tmp_path / "red.family").write_text(f"{red}\n{red} b\n")
+        (tmp_path / "red.ctx").write_text(f"o1: {red} b\n")
+        result = invoke(
+            runner,
+            "mine", "--explicit", tmp_path / "red.family", "--context", tmp_path / "red.ctx",
+        )
+        assert result.exit_code == 0
+        assert result.stdout == f"{red} b\to1\t{red}\tfalse\n"
+
     def test_streams_lines_before_mining_finishes(self, runner, monkeypatch):
+        # The first concept's line is written before the miner is asked for
+        # the second: a buffered or sorted default output would fail here.
         real_mine = miner.mine
+        written_before_failure = []
 
         def mine_then_fail(cfg):
             yield next(real_mine(cfg))
+            sys.stdout.flush()
+            written_before_failure.append(sys.stdout.buffer.getvalue())
             raise RuntimeError("mining interrupted")
 
         monkeypatch.setattr(miner, "mine", mine_then_fail)
@@ -213,7 +233,31 @@ class TestMineCommand:
             "--context", DATA / "quad.ctx",
         )
         assert isinstance(result.exception, RuntimeError)
-        assert result.output.splitlines() == ["a\to1 o2 o3\ta\tfalse"]
+        assert written_before_failure == [b"a\to1 o2 o3\ta\tfalse\n"]
+        assert result.stdout.splitlines() == ["a\to1 o2 o3\ta\tfalse"]
+
+
+class TestBenchScaleOutput:
+    """Byte-exact stdout on one seeded 12-vertex, 18-edge, 16-object instance,
+    the size of a ``basis-classes`` benchmark instance: 49 concepts and 64
+    implications, pinned by their sha256."""
+
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            (("mine",), "3333d561fba4b0dfe99dae356abd8e00db618e13223b5f8e82440165b6ad1ee6"),
+            (
+                ("mine", "--format", "json"),
+                "18ede3ccc022f3c8e70d3aec3246b205beb5bc7ba9debc8496bae1bbf67fb12b",
+            ),
+            (("basis",), "5a03f6da5f87f598765a9022674096a96c19f52c8809ff895ec8c6be8a0b1dfc"),
+        ],
+    )
+    def test_stdout_digest(self, runner, tmp_path, command, digest):
+        graph, context = write_vertex_instance(tmp_path, 0, 12, 18, 16)
+        result = invoke(runner, *command, "--graph", graph, "--context", context)
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
 
 class TestBasisCommand:

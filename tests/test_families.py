@@ -51,6 +51,14 @@ class TestUniverse:
         with pytest.raises(KeyError, match="unknown item"):
             cm.Universe(["a"]).index("z")
 
+    def test_mask_names_the_unknown_item_as_index_does(self):
+        u = cm.Universe(["a", "b"])
+        with pytest.raises(KeyError) as by_index:
+            u.index("z")
+        with pytest.raises(KeyError) as by_mask:
+            u.mask(["b", "z", "a"])
+        assert by_mask.value.args == by_index.value.args == ("unknown item 'z'",)
+
 
 class TestMinimalMasks:
     def test_empty_input(self):

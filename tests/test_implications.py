@@ -186,6 +186,35 @@ class TestMinMaxBasis:
                 assert imp.conclusion == closed
 
 
+class TestImplicationRecord:
+    def test_fields_read_by_name(self):
+        imp = cm.Implication(0b01, 0b11, "internal")
+        assert (imp.premise, imp.conclusion, imp.kind) == (0b01, 0b11, "internal")
+
+    def test_fields_cannot_be_assigned(self):
+        imp = cm.Implication(0b01, 0b11, "internal")
+        with pytest.raises(AttributeError):
+            imp.premise = 0b10
+
+    def test_equal_fields_give_equal_hashable_records(self):
+        a = cm.Implication(0b01, 0b11, "internal")
+        b = cm.Implication(0b01, 0b11, "internal")
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, cm.Implication(0b11, 0b01, "external")}) == 2
+
+    def test_basis_sorted_by_premise_then_conclusion(self):
+        rng = random.Random(71)
+        longest = 0
+        for _ in range(15):
+            fam = cm.ConnectedVertexFamily(random_graph(rng, max_vertices=6))
+            ctx = random_context(rng, fam.universe, max_objects=6)
+            basis = cm.minmax_basis(ctx, fam, materialize(fam))
+            pairs = [(imp.premise, imp.conclusion) for imp in basis]
+            assert all(x < y for x, y in zip(pairs, pairs[1:]))
+            longest = max(longest, len(pairs))
+        assert longest > 1
+
+
 class TestCheckImplication:
     def test_external_pair_holds(self, five_context, five_family, five_universe):
         u = five_universe

@@ -64,6 +64,17 @@ class TestMaterialize:
             cm.materialize(fam, budget=5)
         assert exc.value.partial == 6
 
+    def test_zero_budget_counts_the_first_member(self):
+        fam = cm.KGapWordFamily(4, 1)
+        with pytest.raises(cm.BudgetExceededError) as exc:
+            cm.materialize(fam, budget=0)
+        assert exc.value.partial == 1
+
+    @pytest.mark.parametrize("budget", [-1, -2])
+    def test_negative_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            cm.materialize(cm.KGapWordFamily(4, 1), budget=budget)
+
     def test_budget_counts_the_minimals(self):
         # five isolated vertices: five minimal members and no augmentation
         graph = cm.GraphSpec(tuple("abcde"), (), ())
