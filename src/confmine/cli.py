@@ -227,27 +227,27 @@ def check_command(poset_path, budget, **source):
             _fail(exc.code, str(exc))
         verdict = is_confluence(poset)
         if verdict:
-            click.echo("confluence: ok")
+            sys.stdout.write("confluence: ok\n")
         else:
-            click.echo(f"confluence: FAIL witness {verdict.witness!r}")
+            sys.stdout.write(f"confluence: FAIL witness {verdict.witness!r}\n")
             sys.exit(VALIDATION_EXIT)
         return
     try:
         inst = _load_instance(**source, need_context=False)
     except CliFailure as exc:
         _fail(exc.code, str(exc))
-    click.echo("subconfluence: ok")
+    sys.stdout.write("subconfluence: ok\n")
     verdict = inst.family.strongly_accessible()
     if not verdict:
         t1, t2 = map(inst.family.universe.format, verdict.witness)
-        click.echo(f"strongly-accessible: FAIL no augmentation chain from {t1} to {t2}")
+        sys.stdout.write(f"strongly-accessible: FAIL no augmentation chain from {t1} to {t2}\n")
         sys.exit(VALIDATION_EXIT)
     # the members are listed only to be counted, and at most budget + 1 of them
     try:
         count = str(len(oracle_mod.materialize(inst.family, budget)))
     except oracle_mod.BudgetExceededError:
         count = f"more than {budget}"
-    click.echo(f"strongly-accessible: ok ({count} members)")
+    sys.stdout.write(f"strongly-accessible: ok ({count} members)\n")
 
 
 @main.command("oracle")
@@ -266,19 +266,14 @@ def oracle_command(seed, budget, **source):
         _fail(VALIDATION_EXIT, str(exc))
     except CliFailure as exc:
         _fail(exc.code, str(exc))
-    click.echo(
-        json.dumps(
-            report.to_dict(inst.family.universe, inst.context.objects),
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    report_dict = report.to_dict(inst.family.universe, inst.context.objects)
+    sys.stdout.write(json.dumps(report_dict, indent=2, sort_keys=True) + "\n")
     if not report.ok:
         sys.exit(VALIDATION_EXIT)
 
 
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    sys.stderr.write(f"error: {message}\n")
     sys.exit(code)
 
 

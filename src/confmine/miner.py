@@ -5,11 +5,18 @@ The outer loop walks minimal family members in mask order, and each minimal's
 closure roots a subtree.  A closed pattern is enumerated only in the subtree
 of its anchor, the least-mask minimal inside it (``fca.anchor_minimal``):
 every closure of the subtree of m contains m, so a closure whose anchor is not
-m contains an earlier minimal and is pruned as a duplicate.  Inside a subtree,
-an item exclusion mask (Boley et al., TCS 2010), extended left-to-right across
-sibling branches, prevents revisiting patterns through a different
-augmentation order.  The traversal runs on an explicit stack, so tree depth is
-bounded by memory alone, not by Python's recursion limit.
+m contains an earlier minimal and is pruned as a duplicate.
+
+In a confluence, m ≤ t ≤ x gives project_t(x) == project_m(x), so every
+closure above m is fixed by its abstract support alone, and the miner closes
+each support once.  Inside a subtree, a child whose support was closed before
+there reaches a concept already emitted or pruned there, and is skipped with
+no event; this does the work of the item exclusion mask of Boley et al. (TCS
+2010), which closed such children only to prune them.  Across roots, a minimal
+whose support last closed to a pattern containing it has that pattern as its
+closure, anchored at an earlier minimal, so it is not closed again.  The
+traversal runs on an explicit stack, so tree depth is bounded by memory alone,
+not by Python's recursion limit.
 
 The family answers for its own strong accessibility
 (``PatternFamily.strongly_accessible``), checked once before the walk.  Every
@@ -67,12 +74,12 @@ class MineEvent(NamedTuple):
 
 
 class PruneEvent(NamedTuple):
-    """A closure that was computed but not expanded.
+    """A closure that was computed but not expanded, because its anchor,
+    ``blocked_by_minimal``, is a minimal before the subtree's root; ``at_root``
+    marks prunes of a minimal's own closure in the outer loop.
 
-    Exactly one of ``blocked_by_minimal`` (the closure's anchor, a minimal
-    before the subtree's root) and ``blocked_by_item`` (the least item of the
-    exclusion mask inside the closure) is set; ``at_root`` marks prunes of a
-    minimal's own closure in the outer loop.
+    ``blocked_by_item`` is never set: it named an item of the exclusion mask,
+    which the miner no longer keeps, and stays for readers of the field.
     """
 
     closure: int
@@ -84,7 +91,8 @@ class PruneEvent(NamedTuple):
 
 class MinimalEvent(NamedTuple):
     """Outer-loop bookkeeping: a minimal was processed; ``enumerated`` when it
-    anchors its own closure, so that its subtree ran."""
+    anchors its own closure, so that its subtree ran.  A minimal whose closure
+    an earlier root already computed gets this event alone."""
 
     minimal: int
     enumerated: bool
@@ -98,11 +106,11 @@ def close_pattern(
 ) -> tuple[int, int]:
     """Close a family member carrying ``extent``: (closed pattern, abstract extent).
 
-    ``extent`` is the pattern's plain support or any superset X of it with
-    ``apply(X)`` inside that support, as for ``fca.closure_and_extent``.  Returns the
-    powerset closure of the abstract support (the universe when it is empty),
-    projected at the pattern.  Raises ``ValueError`` for a non-extensive
-    projection, and, unless ``checked`` is false, for a non-member pattern.
+    ``extent`` is any X with ``apply(X)`` equal to the pattern's abstract
+    support, as for ``fca.closure_and_extent``.  Returns the powerset closure
+    of the abstract support (the universe when it is empty), projected at the
+    pattern.  Raises ``ValueError`` for a non-extensive projection, and,
+    unless ``checked`` is false, for a non-member pattern.
     """
     return closure_and_extent(
         cfg.context, cfg.family, cfg.abstraction, pattern, extent, checked=checked
@@ -130,53 +138,50 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
     fam = cfg.family
     ctx = cfg.context
     tids = ctx.tids
+    apply = cfg.abstraction.apply
+    root_closures: dict[int, int] = {}  # support -> last root closure made with it
     for m in fam.minimals():
-        m_extent = extension(ctx, m)
+        support = apply(extension(ctx, m))
+        known = root_closures.get(support)
+        if known is not None and not m & ~known:
+            yield MinimalEvent(m, False)
+            continue
         # Unchecked: each base is a minimal or ``pattern + e`` for an augmentation
-        # e, so a member, and lies in the intension of apply(X) ⊆ its extent.
-        p, abstract_extent = close_pattern(cfg, m, m_extent, checked=False)
+        # e, so a member, and lies in the intension of its abstract support.
+        p, _ = close_pattern(cfg, m, support, checked=False)
+        root_closures[support] = p
         root_anchor = anchor_minimal(fam, p)
-        if root_anchor == m:
-            # m anchors every concept of its subtree: each closure there
-            # contains m, so one whose anchor is not m holds an earlier
-            # minimal, whose subtree reached it, and is pruned.
-            yield MineEvent(Concept(abstract_extent, p, m, abstract_extent == 0), None)
-            # Depth-first over frames (closed pattern q, carried extent X,
-            # pending augmentations, item exclusion mask).  X is the extent
-            # q's closure was called with: ext(m) at the root, the parent
-            # frame's X & tids[e] for a child.  Invariant: X ⊇ ext(q) and
-            # apply(X) ⊆ ext(q).  As apply is an interior operator,
-            # apply(X & t) == apply(ext(q) & t) for every t, so a child closes
-            # from X & tids[e] exactly as from its own plain extent, and its
-            # frame keeps the invariant.  A frame that expands a child goes
-            # back on the stack under it, its mask extended by the child's
-            # item, so sibling branches never revisit each other's patterns.
-            stack = [(p, m_extent, iter(fam.augmentations(p)), 0)] if abstract_extent else []
-            while stack:
-                pattern, ext, pending, excluded = stack.pop()
-                for e in pending:
-                    child = pattern | (1 << e)
-                    child_extent = ext & tids[e]
-                    q, q_extent = close_pattern(cfg, child, child_extent, checked=False)
-                    anchor = anchor_minimal(fam, q)
-                    if anchor != m:
-                        yield PruneEvent(q, pattern, anchor)
-                        continue
-                    hit = q & excluded
-                    if hit:
-                        yield PruneEvent(q, pattern, None, (hit & -hit).bit_length() - 1)
-                        continue
-                    yield MineEvent(Concept(q_extent, q, m, q_extent == 0), pattern)
-                    if q_extent == 0:
-                        # A local top: nothing above it can change support.
-                        excluded |= 1 << e
-                        continue
-                    stack.append((pattern, ext, pending, excluded | 1 << e))
-                    stack.append((q, child_extent, iter(fam.augmentations(q)), excluded))
-                    break
-        else:
+        if root_anchor != m:
             yield PruneEvent(p, None, root_anchor, None, True)
-        yield MinimalEvent(m, root_anchor == m)
+            yield MinimalEvent(m, False)
+            continue
+        # m anchors its subtree: a closure there whose anchor is not m holds an
+        # earlier minimal, whose subtree reached it, and is pruned.
+        yield MineEvent(Concept(support, p, m, support == 0), None)
+        # Frames: (closed pattern q, its abstract support A, pending
+        # augmentations).  apply is an interior operator, so apply(A & t) ==
+        # apply(ext(q) & t).  A frame that expands a child goes back on the
+        # stack under it.
+        closed: set[int] = set()  # the supports closed so far in this subtree
+        stack = [(p, support, iter(fam.augmentations(p)))] if support else []
+        while stack:
+            pattern, ext, pending = stack.pop()
+            for e in pending:
+                child_support = apply(ext & tids[e])
+                if child_support in closed:
+                    continue
+                closed.add(child_support)
+                q, _ = close_pattern(cfg, pattern | 1 << e, child_support, checked=False)
+                anchor = anchor_minimal(fam, q)
+                if anchor != m:
+                    yield PruneEvent(q, pattern, anchor)
+                    continue
+                yield MineEvent(Concept(child_support, q, m, child_support == 0), pattern)
+                if child_support:  # an empty support is a local top: never expanded
+                    stack.append((pattern, ext, pending))
+                    stack.append((q, child_support, iter(fam.augmentations(q))))
+                    break
+        yield MinimalEvent(m, True)
 
 
 def mine(cfg: MinerConfig) -> Iterator[MineEvent]:

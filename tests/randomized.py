@@ -1,7 +1,8 @@
 """Seeded random structures shared by the test suites: graphs, contexts,
 abstractions, subconfluences, and sublattices of a small powerset, plus the
-meet closure used to build closure ranges and a vertex instance written in the
-CLI file formats.
+meet closure used to build closure ranges, a vertex instance written in the
+CLI file formats, and a reference copy of the miner's traversal with the item
+exclusion mask.
 
 Imported by the tests; pytest does not collect it.
 """
@@ -15,8 +16,15 @@ from confmine.families import (
     GraphSpec,
     is_strongly_accessible,
 )
-from confmine.fca import ExtensionalAbstraction, ObjectContext
-from confmine.miner import MinerConfig
+from confmine.fca import (
+    Concept,
+    ExtensionalAbstraction,
+    ObjectContext,
+    anchor_minimal,
+    closure_and_extent,
+    extension,
+)
+from confmine.miner import MinerConfig, MineEvent, MinimalEvent, PruneEvent
 from confmine.order import FiniteLattice, powerset_lattice
 from confmine.patterns import Universe, is_subset, iter_indices
 
@@ -205,3 +213,47 @@ def meet_close(lat: FiniteLattice, members: int) -> int:
                     members |= 1 << v
                     changed = True
     return members | (1 << lat.top)
+
+
+def reference_mine_trace(cfg: MinerConfig):
+    """The miner's traversal with the item exclusion mask of Boley et al.
+    (TCS 2010) and no closure remembered: every child of every frame is
+    closed, and a closure is pruned when its anchor is not the subtree's root
+    or when it holds an item excluded by an earlier sibling branch.  The
+    family must be strongly accessible."""
+    fam, ctx, tids = cfg.family, cfg.context, cfg.context.tids
+
+    def close(pattern, extent):
+        return closure_and_extent(ctx, fam, cfg.abstraction, pattern, extent)
+
+    for m in fam.minimals():
+        m_extent = extension(ctx, m)
+        p, abstract_extent = close(m, m_extent)
+        root_anchor = anchor_minimal(fam, p)
+        if root_anchor == m:
+            yield MineEvent(Concept(abstract_extent, p, m, abstract_extent == 0), None)
+            # frames: (closed pattern, carried extent, pending augmentations, excluded items)
+            stack = [(p, m_extent, iter(fam.augmentations(p)), 0)] if abstract_extent else []
+            while stack:
+                pattern, ext, pending, excluded = stack.pop()
+                for e in pending:
+                    child_extent = ext & tids[e]
+                    q, q_extent = close(pattern | (1 << e), child_extent)
+                    anchor = anchor_minimal(fam, q)
+                    if anchor != m:
+                        yield PruneEvent(q, pattern, anchor)
+                        continue
+                    hit = q & excluded
+                    if hit:
+                        yield PruneEvent(q, pattern, None, (hit & -hit).bit_length() - 1)
+                        continue
+                    yield MineEvent(Concept(q_extent, q, m, q_extent == 0), pattern)
+                    if q_extent == 0:
+                        excluded |= 1 << e
+                        continue
+                    stack.append((pattern, ext, pending, excluded | 1 << e))
+                    stack.append((q, child_extent, iter(fam.augmentations(q)), excluded))
+                    break
+        else:
+            yield PruneEvent(p, None, root_anchor, None, True)
+        yield MinimalEvent(m, root_anchor == m)

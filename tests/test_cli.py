@@ -389,6 +389,49 @@ class TestCheckCommand:
         assert "strongly-accessible: ok" in result.output
 
 
+RED = "\x1b[31ma"  # item a under an ANSI colour escape
+
+
+@pytest.fixture
+def red_quad(tmp_path):
+    """``quad.family``, not strongly accessible, with item ``a`` renamed to
+    ``RED``, and a two-object context over it."""
+    family = tmp_path / "red.family"
+    family.write_text((DATA / "quad.family").read_text().replace("a", RED))
+    context = tmp_path / "red.ctx"
+    context.write_text(f"o1: {RED} b\no2: {RED} b c\n")
+    return family, context
+
+
+class TestEscapeSequencesKept:
+    """No command strips an ANSI escape sequence off a name when its stream
+    is not a terminal, so every witness names items as the input gives them."""
+
+    def test_check_witness(self, runner, red_quad):
+        result = invoke(runner, "check", "--explicit", red_quad[0])
+        assert result.exit_code == 1
+        assert result.stdout == (
+            "subconfluence: ok\n"
+            f"strongly-accessible: FAIL no augmentation chain from {RED} to {RED} b c\n"
+        )
+
+    def test_error_message(self, runner, red_quad):
+        family, context = red_quad
+        result = invoke(runner, "mine", "--explicit", family, "--context", context)
+        assert result.exit_code == 1
+        # stdout is empty, so the output is the error line alone
+        assert result.output == (
+            "error: family is not strongly accessible: "
+            f"no single-item chain from {RED} to {RED} b c\n"
+        )
+
+    def test_oracle_report(self, runner, red_quad):
+        family, context = red_quad
+        result = invoke(runner, "oracle", "--explicit", family, "--context", context)
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["closed"] == [RED, "b", f"{RED} b c", f"{RED} b c d"]
+
+
 class TestOracleCommand:
     def test_wedge_report(self, runner):
         result = invoke(

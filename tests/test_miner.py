@@ -1,5 +1,7 @@
 """Miner behavior: the closure step, golden traversal traces, exclusion
-semantics, degeneration to classical closed-itemset mining, and oracle parity."""
+semantics, closures remembered by abstract support (against a reference copy
+of the traversal with the item exclusion mask), degeneration to classical
+closed-itemset mining, and oracle parity."""
 
 import hashlib
 import random
@@ -21,6 +23,7 @@ from randomized import (
     random_explicit_subconfluence,
     random_graph,
     random_vertex_instance,
+    reference_mine_trace,
 )
 
 
@@ -216,7 +219,6 @@ GOLDEN_TRACES = {
         ("emit", "a", "o1 o2 o3", "a", False, None),
         ("emit", "a b c", "o2 o3", "a", False, "a"),
         ("emit", "a b c d", "o3", "a", False, "a b c"),
-        ("prune", "a b c d", "a", None, "c", False),
         ("minimal", "a", True),
         ("emit", "b", "o1 o2 o3", "b", False, None),
         ("prune", "a b c", "b", "a", None, False),
@@ -230,15 +232,12 @@ GOLDEN_TRACES = {
     "quad-pairgen": [
         ("emit", "a", "o1 o2 o3", "a", False, None),
         ("emit", "a b c d", "{}", "a", True, "a"),
-        ("prune", "a b c d", "a", None, "c", False),
         ("minimal", "a", True),
         ("emit", "b", "o1 o2 o3", "b", False, None),
-        ("prune", "a b c d", "b", "a", None, False),
         ("prune", "a b c d", "b", "a", None, False),
         ("minimal", "b", True),
         ("prune", "a b c d", None, "a", None, True),
         ("minimal", "c", False),
-        ("prune", "a b c d", None, "a", None, True),
         ("minimal", "d", False),
     ],
     "wedge": [
@@ -260,14 +259,11 @@ GOLDEN_TRACES = {
     "kgap-4-2": [
         ("emit", "a1 a2", "o1", "a1", False, None),
         ("emit", "a1 a2 a3 a4", "{}", "a1", True, "a1 a2"),
-        ("prune", "a1 a2 a3 a4", "a1 a2", None, "a3", False),
         ("minimal", "a1", True),
         ("emit", "a2", "o1 o2", "a2", False, None),
         ("prune", "a1 a2", "a2", "a1", None, False),
         ("emit", "a2 a3", "o2", "a2", False, "a2"),
         ("prune", "a1 a2 a3 a4", "a2 a3", "a1", None, False),
-        ("prune", "a1 a2 a3 a4", "a2 a3", "a1", None, False),
-        ("prune", "a1 a2 a3 a4", "a2", "a1", None, False),
         ("minimal", "a2", True),
         ("prune", "a2 a3", None, "a2", None, True),
         ("minimal", "a3", False),
@@ -278,17 +274,17 @@ GOLDEN_TRACES = {
 
 
 # A 4-cycle v0-v2-v1-v3 with chord v2-v3, under the identity abstraction.
-# Under v0 v3 the exclusion mask gets v2 (the root's earlier branch v0 v1 v2)
-# and then v1 (the expanded child v0 v1 v3), so the prune of v0 v1 v2 v3 there
-# names v1, the least excluded item inside it, not v2, the one excluded first.
-EXCLUSION_WITNESS_TRACE = [
+# The empty support is first closed under v0 v1 v2, to the local top
+# v0 v1 v2 v3.  The child v0 v1 v2 v3 of v0 v1 v3, and then the child
+# v0 v2 v3 of v0 v3, have the empty support again, so neither is closed and
+# neither leaves an event.  The item exclusion mask of Boley et al. (TCS 2010)
+# closed both and pruned them, naming v2 and then v1.
+REPEATED_SUPPORT_TRACE = [
     ("emit", "v0", "o1 o2 o3", "v0", False, None),
     ("emit", "v0 v1 v2", "o2", "v0", False, "v0"),
     ("emit", "v0 v1 v2 v3", "{}", "v0", True, "v0 v1 v2"),
     ("emit", "v0 v3", "o1 o3", "v0", False, "v0"),
     ("emit", "v0 v1 v3", "o3", "v0", False, "v0 v3"),
-    ("prune", "v0 v1 v2 v3", "v0 v1 v3", None, "v2", False),
-    ("prune", "v0 v1 v2 v3", "v0 v3", None, "v1", False),
     ("minimal", "v0", True),
     ("emit", "v1", "o2 o3", "v1", False, None),
     ("prune", "v0 v1 v2", "v1", "v0", None, False),
@@ -310,7 +306,7 @@ class TestGoldenTraces:
     def test_event_sequence(self, name):
         assert _render_trace(_data_instance(name)) == GOLDEN_TRACES[name]
 
-    def test_item_prune_names_least_excluded_item(self):
+    def test_support_closed_once_per_subtree(self):
         graph = cm.GraphSpec.build(
             ("v0", "v1", "v2", "v3"),
             [("v0", "v2"), ("v0", "v3"), ("v1", "v2"), ("v1", "v3"), ("v2", "v3")],
@@ -320,7 +316,7 @@ class TestGoldenTraces:
             fam.universe, {"o1": "v0 v3", "o2": "v0 v1 v2", "o3": "v0 v1 v3"}
         )
         cfg = cm.MinerConfig(family=fam, context=ctx)
-        assert _render_trace(cfg) == EXCLUSION_WITNESS_TRACE
+        assert _render_trace(cfg) == REPEATED_SUPPORT_TRACE
 
     def test_acceptance_09_instance_trace(self):
         """Acceptance test 09's 20-vertex instance, where the ``tests/data``
@@ -328,12 +324,21 @@ class TestGoldenTraces:
         digest of the whole trace."""
         trace = _render_trace(random_vertex_instance(2024, 20, 30, 50))
         prunes = [ev for ev in trace if ev[0] == "prune"]
-        assert Counter(ev[0] for ev in trace) == {"emit": 365, "prune": 2329, "minimal": 20}
-        assert sum(ev[3] is not None for ev in prunes) == 1502  # blocked by a minimal
-        assert sum(ev[4] is not None for ev in prunes) == 827  # blocked by an item
+        assert Counter(ev[0] for ev in trace) == {"emit": 365, "prune": 348, "minimal": 20}
+        assert all(ev[3] is not None for ev in prunes)  # each blocked by a minimal
         assert not any(ev[5] for ev in prunes)  # at a root
         digest = hashlib.sha256(repr(trace).encode()).hexdigest()
-        assert digest == "f04914785f45a39a9db12f2b38f6c047fa540c85c95c721687ef4e3ad739c6a0"
+        assert digest == "1691aa14a50315d3b22bcab1da867fc39f89938b1ece99f5804c00780d1fa60d"
+
+    def test_acceptance_09_instance_emissions(self):
+        """The emissions alone on the same instance, pinned as they were
+        before closures were remembered by abstract support: the order and
+        every field of each concept, apart from the prunes around them."""
+        trace = _render_trace(random_vertex_instance(2024, 20, 30, 50))
+        emits = [ev for ev in trace if ev[0] == "emit"]
+        assert len(emits) == 365
+        digest = hashlib.sha256(repr(emits).encode()).hexdigest()
+        assert digest == "9a913e15d202d12de55105da6d91edc8d343cba9957ba4824546db04b3995a32"
 
 
 class TestQuadGraphMining:
@@ -382,7 +387,7 @@ class TestQuadGraphMining:
 
 
 class TestExclusionListPlacements:
-    """A minimal whose root closure is pruned still blocks later closures.
+    """A minimal whose subtree does not run still blocks later closures.
 
     The miner prunes every closure whose anchor (least-mask minimal inside it)
     is not its subtree's root, so a minimal blocks whether or not its own
@@ -409,9 +414,9 @@ class TestExclusionListPlacements:
             ("a", True),
             ("b", False),
         ]
-        # the root closure of b was pruned by the earlier minimal a
-        prunes = [ev for ev in events if isinstance(ev, PruneEvent) and ev.at_root]
-        assert len(prunes) == 1 and prunes[0].blocked_by_minimal == u.mask("a")
+        # b has the abstract support of a, whose root closure a b c holds b:
+        # that is b's closure too, anchored at a, so it is not closed again
+        assert not any(isinstance(ev, PruneEvent) for ev in events)
 
     def test_both_placements_agree_on_output(self, instance):
         u, fam, ctx = instance
@@ -680,14 +685,67 @@ class TestRootAnchorsAcrossFamilyKinds:
                 emitted.add(q)
                 continue
             assert ev.closure in emitted
-            if ev.blocked_by_minimal is not None:
-                assert is_subset(ev.blocked_by_minimal, ev.closure)
-                assert ev.blocked_by_minimal in processed
-                assert ev.blocked_by_minimal == anchor_minimal(fam, ev.closure)
-                assert ev.blocked_by_minimal < root
-            else:
-                assert (ev.closure >> ev.blocked_by_item) & 1
-                assert not (parent >> ev.blocked_by_item) & 1
+            # the anchor is the only blocker: a closure the item exclusion
+            # mask would block repeats an abstract support closed in the same
+            # subtree, and is never computed
+            assert ev.blocked_by_item is None
+            assert is_subset(ev.blocked_by_minimal, ev.closure)
+            assert ev.blocked_by_minimal in processed
+            assert ev.blocked_by_minimal == anchor_minimal(fam, ev.closure)
+            assert ev.blocked_by_minimal < root
+
+
+class TestClosuresRememberedBySupport:
+    """Differential test against ``randomized.reference_mine_trace``, the
+    traversal with the item exclusion mask and no remembered closure, on
+    random instances of every family kind under every abstraction kind."""
+
+    ROUNDS = 100  # 300 instances of each family kind, 600 of each abstraction kind
+
+    def test_random_instances(self, monkeypatch):
+        supports: list[int] = []
+
+        def recording(cfg, pattern, extent, **kw):
+            supports.append(cfg.abstraction.apply(extent))
+            return close_pattern(cfg, pattern, extent, **kw)
+
+        monkeypatch.setattr("confmine.miner.close_pattern", recording)
+        rng = random.Random(2023)
+        instances = 0
+        for _ in range(self.ROUNDS):
+            for fam in _family_kinds(rng):
+                ctx = random_context(rng, fam.universe, max_objects=6)
+                for abstraction in _abstraction_kinds(rng, ctx.n_objects):
+                    cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
+                    reference = list(reference_mine_trace(cfg))
+                    trace = []
+                    for ev in cm.mine_trace(cfg):
+                        trace.append(ev)
+                        if isinstance(ev, MinimalEvent):
+                            # the closures of this minimal's subtree, root included
+                            assert len(set(supports)) == len(supports)
+                            supports.clear()
+                    self._check_against_reference(trace, reference)
+                    instances += 1
+        assert instances == 1800
+
+    def test_acceptance_09_instance(self):
+        cfg = random_vertex_instance(2024, 20, 30, 50)
+        self._check_against_reference(list(cm.mine_trace(cfg)), list(reference_mine_trace(cfg)))
+
+    @staticmethod
+    def _check_against_reference(trace, reference):
+        def kept(events):
+            return [ev for ev in events if isinstance(ev, (MineEvent, MinimalEvent))]
+
+        # identical emissions and bookkeeping, each kind told apart by type
+        assert [type(ev) for ev in kept(trace)] == [type(ev) for ev in kept(reference)]
+        assert kept(trace) == kept(reference)
+        # the prunes left are a subsequence of the reference's
+        ref_prunes = iter(ev for ev in reference if isinstance(ev, PruneEvent))
+        for ev in trace:
+            if isinstance(ev, PruneEvent):
+                assert any(ev == ref for ref in ref_prunes)
 
 
 class AssertingProjection(cm.PatternFamily):
