@@ -41,7 +41,7 @@ from .fca import (
     ExtensionalAbstraction,
     ObjectContext,
     build_concept_confluence,
-    closure_and_extent,
+    closure,
     extension,
     intension,
     support_closure,
@@ -122,7 +122,7 @@ __all__ = [
     "build_concept_confluence",
     "check_implication",
     "classify_operator",
-    "closure_and_extent",
+    "closure",
     "closure_from_local_meet_subset",
     "closure_from_subset",
     "compose_interior_closure",

@@ -6,9 +6,9 @@ with the same (abstract) support set: project the plain powerset closure
 intension(extension(t)) onto the family at any minimal member below t.  In a
 confluence every minimal m below t gives the same projection, and so does t
 itself (m <= t <= x makes project_t(x) == project_m(x)), so closures project
-from the pattern and never look up a minimal.  ``closure_and_extent`` is the
-one closure formula, under any extensional abstraction; ``support_closure`` is
-its identity-abstraction wrapper.
+from the pattern and never look up a minimal.  ``closure`` is the one closure
+formula, project_t(intension(S)) for an abstract support S = A(extension(t))
+that the caller computes; ``support_closure`` is its plain-support wrapper.
 """
 
 from __future__ import annotations
@@ -190,35 +190,31 @@ def anchor_minimal(fam: PatternFamily, pattern: int) -> int:
     raise ValueError("family member lies above no minimal member")
 
 
-def closure_and_extent(
+def closure(
     ctx: ObjectContext,
     fam: PatternFamily,
-    abstraction: ExtensionalAbstraction,
     pattern: int,
-    extent: int,
+    support: int,
     *,
     checked: bool = True,
-) -> tuple[int, int]:
-    """(abstract support closure, abstract support) of a family member.
+) -> int:
+    """Abstract support closure of a family member whose abstract support is
+    ``support``: the powerset closure of ``support``, projected at the pattern.
 
-    ``extent`` is any X with ``abstraction.apply(X)`` equal to the abstract
-    support, ``apply(extension(ctx, pattern))``: the plain support, or the
-    abstract support itself, as ``apply`` is idempotent.  The result is the
-    powerset closure of the abstract support, projected at the pattern
-    itself.  With an empty abstract support the powerset closure is the whole
-    universe, so the result is the local top of the pattern's component.
-    Raises ``ValueError`` (from the projection) for a non-extensive projection,
-    and, unless ``checked`` is false, for a non-member pattern.
+    Applying the abstraction is the caller's job; under the identity the
+    support is ``extension(ctx, pattern)``.  An empty support has the whole
+    universe as its powerset closure, so the result is the local top of the
+    pattern's component.  Raises ``ValueError`` (from the projection) for a
+    non-extensive projection, and, unless ``checked`` is false, for a
+    non-member pattern.
     """
-    abstract_extent = abstraction.apply(extent)
-    return fam.project(pattern, intension(ctx, abstract_extent), checked=checked), abstract_extent
+    return fam.project(pattern, intension(ctx, support), checked=checked)
 
 
 def support_closure(ctx: ObjectContext, fam: PatternFamily, pattern: int) -> int:
     """Greatest family member above ``pattern`` with the same support set:
-    ``closure_and_extent`` under the identity abstraction."""
-    identity = ExtensionalAbstraction.identity()
-    return closure_and_extent(ctx, fam, identity, pattern, extension(ctx, pattern))[0]
+    ``closure`` of the plain support."""
+    return closure(ctx, fam, pattern, extension(ctx, pattern))
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .families import PatternFamily
-from .fca import (
-    ExtensionalAbstraction,
-    ObjectContext,
-    closure_and_extent,
-    extension,
-    extensions,
-)
+from .fca import ObjectContext, closure, extension, extensions
 from .patterns import is_subset, minimal_masks
 
 
@@ -63,15 +57,11 @@ def equivalence_classes(
     by_extent: dict[int, list[int]] = {}
     for t, extent in zip(members, extensions(ctx, members)):
         by_extent.setdefault(extent, []).append(t)
-    identity = ExtensionalAbstraction.identity()
     classes = []
     for extent in sorted(by_extent):
         group = sorted(by_extent[extent])
         generators = minimal_masks(group)
-        closed = {
-            closure_and_extent(ctx, fam, identity, g, extent, checked=False)[0]
-            for g in generators
-        }
+        closed = {closure(ctx, fam, g, extent, checked=False) for g in generators}
         classes.append(EquivalenceClass(extent, tuple(group), generators, tuple(sorted(closed))))
     return classes
 

@@ -35,7 +35,7 @@ from .fca import (
     ExtensionalAbstraction,
     ObjectContext,
     anchor_minimal,
-    closure_and_extent,
+    closure,
     extension,
 )
 
@@ -101,20 +101,15 @@ class MinimalEvent(NamedTuple):
 TraceEvent = Union[MineEvent, PruneEvent, MinimalEvent]
 
 
-def close_pattern(
-    cfg: MinerConfig, pattern: int, extent: int, *, checked: bool = True
-) -> tuple[int, int]:
-    """Close a family member carrying ``extent``: (closed pattern, abstract extent).
+def close_pattern(cfg: MinerConfig, pattern: int, support: int) -> int:
+    """Close a family member the miner built, given its abstract support.
 
-    ``extent`` is any X with ``apply(X)`` equal to the pattern's abstract
-    support, as for ``fca.closure_and_extent``.  Returns the powerset closure
-    of the abstract support (the universe when it is empty), projected at the
-    pattern.  Raises ``ValueError`` for a non-extensive projection, and,
-    unless ``checked`` is false, for a non-member pattern.
+    ``fca.closure`` without the argument checks: each base is a minimal or
+    ``pattern + e`` for an augmentation e, so a member, and lies in the
+    intension of its abstract support.  Every closure of the walk is one call
+    of this module global.
     """
-    return closure_and_extent(
-        cfg.context, cfg.family, cfg.abstraction, pattern, extent, checked=checked
-    )
+    return closure(cfg.context, cfg.family, pattern, support, checked=False)
 
 
 def mine_trace(cfg: MinerConfig) -> Iterator[TraceEvent]:
@@ -146,9 +141,7 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
         if known is not None and not m & ~known:
             yield MinimalEvent(m, False)
             continue
-        # Unchecked: each base is a minimal or ``pattern + e`` for an augmentation
-        # e, so a member, and lies in the intension of its abstract support.
-        p, _ = close_pattern(cfg, m, support, checked=False)
+        p = close_pattern(cfg, m, support)
         root_closures[support] = p
         root_anchor = anchor_minimal(fam, p)
         if root_anchor != m:
@@ -171,7 +164,7 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
                 if child_support in closed:
                     continue
                 closed.add(child_support)
-                q, _ = close_pattern(cfg, pattern | 1 << e, child_support, checked=False)
+                q = close_pattern(cfg, pattern | 1 << e, child_support)
                 anchor = anchor_minimal(fam, q)
                 if anchor != m:
                     yield PruneEvent(q, pattern, anchor)

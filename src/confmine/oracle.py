@@ -24,7 +24,7 @@ from .families import PatternFamily
 from .fca import (
     ExtensionalAbstraction,
     ObjectContext,
-    closure_and_extent,
+    closure,
     extension,
     intension,
     verify_extent_decomposition,
@@ -216,9 +216,7 @@ def verify_all(
     concepts = tuple((t, supports[t]) for t in closed)
     report = OracleReport(family_size=len(members), closed=tuple(closed), concepts=concepts)
     checks = report.checks
-    projection = cache(
-        lambda t: closure_and_extent(ctx, fam, abstraction, t, extension(ctx, t))[0]
-    )
+    projection = cache(lambda t: closure(ctx, fam, t, abstraction.apply(extension(ctx, t))))
     scan = cache(partial(_scan_closure, poset, supports))
 
     def run(name, fn, *args):

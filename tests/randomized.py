@@ -21,7 +21,7 @@ from confmine.fca import (
     ExtensionalAbstraction,
     ObjectContext,
     anchor_minimal,
-    closure_and_extent,
+    closure,
     extension,
 )
 from confmine.miner import MinerConfig, MineEvent, MinimalEvent, PruneEvent
@@ -224,7 +224,8 @@ def reference_mine_trace(cfg: MinerConfig):
     fam, ctx, tids = cfg.family, cfg.context, cfg.context.tids
 
     def close(pattern, extent):
-        return closure_and_extent(ctx, fam, cfg.abstraction, pattern, extent)
+        support = cfg.abstraction.apply(extent)
+        return closure(ctx, fam, pattern, support), support
 
     for m in fam.minimals():
         m_extent = extension(ctx, m)

@@ -100,7 +100,7 @@ def test_acceptance_03_abstract_support_closures():
     u, fam, ctx = five_instance()
     abstraction = cm.ExtensionalAbstraction.from_generators([0b011, 0b101])
     got = tuple(
-        u.format(cm.closure_and_extent(ctx, fam, abstraction, t, cm.extension(ctx, t))[0])
+        u.format(cm.closure(ctx, fam, t, abstraction.apply(cm.extension(ctx, t))))
         for t in map(u.mask, ("a", "b", "abc", "abd", "abcd"))
     )
     expected = ("a", "b", "a b c d", "a b c d", "a b c d")
@@ -373,7 +373,7 @@ def _suite_support_closure_laws(rng, runs):
         abstraction = random_abstraction(rng, ctx.n_objects)
         poset = family_poset(members)
         table = [
-            poset.index(cm.closure_and_extent(ctx, fam, abstraction, t, cm.extension(ctx, t))[0])
+            poset.index(cm.closure(ctx, fam, t, abstraction.apply(cm.extension(ctx, t))))
             for t in poset.ids
         ]
         assert cm.classify_operator(OperatorMap(poset, table)).kind == "closure"

@@ -469,3 +469,15 @@ def test_nonpositive_budget_is_a_usage_error(runner, command, budget):
     result = invoke(runner, *command, "--budget", budget)
     assert result.exit_code == 2
     assert "--budget" in result.output
+
+
+@pytest.mark.parametrize("command", ["basis", "oracle"])
+def test_family_over_budget_exits_one(runner, command):
+    result = invoke(
+        runner, command, "--kgap", 14, 2, "--context", DATA / "kgap.ctx", "--budget", 5
+    )
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: family exceeds the materialization budget of 5 (found 6+ members)\n"
+    )

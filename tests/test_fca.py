@@ -15,6 +15,7 @@ from confmine.fca import (
     load_abstraction,
     load_context,
 )
+from confmine.miner import close_pattern
 from confmine.oracle import materialize
 from confmine.patterns import is_subset
 
@@ -159,26 +160,53 @@ class TestAbstractSupportClosure:
         expected = {"a": "a", "b": "b", "abc": "abcd", "abd": "abcd", "abcd": "abcd"}
         for pat, want in expected.items():
             t = u.mask(pat)
-            got = cm.closure_and_extent(
-                five_context, five_family, pair_abstraction, t, cm.extension(five_context, t)
-            )[0]
+            support = pair_abstraction.apply(cm.extension(five_context, t))
+            got = cm.closure(five_context, five_family, t, support)
             assert got == u.mask(want)
 
     def test_identity_equals_plain(self, wedge_context, wedge_family):
         ident = cm.ExtensionalAbstraction.identity()
         for t in wedge_family.patterns:
-            assert cm.closure_and_extent(
-                wedge_context, wedge_family, ident, t, cm.extension(wedge_context, t)
-            )[0] == cm.support_closure(wedge_context, wedge_family, t)
+            support = ident.apply(cm.extension(wedge_context, t))
+            assert cm.closure(wedge_context, wedge_family, t, support) == cm.support_closure(
+                wedge_context, wedge_family, t
+            )
 
     def test_frequency_collapses_rare_patterns(self, wedge_context, wedge_family, wedge_universe):
         u = wedge_universe
         freq2 = cm.ExtensionalAbstraction.frequency(2)
         t = u.mask("abc")
-        got = cm.closure_and_extent(
-            wedge_context, wedge_family, freq2, t, cm.extension(wedge_context, t)
-        )[0]
+        support = freq2.apply(cm.extension(wedge_context, t))
+        got = cm.closure(wedge_context, wedge_family, t, support)
         assert got == u.mask("abcd")  # support dropped below 2, so the local top
+
+    @pytest.mark.parametrize(
+        "route", ["closure", "close_pattern", "support_closure", "equivalence_classes"]
+    )
+    def test_closing_applies_no_abstraction(
+        self, route, monkeypatch, five_context, five_family, pair_abstraction
+    ):
+        # the caller applies the abstraction, once; closing never applies one
+        ctx, fam = five_context, five_family
+        cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=pair_abstraction)
+        members = materialize(fam)
+        supports = [pair_abstraction.apply(cm.extension(ctx, t)) for t in members]
+        routes = {
+            "closure": lambda: [cm.closure(ctx, fam, t, s) for t, s in zip(members, supports)],
+            "close_pattern": lambda: [close_pattern(cfg, t, s) for t, s in zip(members, supports)],
+            "support_closure": lambda: [cm.support_closure(ctx, fam, t) for t in members],
+            "equivalence_classes": lambda: cm.equivalence_classes(ctx, fam, members),
+        }
+        applied = []
+        apply_ = cm.ExtensionalAbstraction.apply
+
+        def counting(abstraction, extent):
+            applied.append(extent)
+            return apply_(abstraction, extent)
+
+        monkeypatch.setattr(cm.ExtensionalAbstraction, "apply", counting)
+        assert routes[route]()
+        assert applied == []
 
 
 class TestExtensionalAbstraction:

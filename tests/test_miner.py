@@ -32,8 +32,10 @@ def intents(events):
 
 
 def close(cfg, pattern):
-    """``close_pattern`` with the pattern's plain extent computed here."""
-    return close_pattern(cfg, pattern, cm.extension(cfg.context, pattern))
+    """``close_pattern`` with the pattern's abstract support computed here:
+    (closed pattern, abstract support)."""
+    support = cfg.abstraction.apply(cm.extension(cfg.context, pattern))
+    return close_pattern(cfg, pattern, support), support
 
 
 class TestClosePattern:
@@ -61,9 +63,11 @@ class TestClosePattern:
         assert extent == 0
 
     def test_rejects_non_member(self, wedge_family, wedge_context, wedge_universe):
-        cfg = cm.MinerConfig(family=wedge_family, context=wedge_context)
+        # close_pattern skips the membership test; fca.closure owns it
+        non_member = wedge_universe.mask("a")
+        support = cm.extension(wedge_context, non_member)
         with pytest.raises(ValueError):
-            close(cfg, wedge_universe.mask("a"))
+            cm.closure(wedge_context, wedge_family, non_member, support)
 
 
 def _sample_events():
@@ -389,11 +393,12 @@ class TestQuadGraphMining:
 class TestExclusionListPlacements:
     """A minimal whose subtree does not run still blocks later closures.
 
-    The miner prunes every closure whose anchor (least-mask minimal inside it)
-    is not its subtree's root, so a minimal blocks whether or not its own
-    subtree ran.  The alternative (only excluding minimals whose subtree ran,
-    as a literal pseudo-code reading would do) produces the same output on
-    every instance; this case distinguishes the two by the bookkeeping itself.
+    The miner keeps no list of blocking minimals: it prunes every closure
+    whose anchor (least-mask minimal inside it) is not its subtree's root, so
+    a minimal blocks whether or not its own subtree ran.  The alternative
+    (only minimals whose subtree ran block, as a literal pseudo-code reading
+    of an exclusion list would do) produces the same output on every
+    instance; this case distinguishes the two by the bookkeeping itself.
     """
 
     @pytest.fixture
@@ -425,8 +430,8 @@ class TestExclusionListPlacements:
         assert ours == sorted(self._mine_excluding_only_enumerated(cfg))
 
     def test_excluding_pruned_minimal_never_loses_output(self):
-        # a root-pruned minimal joins the exclusion list, yet a later
-        # unrelated minimal still gets enumerated
+        # minimal b, whose subtree does not run, blocks the closures above
+        # it, yet a later unrelated minimal still gets enumerated
         u = cm.Universe(["a", "b", "c", "d"])
         fam = ExplicitFamily(
             [u.mask("a"), u.mask("b"), u.mask("ab"), u.mask("abc"), u.mask("d")], u
@@ -570,8 +575,7 @@ class TestMinerAgainstOracle:
             for ev in events:
                 c = ev.concept
                 assert c.extent == abstraction.apply(cm.extension(ctx, c.intent))
-                extent = cm.extension(ctx, c.intent)
-                assert cm.closure_and_extent(ctx, fam, abstraction, c.intent, extent)[0] == c.intent
+                assert cm.closure(ctx, fam, c.intent, c.extent) == c.intent
                 assert c.empty_support == (c.extent == 0)
 
 
@@ -705,9 +709,9 @@ class TestClosuresRememberedBySupport:
     def test_random_instances(self, monkeypatch):
         supports: list[int] = []
 
-        def recording(cfg, pattern, extent, **kw):
-            supports.append(cfg.abstraction.apply(extent))
-            return close_pattern(cfg, pattern, extent, **kw)
+        def recording(cfg, pattern, support):
+            supports.append(support)
+            return close_pattern(cfg, pattern, support)
 
         monkeypatch.setattr("confmine.miner.close_pattern", recording)
         rng = random.Random(2023)
@@ -777,14 +781,11 @@ class AssertingProjection(cm.PatternFamily):
         return self.inner._project(member, x)
 
 
-# Each public closure route, called as (config, pattern, carried extent); all
-# keep the default ``checked=True``.
+# Each public closure route that checks its arguments, called as (config,
+# pattern, abstract support); both keep the default ``checked=True``.
 CLOSURE_ROUTES = {
-    "close_pattern": close_pattern,
-    "closure_and_extent": lambda cfg, p, x: cm.closure_and_extent(
-        cfg.context, cfg.family, cfg.abstraction, p, x
-    ),
-    "support_closure": lambda cfg, p, x: cm.support_closure(cfg.context, cfg.family, p),
+    "closure": lambda cfg, p, s: cm.closure(cfg.context, cfg.family, p, s),
+    "support_closure": lambda cfg, p, s: cm.support_closure(cfg.context, cfg.family, p),
 }
 
 
@@ -805,7 +806,9 @@ class TestUncheckedProjection:
                         # every projection checked, as before the keyword existed
                         m.setattr(
                             "confmine.miner.close_pattern",
-                            lambda cfg, pattern, extent, **_: close_pattern(cfg, pattern, extent),
+                            lambda cfg, pattern, support: cm.closure(
+                                cfg.context, cfg.family, pattern, support
+                            ),
                         )
                         checked = list(cm.mine_trace(cfg))
                     assert unchecked == checked
@@ -825,13 +828,13 @@ class TestUncheckedProjection:
         with pytest.raises(ValueError, match="must belong to the family"):
             CLOSURE_ROUTES[route](cfg, non_member, cm.extension(cfg.context, non_member))
 
-    # support_closure reads x off the pattern's own support, which contains it
-    @pytest.mark.parametrize("route", ["close_pattern", "closure_and_extent"])
+    # support_closure computes the support itself, whose intension holds the base
+    @pytest.mark.parametrize("route", ["closure"])
     def test_argument_missing_a_base_item_rejected(
         self, route, wedge_family, wedge_context, wedge_universe
     ):
         cfg = cm.MinerConfig(family=wedge_family, context=wedge_context)
-        # carried extent: every object, whose intension a d misses the base's b
+        # support: every object, whose intension a d misses the base's b
         with pytest.raises(ValueError, match="must contain the base"):
             CLOSURE_ROUTES[route](cfg, wedge_universe.mask("ab"), cfg.context.all_objects_mask)
 

@@ -134,9 +134,9 @@ class TestOracleClosure:
         for t in members:
             assert cm.oracle_closure(
                 five_context, members, pair_abstraction, t
-            ) == cm.closure_and_extent(
-                five_context, five_family, pair_abstraction, t, cm.extension(five_context, t)
-            )[0]
+            ) == cm.closure(
+                five_context, five_family, t, pair_abstraction.apply(cm.extension(five_context, t))
+            )
 
     def test_undefined_on_violating_family(self):
         u = cm.Universe(["a", "b", "c", "d"])
@@ -335,18 +335,18 @@ class TestVerifyAll:
         members = cm.materialize(fam)
         assert 20 <= len(members) <= 80
         projected, scanned = Counter(), Counter()
-        projection_ = confmine.oracle.closure_and_extent
+        projection_ = confmine.oracle.closure
         scan_ = confmine.oracle._scan_closure
 
-        def counting_projection(ctx, fam, abstraction, pattern, extent):
+        def counting_projection(ctx, fam, pattern, support):
             projected[pattern] += 1
-            return projection_(ctx, fam, abstraction, pattern, extent)
+            return projection_(ctx, fam, pattern, support)
 
         def counting_scan(poset, supports, pattern):
             scanned[pattern] += 1
             return scan_(poset, supports, pattern)
 
-        monkeypatch.setattr(confmine.oracle, "closure_and_extent", counting_projection)
+        monkeypatch.setattr(confmine.oracle, "closure", counting_projection)
         monkeypatch.setattr(confmine.oracle, "_scan_closure", counting_scan)
         report = cm.verify_all(ctx, fam, cm.ExtensionalAbstraction.frequency(2), seed=5)
         assert report.ok, report.first_counterexample()
