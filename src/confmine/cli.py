@@ -3,14 +3,15 @@ miner, basis builder, validity checks, or the brute-force verifier, and print
 deterministic TSV or JSON-lines output.
 
 Exit codes: 0 success, 1 validation failure (witness printed), 2 I/O or parse
-errors.
+errors.  Every error is one ``error: ...`` line on stderr, written by ``_fail``
+where the failure is found.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from typing import NoReturn
 
 import click
 
@@ -27,10 +28,9 @@ VALIDATION_EXIT = 1
 PARSE_EXIT = 2
 
 
-class CliFailure(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+def _fail(code: int, message: str) -> NoReturn:
+    sys.stderr.write(f"error: {message}\n")
+    sys.exit(code)
 
 
 def _read_lines(path: str) -> list[str]:
@@ -38,14 +38,7 @@ def _read_lines(path: str) -> list[str]:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise CliFailure(PARSE_EXIT, f"cannot read {path}: {exc}") from exc
-
-
-@dataclass
-class LoadedInstance:
-    family: fam_mod.PatternFamily
-    context: fca_mod.ObjectContext | None
-    abstraction: fca_mod.ExtensionalAbstraction
+        _fail(PARSE_EXIT, f"cannot read {path}: {exc}")
 
 
 def _family_options(fn):
@@ -71,23 +64,24 @@ def _context_options(fn):
 def _load_instance(
     graph_path, edge_mode, min_size, explicit_path, kgap,
     context_path=None, abstraction_path=None, min_support=None, need_context: bool = True,
-) -> LoadedInstance:
+) -> tuple[fam_mod.PatternFamily, fca_mod.ObjectContext | None, fca_mod.ExtensionalAbstraction]:
+    """Check the options, then load (family, context, abstraction) in ``MinerConfig``'s field order."""
     kinds = [graph_path is not None, explicit_path is not None, kgap is not None]
     if sum(kinds) != 1:
-        raise CliFailure(VALIDATION_EXIT, "exactly one of --graph, --explicit, --kgap is required")
+        _fail(VALIDATION_EXIT, "exactly one of --graph, --explicit, --kgap is required")
     if min_size != 1 and (graph_path is None or edge_mode):
-        raise CliFailure(VALIDATION_EXIT, "--min-size applies only to a vertex-mode --graph")
+        _fail(VALIDATION_EXIT, "--min-size applies only to a vertex-mode --graph")
     if abstraction_path is not None and min_support is not None:
-        raise CliFailure(VALIDATION_EXIT, "--abstraction and --min-support are mutually exclusive")
+        _fail(VALIDATION_EXIT, "--abstraction and --min-support are mutually exclusive")
 
     context_rows = None
     if context_path is not None:
         try:
             context_rows = fca_mod.load_context(_read_lines(context_path))
         except fam_mod.ParseError as exc:
-            raise CliFailure(PARSE_EXIT, f"{context_path}: {exc}") from exc
+            _fail(PARSE_EXIT, f"{context_path}: {exc}")
     elif need_context:
-        raise CliFailure(VALIDATION_EXIT, "--context is required for this command")
+        _fail(VALIDATION_EXIT, "--context is required for this command")
 
     try:
         if graph_path is not None:
@@ -103,32 +97,28 @@ def _load_instance(
             rows = fam_mod.load_family_lines(_read_lines(explicit_path))
             extra = [it for _, items in (context_rows or []) for it in items]
             family = fam_mod.explicit_family_from_names(rows, extra_items=extra)
-    except fam_mod.ParseError as exc:
-        raise CliFailure(PARSE_EXIT, f"family input: {exc}") from exc
     except fam_mod.NotSubconfluenceError as exc:
-        raise CliFailure(VALIDATION_EXIT, f"invalid family: {exc}") from exc
-    except fam_mod.FamilyError as exc:
-        raise CliFailure(PARSE_EXIT, f"family input: {exc}") from exc
+        _fail(VALIDATION_EXIT, f"invalid family: {exc}")
+    except (fam_mod.ParseError, fam_mod.FamilyError) as exc:
+        _fail(PARSE_EXIT, f"family input: {exc}")
 
     context = None
     if context_rows is not None:
         try:
             context = fca_mod.context_from_rows(context_rows, family.universe)
         except fca_mod.ContextError as exc:
-            raise CliFailure(VALIDATION_EXIT, f"context does not match the family universe: {exc}") from exc
+            _fail(VALIDATION_EXIT, f"context does not match the family universe: {exc}")
 
-    if abstraction_path is not None:
-        if context is None:
-            raise CliFailure(VALIDATION_EXIT, "--abstraction requires --context")
+    if abstraction_path is not None:  # mine and oracle take it, and both need --context
         try:
             abstraction = fca_mod.load_abstraction(_read_lines(abstraction_path), context.objects)
         except fam_mod.ParseError as exc:
-            raise CliFailure(PARSE_EXIT, f"{abstraction_path}: {exc}") from exc
+            _fail(PARSE_EXIT, f"{abstraction_path}: {exc}")
     elif min_support is not None:
         abstraction = fca_mod.ExtensionalAbstraction.frequency(min_support)
     else:
         abstraction = fca_mod.ExtensionalAbstraction.identity()
-    return LoadedInstance(family, context, abstraction)
+    return family, context, abstraction
 
 
 def _concept_line(concept, universe: Universe, context, fmt: str) -> str:
@@ -167,17 +157,12 @@ def main():
 @click.option("--emit-empty-support/--skip-empty-support", default=True, show_default=True, help="Keep or drop concepts whose abstract support is empty.")
 def mine_command(fmt, sorted_output, emit_empty_support, **source):
     """List each (abstract) support-closed pattern of the family exactly once."""
+    family, context, abstraction = _load_instance(**source)
     try:
-        inst = _load_instance(**source)
-        cfg = miner_mod.MinerConfig(
-            family=inst.family, context=inst.context, abstraction=inst.abstraction
-        )
-        events = miner_mod.mine(cfg)
+        events = miner_mod.mine(miner_mod.MinerConfig(family, context, abstraction))
     except miner_mod.NotStronglyAccessibleError as exc:
         _fail(VALIDATION_EXIT, str(exc))
-    except CliFailure as exc:
-        _fail(exc.code, str(exc))
-    universe = inst.family.universe
+    universe = family.universe
     concepts = (ev.concept for ev in events)
     if not emit_empty_support:
         concepts = (c for c in concepts if not c.empty_support)
@@ -185,7 +170,7 @@ def mine_command(fmt, sorted_output, emit_empty_support, **source):
         concepts = sorted(concepts, key=lambda c: (" ".join(universe.names_of(c.intent)), c.extent))
     write = sys.stdout.write  # one line per concept as it arrives, no flush
     for concept in concepts:
-        write(_concept_line(concept, universe, inst.context, fmt) + "\n")
+        write(_concept_line(concept, universe, context, fmt) + "\n")
 
 
 @main.command("basis")
@@ -194,15 +179,12 @@ def mine_command(fmt, sorted_output, emit_empty_support, **source):
 @_budget_option
 def basis_command(budget, **source):
     """Print the min-max implication basis, one sorted line per implication."""
+    family, context, _ = _load_instance(**source)
     try:
-        inst = _load_instance(**source)
-        members = oracle_mod.materialize(inst.family, budget)
-        basis = impl_mod.minmax_basis(inst.context, inst.family, members)
+        basis = impl_mod.minmax_basis(context, family, oracle_mod.materialize(family, budget))
     except oracle_mod.BudgetExceededError as exc:
         _fail(VALIDATION_EXIT, str(exc))
-    except CliFailure as exc:
-        _fail(exc.code, str(exc))
-    fmt = inst.family.universe.format
+    fmt = family.universe.format
     lines = sorted(f"{fmt(p)} -> {fmt(q)} [{kind}]" for p, q, kind in basis)
     lines.append("")  # a newline after each line, and nothing for an empty basis
     sys.stdout.write("\n".join(lines))
@@ -223,8 +205,6 @@ def check_command(poset_path, budget, **source):
             poset = load_poset(_read_lines(poset_path))
         except PosetError as exc:
             _fail(PARSE_EXIT, f"{poset_path}: {exc}")
-        except CliFailure as exc:
-            _fail(exc.code, str(exc))
         verdict = is_confluence(poset)
         if verdict:
             sys.stdout.write("confluence: ok\n")
@@ -232,19 +212,16 @@ def check_command(poset_path, budget, **source):
             sys.stdout.write(f"confluence: FAIL witness {verdict.witness!r}\n")
             sys.exit(VALIDATION_EXIT)
         return
-    try:
-        inst = _load_instance(**source, need_context=False)
-    except CliFailure as exc:
-        _fail(exc.code, str(exc))
+    family, _, _ = _load_instance(**source, need_context=False)
     sys.stdout.write("subconfluence: ok\n")
-    verdict = inst.family.strongly_accessible()
+    verdict = family.strongly_accessible()
     if not verdict:
-        t1, t2 = map(inst.family.universe.format, verdict.witness)
+        t1, t2 = map(family.universe.format, verdict.witness)
         sys.stdout.write(f"strongly-accessible: FAIL no augmentation chain from {t1} to {t2}\n")
         sys.exit(VALIDATION_EXIT)
     # the members are listed only to be counted, and at most budget + 1 of them
     try:
-        count = str(len(oracle_mod.materialize(inst.family, budget)))
+        count = str(len(oracle_mod.materialize(family, budget)))
     except oracle_mod.BudgetExceededError:
         count = f"more than {budget}"
     sys.stdout.write(f"strongly-accessible: ok ({count} members)\n")
@@ -257,24 +234,15 @@ def check_command(poset_path, budget, **source):
 @_budget_option
 def oracle_command(seed, budget, **source):
     """Brute-force verification report (JSON) for one instance."""
+    family, context, abstraction = _load_instance(**source)
     try:
-        inst = _load_instance(**source)
-        report = oracle_mod.verify_all(
-            inst.context, inst.family, inst.abstraction, seed=seed, budget=budget
-        )
+        report = oracle_mod.verify_all(context, family, abstraction, seed=seed, budget=budget)
     except oracle_mod.BudgetExceededError as exc:
         _fail(VALIDATION_EXIT, str(exc))
-    except CliFailure as exc:
-        _fail(exc.code, str(exc))
-    report_dict = report.to_dict(inst.family.universe, inst.context.objects)
+    report_dict = report.to_dict(family.universe, context.objects)
     sys.stdout.write(json.dumps(report_dict, indent=2, sort_keys=True) + "\n")
     if not report.ok:
         sys.exit(VALIDATION_EXIT)
-
-
-def _fail(code: int, message: str):
-    sys.stderr.write(f"error: {message}\n")
-    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -293,11 +293,11 @@ class ConnectedEdgeFamily(ConnectedFamily):
         super().__init__(Universe(graph.edge_labels), graph.edge_adjacency())
 
 
-class KGapWordFamily(ConnectedVertexFamily):
+class KGapWordFamily(ConnectedFamily):
     """Position subsets whose consecutive chosen positions differ by at most k.
 
-    Positions 1..n are vertices of a path with extra edges between positions
-    at distance up to k; gap-1 patterns are contiguous words.
+    Positions 1..n are the items ``a1..an``, each adjacent to every other
+    position within distance k; gap-1 patterns are contiguous words.
     """
 
     def __init__(self, n: int, k: int = 1):
@@ -305,17 +305,10 @@ class KGapWordFamily(ConnectedVertexFamily):
             raise FamilyError("sequence length must be at least 1")
         if k < 1:
             raise FamilyError("gap bound must be at least 1")
-        vertices = tuple(f"a{i}" for i in range(1, n + 1))
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, min(i + k, n - 1) + 1)
+        adjacency = [
+            (bit(min(i + k, n - 1) + 1) - bit(max(i - k, 0))) & ~bit(i) for i in range(n)
         ]
-        labels = tuple(f"g{i}-{j}" for i, j in edges)
-        graph = GraphSpec(vertices, tuple(edges), labels)
-        super().__init__(graph, min_size=1)
-        self.n = n
-        self.k = k
+        super().__init__(Universe(tuple(f"a{i}" for i in range(1, n + 1))), adjacency)
 
 
 class ExplicitFamily(PatternFamily):

@@ -481,3 +481,63 @@ def test_family_over_budget_exits_one(runner, command):
     assert result.stderr == (
         "error: family exceeds the materialization budget of 5 (found 6+ members)\n"
     )
+
+
+KGAP = ("--kgap", 3, 1)
+NEEDS_CONTEXT = "--context is required for this command"
+
+
+@pytest.mark.parametrize(
+    ("files", "args", "code", "message"),
+    [
+        (
+            {},
+            ("mine", *KGAP, "--context", DATA / "kgap.ctx",
+             "--abstraction", DATA / "pairgen.abs", "--min-support", 1),
+            1,
+            "--abstraction and --min-support are mutually exclusive",
+        ),
+        ({}, ("mine", *KGAP), 1, NEEDS_CONTEXT),
+        ({}, ("basis", "--explicit", DATA / "wedge.family"), 1, NEEDS_CONTEXT),
+        ({}, ("oracle", *KGAP), 1, NEEDS_CONTEXT),
+        (
+            {"ctx": "o1: a1 a2\no2 a2 a3\n"},
+            ("mine", *KGAP, "--context", "{ctx}"),
+            2,
+            "{ctx}: line 2: expected 'object: item item ...'",
+        ),
+        (
+            {"abs": "a b\n"},
+            ("mine", *KGAP, "--context", DATA / "kgap.ctx", "--abstraction", "{abs}"),
+            2,
+            "{abs}: line 1: unknown object 'a'",
+        ),
+        (
+            {"graph": "v a\nv a\n"},
+            ("check", "--graph", "{graph}"),
+            2,
+            "family input: invalid graph: duplicate vertex names",
+        ),
+        (
+            {"poset": "x: covers\ny covers x\n"},
+            ("check", "--poset", "{poset}"),
+            2,
+            "{poset}: line 2: expected 'id: covers ...'",
+        ),
+    ],
+    ids=[
+        "abstraction-and-min-support", "mine-without-context", "basis-without-context",
+        "oracle-without-context", "context-line-without-colon", "abstraction-unknown-object",
+        "graph-duplicate-vertex", "poset-line-without-colon",
+    ],
+)
+def test_error_is_one_stderr_line(runner, tmp_path, files, args, code, message):
+    """Each failure exits with its code and one ``error:`` line on stderr, and
+    writes nothing to stdout; ``{name}`` stands for the file written from ``files``."""
+    paths = {name: tmp_path / name for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    result = invoke(runner, *(str(a).format_map(paths) for a in args))
+    assert result.exit_code == code
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message.format_map(paths)}\n"

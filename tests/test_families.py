@@ -185,6 +185,16 @@ class TestKGapWordFamily:
         with pytest.raises(FamilyError):
             cm.KGapWordFamily(3, 0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_members_are_the_bounded_gap_words(self, n, k):
+        def gaps_at_most_k(mask):
+            positions = [i for i in range(n) if mask >> i & 1]
+            return all(b - a <= k for a, b in zip(positions, positions[1:]))
+
+        words = {m for m in range(1, 1 << n) if gaps_at_most_k(m)}
+        assert set(materialize(cm.KGapWordFamily(n, k))) == words
+
 
 class TestExplicitFamily:
     def test_minimals(self, wedge_family, wedge_universe):

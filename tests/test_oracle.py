@@ -17,6 +17,7 @@ from confmine.oracle import (
     _check_meet_closed_per_minimal,
     _check_subconfluence,
     _check_theorem_closed_set,
+    _subsets_within,
     family_poset,
     oracle_closed_set,
 )
@@ -531,6 +532,18 @@ class TestOracleCatchesContractViolations:
             "miner_matches_oracle": CheckResult(True),
         }
         assert not report.ok
+
+
+def test_subsets_within_samples_cap_subsets_of_a_wide_mask():
+    """A mask with more subsets than the cap gets a seeded sample of exactly cap of
+    them, as the local closure laws read for an extent of 7 or more objects."""
+    mask = mask_of([0, 2, 3, 5, 6, 7, 9, 11, 12, 13])  # 10 bits, 1,024 subsets
+    subsets = _subsets_within(mask, random.Random(7), cap=64)
+    assert len(set(subsets)) == len(subsets) == 64
+    assert subsets == sorted(subsets)
+    assert all(is_subset(x, mask) for x in subsets)
+    assert subsets[0] == 0 and subsets[-1] == mask
+    assert _subsets_within(mask, random.Random(7), cap=64) == subsets
 
 
 class TestFamilyPoset:
