@@ -10,7 +10,8 @@ The library covers four layers:
   bounded-gap words, explicit lists) plus object contexts, extensional
   abstractions, and support closures.
 - ``miner`` / ``implications`` / ``oracle``: the depth-first closed-pattern
-  enumerator, the min-max implication basis, and the brute-force verifier.
+  enumerator and the concepts it lists, the min-max implication basis, and
+  the brute-force verifier.
 """
 
 from .confluence import (
@@ -37,10 +38,8 @@ from .families import (
     load_graph,
 )
 from .fca import (
-    Concept,
     ExtensionalAbstraction,
     ObjectContext,
-    build_concept_confluence,
     closure,
     extension,
     intension,
@@ -56,11 +55,13 @@ from .implications import (
     minmax_basis,
 )
 from .miner import (
+    Concept,
     MineEvent,
     MinerConfig,
     MinimalEvent,
     NotStronglyAccessibleError,
     PruneEvent,
+    build_concept_confluence,
     mine,
     mine_trace,
 )

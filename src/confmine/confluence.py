@@ -87,10 +87,6 @@ class ExplicitConfluence:
         self.local_tops = {m: table[carrier.up[m]] for m, table in self._bounds.items()}
         self._least_by_up = {u: g for g, u in enumerate(carrier.up)}
 
-    @property
-    def n(self) -> int:
-        return self.carrier.n
-
     def _minimal_below(self, t: int) -> int:
         below = self.carrier.down[t] & self._minimal_mask
         if not below:
@@ -190,9 +186,6 @@ class InteriorFamily:
             raise ValueError("projection argument must contain the base")
         # the family is join-closed above t, so this join is its greatest member below x
         return self.host.join_all(self.members & p.up[t] & p.down[x])
-
-    def local_top(self, t: int) -> int:
-        return self.project(t, self.host.top)
 
 
 def lift_closure(fam: InteriorFamily, f: OperatorMap) -> OperatorMap:

@@ -122,33 +122,32 @@ def intension(ctx: ObjectContext, extent: int) -> int:
 class ExtensionalAbstraction:
     """A union-closed object-set family containing the empty set, as an interior.
 
-    Two concrete shapes: an explicit generator list (the interior of an extent
-    is the union of the generators it contains) and a frequency threshold
-    (extents below the minimum support collapse to the empty set).  The
-    identity abstraction is the threshold 0.
+    Two concrete shapes: a frequency threshold (extents below the minimum
+    support collapse to the empty set), when ``generators`` is None, and an
+    explicit generator list (the interior of an extent is the union of the
+    generators it contains).  The identity abstraction is the threshold 0.
     """
 
-    kind: str  # "frequency" | "generators"
     threshold: int = 0
-    generators: tuple[int, ...] = ()
+    generators: tuple[int, ...] | None = None
 
     @classmethod
     def identity(cls) -> "ExtensionalAbstraction":
-        return cls("frequency", 0)
+        return cls()
 
     @classmethod
     def frequency(cls, min_support: int) -> "ExtensionalAbstraction":
         if min_support < 0:
             raise ValueError("minimum support must be nonnegative")
-        return cls("frequency", min_support)
+        return cls(min_support)
 
     @classmethod
     def from_generators(cls, generators: Iterable[int]) -> "ExtensionalAbstraction":
-        return cls("generators", 0, tuple(sorted(set(generators))))
+        return cls(0, tuple(sorted(set(generators))))
 
     def apply(self, extent: int) -> int:
         """Interior of an extent: the greatest abstraction member inside it."""
-        if self.kind == "frequency":
+        if self.generators is None:
             return extent if extent.bit_count() >= self.threshold else 0
         acc = 0
         for g in self.generators:
@@ -158,7 +157,7 @@ class ExtensionalAbstraction:
 
     def members_within(self, all_objects: int) -> frozenset[int]:
         """Materialize the abstraction (union closure of the generators plus empty set)."""
-        if self.kind == "frequency":
+        if self.generators is None:
             return frozenset(
                 e
                 for e in range(all_objects + 1)
@@ -215,30 +214,6 @@ def support_closure(ctx: ObjectContext, fam: PatternFamily, pattern: int) -> int
     """Greatest family member above ``pattern`` with the same support set:
     ``closure`` of the plain support."""
     return closure(ctx, fam, pattern, extension(ctx, pattern))
-
-
-@dataclass(frozen=True)
-class Concept:
-    """A pair of mutually closed elements: abstract extent and closed intent."""
-
-    extent: int
-    intent: int
-    anchor_minimal: int
-    empty_support: bool
-
-
-def build_concept_confluence(
-    ctx: ObjectContext,
-    fam: PatternFamily,
-    abstraction: ExtensionalAbstraction | None = None,
-) -> tuple[Concept, ...]:
-    """Every concept, enumerated by the miner, sorted by (size, mask) of intent."""
-    from . import miner  # deferred: the miner builds on this module
-
-    abstraction = abstraction or ExtensionalAbstraction.identity()
-    cfg = miner.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
-    concepts = (ev.concept for ev in miner.mine(cfg))
-    return tuple(sorted(concepts, key=lambda c: (c.intent.bit_count(), c.intent)))
 
 
 def verify_extent_decomposition(

@@ -31,13 +31,22 @@ from typing import Iterator, NamedTuple, Union
 
 from .families import PatternFamily
 from .fca import (
-    Concept,
     ExtensionalAbstraction,
     ObjectContext,
     anchor_minimal,
     closure,
     extension,
 )
+
+
+@dataclass(frozen=True)
+class Concept:
+    """A pair of mutually closed elements: abstract extent and closed intent."""
+
+    extent: int
+    intent: int
+    anchor_minimal: int
+    empty_support: bool
 
 
 class NotStronglyAccessibleError(ValueError):
@@ -181,3 +190,14 @@ def mine(cfg: MinerConfig) -> Iterator[MineEvent]:
     """Stream every (abstract) support-closed pattern of the family exactly once,
     empty-support concepts (flagged, never expanded) included."""
     return (ev for ev in mine_trace(cfg) if type(ev) is MineEvent)
+
+
+def build_concept_confluence(
+    ctx: ObjectContext,
+    fam: PatternFamily,
+    abstraction: ExtensionalAbstraction | None = None,
+) -> tuple[Concept, ...]:
+    """Every concept, enumerated by ``mine``, sorted by (size, mask) of intent."""
+    abstraction = abstraction or ExtensionalAbstraction.identity()
+    concepts = (ev.concept for ev in mine(MinerConfig(fam, ctx, abstraction)))
+    return tuple(sorted(concepts, key=lambda c: (c.intent.bit_count(), c.intent)))

@@ -17,14 +17,13 @@ from confmine.families import (
     is_strongly_accessible,
 )
 from confmine.fca import (
-    Concept,
     ExtensionalAbstraction,
     ObjectContext,
     anchor_minimal,
     closure,
     extension,
 )
-from confmine.miner import MinerConfig, MineEvent, MinimalEvent, PruneEvent
+from confmine.miner import Concept, MinerConfig, MineEvent, MinimalEvent, PruneEvent
 from confmine.order import FiniteLattice, powerset_lattice
 from confmine.patterns import Universe, is_subset, iter_indices
 

@@ -454,6 +454,21 @@ class TestOracleCommand:
         assert data["family_size"] == 14
         assert data["checks"]["miner_matches_oracle"]["passed"] is True
 
+    def test_failing_check_exits_one_after_the_report(self, runner, monkeypatch):
+        """No correct instance fails a check, so a report with one failure is planted."""
+
+        def failing_report(ctx, fam, abstraction, *, seed, budget):
+            failed = oracle.CheckResult(False, "planted")
+            return oracle.OracleReport(0, (), (), {"planted_check": failed})
+
+        monkeypatch.setattr(oracle, "verify_all", failing_report)
+        result = invoke(runner, "oracle", "--kgap", 3, 1, "--context", DATA / "kgap.ctx")
+        assert result.exit_code == 1
+        assert result.stderr == ""
+        data = json.loads(result.stdout)
+        assert data["ok"] is False
+        assert data["checks"] == {"planted_check": {"passed": False, "detail": "planted"}}
+
 
 @pytest.mark.parametrize("budget", [0, -1])
 @pytest.mark.parametrize(

@@ -231,6 +231,25 @@ class TestExtensionalAbstraction:
         assert freq.apply(0b100) == 0
         assert 0 in freq.members_within(0b111)
 
+    def test_threshold_and_generator_shapes(self):
+        A = cm.ExtensionalAbstraction
+        assert A.identity() == A.frequency(0)
+        assert hash(A.identity()) == hash(A.frequency(0))
+        no_generators = A.from_generators([])
+        assert no_generators != A.identity()
+        assert all(no_generators.apply(e) == 0 for e in range(256))
+        rng = random.Random(8)
+        for _ in range(200):
+            e = rng.randrange(256)
+            k = rng.randint(0, 8)
+            assert A.frequency(k).apply(e) == (e if e.bit_count() >= k else 0)
+            gens = [rng.randrange(256) for _ in range(rng.randint(1, 5))]
+            inside = 0
+            for g in gens:
+                if g & e == g:
+                    inside |= g
+            assert A.from_generators(gens).apply(e) == inside
+
 
 class TestConceptConfluence:
     def test_quad_graph_concepts(self, quad_edge_family, quad_context):
