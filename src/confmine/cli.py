@@ -114,10 +114,8 @@ def _load_instance(
             abstraction = fca_mod.load_abstraction(_read_lines(abstraction_path), context.objects)
         except fam_mod.ParseError as exc:
             _fail(PARSE_EXIT, f"{abstraction_path}: {exc}")
-    elif min_support is not None:
-        abstraction = fca_mod.ExtensionalAbstraction.frequency(min_support)
     else:
-        abstraction = fca_mod.ExtensionalAbstraction.identity()
+        abstraction = fca_mod.ExtensionalAbstraction.frequency(min_support or 0)
     return family, context, abstraction
 
 

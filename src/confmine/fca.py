@@ -131,19 +131,25 @@ class ExtensionalAbstraction:
     threshold: int = 0
     generators: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        if self.threshold < 0:
+            raise ValueError("minimum support must be nonnegative")
+        if self.generators is not None:
+            if self.threshold:
+                raise ValueError("a threshold cannot be given with generators")
+            object.__setattr__(self, "generators", tuple(sorted(set(self.generators))))
+
     @classmethod
     def identity(cls) -> "ExtensionalAbstraction":
         return cls()
 
     @classmethod
     def frequency(cls, min_support: int) -> "ExtensionalAbstraction":
-        if min_support < 0:
-            raise ValueError("minimum support must be nonnegative")
         return cls(min_support)
 
     @classmethod
     def from_generators(cls, generators: Iterable[int]) -> "ExtensionalAbstraction":
-        return cls(0, tuple(sorted(set(generators))))
+        return cls(0, tuple(generators))
 
     def apply(self, extent: int) -> int:
         """Interior of an extent: the greatest abstraction member inside it."""

@@ -13,7 +13,6 @@ anchored at different minimals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .families import PatternFamily
@@ -30,8 +29,7 @@ class Implication(NamedTuple):
     kind: str  # "internal" | "external"
 
 
-@dataclass(frozen=True)
-class EquivalenceClass:
+class EquivalenceClass(NamedTuple):
     """All family members sharing one support set."""
 
     extent: int

@@ -26,7 +26,7 @@ flagged and never expanded, and dropping them is left to the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Union
 
 from .families import PatternFamily
@@ -39,8 +39,7 @@ from .fca import (
 )
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(NamedTuple):
     """A pair of mutually closed elements: abstract extent and closed intent."""
 
     extent: int
@@ -62,19 +61,17 @@ class MinerConfig:
 
     family: PatternFamily
     context: ObjectContext
-    abstraction: ExtensionalAbstraction = field(
-        default_factory=ExtensionalAbstraction.identity
-    )
+    abstraction: ExtensionalAbstraction = ExtensionalAbstraction()
 
     def __post_init__(self):
         if self.family.universe != self.context.universe:
             raise ValueError("family and context must share the item universe")
 
 
-# Trace events are named tuples, not frozen dataclasses: the miner builds one
-# per closure, and a tuple is built without a ``__setattr__`` call per field.
-# They stay immutable and hashable, but compare equal to any tuple of their
-# fields, so tell the kinds apart with ``isinstance``.
+# Trace events, and the Concept an emission carries, are named tuples, not
+# frozen dataclasses: the miner builds one per closure, with no ``__setattr__``
+# call per field.  They stay immutable and hashable, but compare equal to any
+# tuple of their fields, so tell the kinds apart with ``isinstance``.
 class MineEvent(NamedTuple):
     """A closed pattern emission; ``parent_intent`` is its enumeration-tree parent."""
 
@@ -195,9 +192,8 @@ def mine(cfg: MinerConfig) -> Iterator[MineEvent]:
 def build_concept_confluence(
     ctx: ObjectContext,
     fam: PatternFamily,
-    abstraction: ExtensionalAbstraction | None = None,
+    abstraction: ExtensionalAbstraction = ExtensionalAbstraction(),
 ) -> tuple[Concept, ...]:
     """Every concept, enumerated by ``mine``, sorted by (size, mask) of intent."""
-    abstraction = abstraction or ExtensionalAbstraction.identity()
     concepts = (ev.concept for ev in mine(MinerConfig(fam, ctx, abstraction)))
     return tuple(sorted(concepts, key=lambda c: (c.intent.bit_count(), c.intent)))

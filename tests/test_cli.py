@@ -539,11 +539,24 @@ NEEDS_CONTEXT = "--context is required for this command"
             2,
             "{poset}: line 2: expected 'id: covers ...'",
         ),
+        (
+            {"family": "# only a comment\n"},
+            ("mine", "--explicit", "{family}", "--context", DATA / "wedge.ctx"),
+            2,
+            "family input: explicit family must be nonempty",
+        ),
+        (
+            {"ctx": ": a b\n"},
+            ("mine", "--explicit", DATA / "wedge.family", "--context", "{ctx}"),
+            2,
+            "{ctx}: line 1: empty object name",
+        ),
     ],
     ids=[
         "abstraction-and-min-support", "mine-without-context", "basis-without-context",
         "oracle-without-context", "context-line-without-colon", "abstraction-unknown-object",
-        "graph-duplicate-vertex", "poset-line-without-colon",
+        "graph-duplicate-vertex", "poset-line-without-colon", "explicit-family-empty",
+        "context-empty-object-name",
     ],
 )
 def test_error_is_one_stderr_line(runner, tmp_path, files, args, code, message):

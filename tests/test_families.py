@@ -97,6 +97,16 @@ class TestGraphSpec:
         with pytest.raises(FamilyError, match="duplicate edge labels"):
             cm.GraphSpec.build(("x", "y", "z"), [("x", "y", "e"), ("y", "z", "e")])
 
+    def test_rejects_label_count_mismatch(self):
+        with pytest.raises(FamilyError) as exc:
+            cm.GraphSpec(("x", "y"), ((0, 1),), ())
+        assert str(exc.value) == "edge label count does not match edge count"
+
+    def test_rejects_endpoint_out_of_range(self):
+        with pytest.raises(FamilyError) as exc:
+            cm.GraphSpec(("x", "y"), ((0, 2),), ("e0",))
+        assert str(exc.value) == "edge endpoint out of range"
+
     def test_default_edge_labels(self):
         g = cm.GraphSpec.build(("x", "y"), [("x", "y")])
         assert g.edge_labels == ("x-y",)
@@ -206,6 +216,12 @@ class TestExplicitFamily:
         with pytest.raises(cm.NotSubconfluenceError) as exc:
             ExplicitFamily([0, u.mask("ab"), u.mask("ac")], u)
         assert exc.value.witness == (0, u.mask("ab"), u.mask("ac"))
+
+    def test_rejects_pattern_outside_universe(self):
+        u = cm.Universe(["a", "b"])
+        with pytest.raises(FamilyError) as exc:
+            ExplicitFamily([u.mask("a"), 0b100], u)
+        assert str(exc.value) == "pattern uses items outside the universe"
 
     def test_singleton_family(self):
         u = cm.Universe(["a", "b"])

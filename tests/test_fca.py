@@ -250,6 +250,18 @@ class TestExtensionalAbstraction:
                     inside |= g
             assert A.from_generators(gens).apply(e) == inside
 
+    def test_constructor_checks_and_normalises(self):
+        A = cm.ExtensionalAbstraction
+        for build in (A, A.frequency):
+            with pytest.raises(ValueError) as exc:
+                build(-1)
+            assert str(exc.value) == "minimum support must be nonnegative"
+        assert A(0, (2, 1, 2)) == A.from_generators([1, 2])
+        assert A(0, (2, 1, 2)).generators == (1, 2)
+        with pytest.raises(ValueError) as exc:
+            A(3, (1,))
+        assert str(exc.value) == "a threshold cannot be given with generators"
+
 
 class TestConceptConfluence:
     def test_quad_graph_concepts(self, quad_edge_family, quad_context):
@@ -476,6 +488,19 @@ class TestContextFormats:
     def test_duplicate_object(self):
         with pytest.raises(Exception, match="duplicate"):
             load_context(["o1: a", "o1: b"])
+
+    @pytest.mark.parametrize(
+        ("objects", "descriptions", "message"),
+        [
+            (("o1", "o1"), (0b1, 0b1), "duplicate object names"),
+            (("o1", "o2"), (0b1,), "description count does not match object count"),
+        ],
+        ids=["repeated-name", "too-few-descriptions"],
+    )
+    def test_object_context_rejects(self, objects, descriptions, message):
+        with pytest.raises(ContextError) as exc:
+            cm.ObjectContext(objects, descriptions, cm.Universe(["a"]))
+        assert str(exc.value) == message
 
     def test_unknown_item_rejected(self):
         u = cm.Universe(["a"])

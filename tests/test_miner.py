@@ -127,6 +127,49 @@ class TestTraceEventRecords:
             assert [k for k in kinds if isinstance(ev, k)] == [kind]
 
 
+def _sample_records():
+    """A Concept and an EquivalenceClass, built afresh on each call."""
+    return {
+        cm.Concept: cm.Concept(0b011, 0b101, 0b001, False),
+        cm.EquivalenceClass: cm.EquivalenceClass(0b11, (0b01, 0b11), (0b01,), (0b11,)),
+    }
+
+
+class TestValueRecords:
+    """The record contract of the two value records the miner and the support
+    classes build once per step."""
+
+    FIELDS = {
+        cm.Concept: ("extent", "intent", "anchor_minimal", "empty_support"),
+        cm.EquivalenceClass: ("extent", "members", "generators", "closed"),
+    }
+    KINDS = list(FIELDS)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
+    def test_fields_cannot_be_assigned(self, kind):
+        record = _sample_records()[kind]
+        assert kind._fields == self.FIELDS[kind]
+        for name in self.FIELDS[kind]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 7)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
+    def test_equal_records_hash_equal(self, kind):
+        one, two = _sample_records()[kind], _sample_records()[kind]
+        assert one is not two
+        assert one == two and hash(one) == hash(two)
+        assert len({one, two}) == 1
+
+    def test_repr(self):
+        records = _sample_records()
+        assert repr(records[cm.Concept]) == (
+            "Concept(extent=3, intent=5, anchor_minimal=1, empty_support=False)"
+        )
+        assert repr(records[cm.EquivalenceClass]) == (
+            "EquivalenceClass(extent=3, members=(1, 3), generators=(1,), closed=(3,))"
+        )
+
+
 class TestWedgeTrace:
     def test_golden_event_trace(self, wedge_family, wedge_context, wedge_universe):
         u = wedge_universe
