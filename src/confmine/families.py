@@ -14,6 +14,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .confluence import NotSubconfluenceError
@@ -396,19 +397,16 @@ def load_graph(lines: Iterable[str]) -> GraphSpec:
         raise FamilyError(f"invalid graph: {exc}") from exc
 
 
-def parse_pattern_line(line: str, lineno: int) -> tuple[str, ...]:
-    """Items of one family-file line; the literal ``{}`` denotes the empty pattern."""
-    if line == "{}":
-        return ()
-    items = tuple(line.split())
-    if any(it == "{}" for it in items):
-        raise ParseError(lineno, "'{}' must appear alone on its line")
-    return items
-
-
 def load_family_lines(lines: Iterable[str]) -> list[tuple[str, ...]]:
-    """Parse a family file into item-name tuples (one pattern per line)."""
-    return [parse_pattern_line(line, lineno) for lineno, line in content_lines(lines)]
+    """Parse a family file into item-name tuples (one pattern per line); the
+    literal ``{}``, alone on its line, denotes the empty pattern."""
+    patterns = []
+    for lineno, line in content_lines(lines):
+        items = () if line == "{}" else tuple(line.split())
+        if "{}" in items:
+            raise ParseError(lineno, "'{}' must appear alone on its line")
+        patterns.append(items)
+    return patterns
 
 
 def explicit_family_from_names(
@@ -420,16 +418,5 @@ def explicit_family_from_names(
     seen only in a context file) extend the universe after the family's own.
     """
     pattern_lists = [tuple(p) for p in patterns]
-    names: list[str] = []
-    seen: set[str] = set()
-    for p in pattern_lists:
-        for item in p:
-            if item not in seen:
-                seen.add(item)
-                names.append(item)
-    for item in extra_items:
-        if item not in seen:
-            seen.add(item)
-            names.append(item)
-    universe = Universe(names)
+    universe = Universe(dict.fromkeys(chain(chain.from_iterable(pattern_lists), extra_items)))
     return ExplicitFamily([universe.mask(p) for p in pattern_lists], universe)

@@ -115,6 +115,8 @@ def extensions(ctx: ObjectContext, patterns: Iterable[int]) -> Iterator[int]:
 
 def intension(ctx: ObjectContext, extent: int) -> int:
     """Intersection of the descriptions over an extent; the full universe if empty."""
+    if extent & ~ctx.all_objects_mask:  # objects outside the context have no items
+        return 0
     return and_rows(extent, ctx.descriptions, ctx.universe.full_mask)
 
 

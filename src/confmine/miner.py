@@ -15,13 +15,13 @@ no event; this does the work of the item exclusion mask of Boley et al. (TCS
 2010), which closed such children only to prune them.  Across roots, a minimal
 whose support last closed to a pattern containing it has that pattern as its
 closure, anchored at an earlier minimal, so it is not closed again.  The
-traversal runs on an explicit stack, so tree depth is bounded by memory alone,
-not by Python's recursion limit.
+explicit stack is the path from the root closure down to the current closure,
+so tree depth is bounded by memory alone, not by Python's recursion limit.
 
 The family answers for its own strong accessibility
 (``PatternFamily.strongly_accessible``), checked once before the walk.  Every
-concept is emitted, those with an empty abstract support included: they are
-flagged and never expanded, and dropping them is left to the caller.
+concept is emitted; one with an empty abstract support is flagged, its closure
+is a local top, which has no augmentation, and dropping it is left to the caller.
 """
 
 from __future__ import annotations
@@ -159,12 +159,11 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
         yield MineEvent(Concept(support, p, m, support == 0), None)
         # Frames: (closed pattern q, its abstract support A, pending
         # augmentations).  apply is an interior operator, so apply(A & t) ==
-        # apply(ext(q) & t).  A frame that expands a child goes back on the
-        # stack under it.
+        # apply(ext(q) & t).
         closed: set[int] = set()  # the supports closed so far in this subtree
-        stack = [(p, support, iter(fam.augmentations(p)))] if support else []
+        stack = [(p, support, iter(fam.augmentations(p)))]
         while stack:
-            pattern, ext, pending = stack.pop()
+            pattern, ext, pending = stack[-1]
             for e in pending:
                 child_support = apply(ext & tids[e])
                 if child_support in closed:
@@ -176,16 +175,16 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
                     yield PruneEvent(q, pattern, anchor)
                     continue
                 yield MineEvent(Concept(child_support, q, m, child_support == 0), pattern)
-                if child_support:  # an empty support is a local top: never expanded
-                    stack.append((pattern, ext, pending))
-                    stack.append((q, child_support, iter(fam.augmentations(q))))
-                    break
+                stack.append((q, child_support, iter(fam.augmentations(q))))
+                break
+            else:
+                stack.pop()
         yield MinimalEvent(m, True)
 
 
 def mine(cfg: MinerConfig) -> Iterator[MineEvent]:
     """Stream every (abstract) support-closed pattern of the family exactly once,
-    empty-support concepts (flagged, never expanded) included."""
+    empty-support concepts included: flagged, each a local top with no augmentation."""
     return (ev for ev in mine_trace(cfg) if type(ev) is MineEvent)
 
 

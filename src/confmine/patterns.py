@@ -32,7 +32,7 @@ def iter_indices(mask: int) -> Iterator[int]:
 def or_rows(mask: int, rows: Sequence[int]) -> int:
     """OR of ``rows[i]`` over the set bits i of ``mask``: an item set's neighbourhood."""
     acc = 0
-    while mask:  # no generator: the miner folds once per expanded frame
+    while mask:  # no generator: the miner folds once per emitted concept
         low = mask & -mask
         acc |= rows[low.bit_length() - 1]
         mask ^= low

@@ -551,12 +551,26 @@ NEEDS_CONTEXT = "--context is required for this command"
             2,
             "{ctx}: line 1: empty object name",
         ),
+        (
+            {"poset": "a: covers\na: covers\n"},
+            ("check", "--poset", "{poset}"),
+            2,
+            "{poset}: line 2: duplicate element 'a'",
+        ),
+        ({"poset": ": covers\n"}, ("check", "--poset", "{poset}"), 2, "{poset}: line 1: empty element id"),
+        (
+            {"family": "a\na {}\n"},
+            ("mine", "--explicit", "{family}", "--context", DATA / "wedge.ctx"),
+            2,
+            "family input: line 2: '{{}}' must appear alone on its line",  # braces doubled
+        ),
     ],
     ids=[
         "abstraction-and-min-support", "mine-without-context", "basis-without-context",
         "oracle-without-context", "context-line-without-colon", "abstraction-unknown-object",
         "graph-duplicate-vertex", "poset-line-without-colon", "explicit-family-empty",
-        "context-empty-object-name",
+        "context-empty-object-name", "poset-duplicate-element", "poset-empty-element-id",
+        "explicit-family-braces-not-alone",
     ],
 )
 def test_error_is_one_stderr_line(runner, tmp_path, files, args, code, message):

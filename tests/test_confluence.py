@@ -180,6 +180,10 @@ class TestInteriorFamily:
         with pytest.raises(cm.NotSubconfluenceError):
             InteriorFamily(host, mask_of([0, m("ab"), m("ac")]))
 
+    def test_rejects_empty_family(self):
+        with pytest.raises(ValueError, match="^empty family$"):
+            InteriorFamily(powerset_lattice(2), 0)
+
     def test_rejects_bad_arguments(self):
         host = powerset_lattice(4)
         fam = InteriorFamily(host, mask_of([m("ab"), m("ac")]))
@@ -248,6 +252,12 @@ class TestLiftClosure:
         bad = OperatorMap(host.poset, [0] * 8)  # constant-to-bottom: not extensive
         with pytest.raises(ValueError, match="closure"):
             cm.lift_closure(fam, bad)
+
+    def test_rejects_closure_on_another_host(self):
+        fam = InteriorFamily(powerset_lattice(3), mask_of([1, 3]))
+        other = OperatorMap.identity(powerset_lattice(2).poset)
+        with pytest.raises(ValueError, match="^closure must live on the family's host lattice$"):
+            cm.lift_closure(fam, other)
 
 
 # --- randomized suites -------------------------------------------------------

@@ -36,6 +36,16 @@ class TestExtensionIntension:
         assert cm.intension(five_context, 0) == u.full_mask
         assert cm.intension(five_context, 0b100) == u.mask("abcd")
 
+    def test_objects_outside_context_have_no_items(self, five_context, five_universe):
+        # five_context holds three objects; the mirror of extension's item guard
+        assert cm.intension(five_context, 0b1000) == 0
+        assert cm.intension(five_context, 0b1111) == 0
+        assert cm.intension(five_context, 0b111) == five_universe.mask("ab")
+
+    def test_closure_of_support_outside_context_rejected(self, five_context, five_family):
+        with pytest.raises(ValueError, match="^projection argument must contain the base$"):
+            cm.closure(five_context, five_family, five_family.minimals()[0], 0b1000)
+
     def test_description_outside_universe_rejected(self):
         u = cm.Universe(["a"])
         with pytest.raises(ContextError):

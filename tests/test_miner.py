@@ -824,6 +824,18 @@ class AssertingProjection(cm.PatternFamily):
         return self.inner._project(member, x)
 
 
+class CountingAugmentations(AssertingProjection):
+    """``AssertingProjection`` that also counts its ``augmentations`` calls."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.augmentation_calls = 0
+
+    def augmentations(self, pattern):
+        self.augmentation_calls += 1
+        return super().augmentations(pattern)
+
+
 # Each public closure route that checks its arguments, called as (config,
 # pattern, abstract support); both keep the default ``checked=True``.
 CLOSURE_ROUTES = {
@@ -880,6 +892,30 @@ class TestUncheckedProjection:
         # support: every object, whose intension a d misses the base's b
         with pytest.raises(ValueError, match="must contain the base"):
             CLOSURE_ROUTES[route](cfg, wedge_universe.mask("ab"), cfg.context.all_objects_mask)
+
+
+class TestOneAugmentationListingPerEmission:
+    """Every emitted concept gets a frame, so the miner lists augmentations
+    once per emission; an empty-support concept closes to a local top, which
+    has no augmentation, so its frame needs no guard."""
+
+    def test_random_instances(self):
+        rng = random.Random(2019)
+        local_tops = 0
+        for _ in range(8):
+            for inner in _family_kinds(rng):
+                fam = CountingAugmentations(inner)
+                ctx = random_context(rng, fam.universe, max_objects=6)
+                for abstraction in _abstraction_kinds(rng, ctx.n_objects):
+                    cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
+                    fam.augmentation_calls = 0
+                    concepts = [ev.concept for ev in cm.mine(cfg)]
+                    assert fam.augmentation_calls == len(concepts)
+                    for c in concepts:
+                        if c.empty_support:
+                            local_tops += 1
+                            assert inner.augmentations(c.intent) == []
+        assert local_tops  # the draw reaches empty-support concepts
 
 
 class TestDeepTraversal:

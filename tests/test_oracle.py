@@ -139,6 +139,13 @@ class TestOracleClosure:
                 five_context, five_family, t, pair_abstraction.apply(cm.extension(five_context, t))
             )
 
+    def test_rejects_non_member(self, five_context, five_family, five_universe):
+        members = cm.materialize(five_family)
+        outside = next(t for t in range(five_universe.full_mask + 1) if t not in members)
+        ident = cm.ExtensionalAbstraction.identity()
+        with pytest.raises(ValueError, match="^pattern outside the family$"):
+            cm.oracle_closure(five_context, members, ident, outside)
+
     def test_undefined_on_violating_family(self):
         u = cm.Universe(["a", "b", "c", "d"])
         members = [0, u.mask("ab"), u.mask("ac")]
@@ -233,6 +240,7 @@ class TestVerifyAll:
     def test_quad_instance_all_pass(self, quad_edge_family, quad_context):
         report = cm.verify_all(quad_context, quad_edge_family, seed=1)
         assert report.ok, report.first_counterexample()
+        assert report.first_counterexample() is None
         assert report.family_size == 14
         u = quad_edge_family.universe
         assert set(report.closed) == {u.mask(p) for p in ("a", "b", "abc", "abcd")}

@@ -50,6 +50,20 @@ class TestFinitePoset:
         with pytest.raises(PosetError, match="transitive"):
             FinitePoset(["x", "y", "z"], [0b011, 0b110, 0b100])
 
+    @pytest.mark.parametrize(
+        ("ids", "up", "message"),
+        [
+            (["a", "a"], [1, 2], "duplicate element ids"),
+            (["a", "b"], [1], "up-set table size does not match element count"),
+            (["a"], [3], "up-set mask references out-of-range element"),
+        ],
+        ids=["duplicate-id", "short-table", "out-of-range-mask"],
+    )
+    def test_rejects_malformed_table(self, ids, up, message):
+        with pytest.raises(PosetError) as exc:
+            FinitePoset(ids, up)
+        assert str(exc.value) == message
+
     def test_dual_reverses_order(self, p4):
         dual = p4.poset.dual()
         assert dual.ids == p4.poset.ids
@@ -207,6 +221,21 @@ class TestMeetJoinClosed:
         assert cm.is_join_closed(p4, 1 << p4.bottom)
 
 
+class TestOperatorMap:
+    @pytest.mark.parametrize(
+        ("table", "message"),
+        [
+            ([0, 1], "operator table size does not match poset"),
+            ([0, 1, 2, 4], "operator image outside poset"),
+        ],
+        ids=["short-table", "image-out-of-range"],
+    )
+    def test_rejects_malformed_table(self, table, message):
+        with pytest.raises(ValueError) as exc:
+            OperatorMap(powerset_lattice(2).poset, table)
+        assert str(exc.value) == message
+
+
 class TestComposeInteriorClosure:
     def test_identity_interior_returns_closure(self, p4):
         f, _ = cm.closure_from_subset(p4.poset, mask_of([m("a"), m("ab"), m("ac"), m("abcd")]))
@@ -229,6 +258,16 @@ class TestComposeInteriorClosure:
         f, _ = cm.closure_from_subset(p4.poset, mask_of([m("a"), m("ab"), m("ac"), m("abcd")]))
         with pytest.raises(ValueError, match="interior"):
             cm.compose_interior_closure(f, f)
+
+    def test_rejects_operators_on_two_domains(self, p4):
+        other = powerset_lattice(3).poset
+        with pytest.raises(ValueError, match="^operators must share a domain$"):
+            cm.compose_interior_closure(OperatorMap.identity(p4.poset), OperatorMap.identity(other))
+
+    def test_rejects_non_closure(self, p4):
+        p, _ = cm.interior_from_subset(p4.poset, mask_of([0, m("ab"), m("ac"), m("abc")]))
+        with pytest.raises(ValueError, match="^second operator is not a closure operator$"):
+            cm.compose_interior_closure(p, p)
 
 
 class TestPosetFormat:

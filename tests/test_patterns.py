@@ -6,7 +6,7 @@ from functools import reduce
 
 import pytest
 
-from confmine.patterns import and_rows, iter_indices, mask_of, or_rows
+from confmine.patterns import Universe, and_rows, iter_indices, mask_of, or_rows
 
 
 def reference_or(mask, rows):
@@ -74,3 +74,13 @@ class TestMaskIndices:
             assert mask_of(indices) == m
             assert indices == sorted(set(indices))
             assert indices == [i for i in range(m.bit_length()) if (m >> i) & 1]
+
+
+class TestUniverse:
+    def test_equal_universes_hash_equal(self):
+        assert Universe(["a", "b"]) == Universe(("a", "b"))
+        assert hash(Universe(["a", "b"])) == hash(Universe(("a", "b")))
+        assert Universe(["a", "b"]) != Universe(["b", "a"])
+
+    def test_repr(self):
+        assert repr(Universe(["a", "b"])) == "Universe(['a', 'b'])"
