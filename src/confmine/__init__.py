@@ -3,9 +3,9 @@
 The library covers four layers:
 
 - ``order``: explicit finite posets/lattices and closure/interior operator
-  construction, classification, and composition.
+  construction and classification.
 - ``confluence``: confluence recognition, local meets/joins, locally
-  meet-closed subsets, subconfluences and their interior projections.
+  meet-closed subsets and subconfluences.
 - ``families`` / ``fca``: implicit pattern families (connected subgraphs,
   bounded-gap words, explicit lists) plus object contexts, extensional
   abstractions, and support closures.
@@ -16,15 +16,12 @@ The library covers four layers:
 
 from .confluence import (
     ExplicitConfluence,
-    InteriorFamily,
     NotConfluenceError,
     NotLocallyMeetClosedError,
-    NotSubconfluenceError,
     closure_from_local_meet_subset,
     is_closed_under_local_meet,
     is_confluence,
     is_subconfluence,
-    lift_closure,
 )
 from .families import (
     ConnectedEdgeFamily,
@@ -32,6 +29,7 @@ from .families import (
     ExplicitFamily,
     GraphSpec,
     KGapWordFamily,
+    NotSubconfluenceError,
     PatternFamily,
     is_strongly_accessible,
     load_family_lines,
@@ -50,7 +48,6 @@ from .fca import (
 from .implications import (
     EquivalenceClass,
     Implication,
-    check_implication,
     equivalence_classes,
     minmax_basis,
 )
@@ -81,7 +78,6 @@ from .order import (
     Verdict,
     classify_operator,
     closure_from_subset,
-    compose_interior_closure,
     interior_from_subset,
     is_join_closed,
     is_meet_closed,
@@ -104,7 +100,6 @@ __all__ = [
     "FinitePoset",
     "GraphSpec",
     "Implication",
-    "InteriorFamily",
     "KGapWordFamily",
     "MineEvent",
     "MinerConfig",
@@ -121,12 +116,10 @@ __all__ = [
     "Universe",
     "Verdict",
     "build_concept_confluence",
-    "check_implication",
     "classify_operator",
     "closure",
     "closure_from_local_meet_subset",
     "closure_from_subset",
-    "compose_interior_closure",
     "equivalence_classes",
     "extension",
     "intension",
@@ -137,7 +130,6 @@ __all__ = [
     "is_meet_closed",
     "is_strongly_accessible",
     "is_subconfluence",
-    "lift_closure",
     "load_family_lines",
     "load_graph",
     "load_poset",

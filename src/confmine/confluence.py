@@ -1,4 +1,4 @@
-"""Confluences, local meets/joins, subconfluences and their interior families.
+"""Confluences, local meets/joins, locally meet-closed subsets and subconfluences.
 
 A confluence is a finite poset in which every principal up set is a lattice;
 only the up sets of minimal elements need checking.  A subconfluence of a
@@ -15,7 +15,6 @@ from .order import (
     FinitePoset,
     OperatorMap,
     Verdict,
-    classify_operator,
     closure_from_subset,
     meet_closed,
 )
@@ -25,14 +24,6 @@ from .patterns import iter_indices, mask_of
 class NotConfluenceError(ValueError):
     def __init__(self, witness: object):
         super().__init__(f"poset is not a confluence: witness {witness!r}")
-        self.witness = witness
-
-
-class NotSubconfluenceError(ValueError):
-    def __init__(self, witness: object, message: str | None = None):
-        super().__init__(
-            message or f"family is not a subconfluence: join of {witness!r} escapes it"
-        )
         self.witness = witness
 
 
@@ -92,10 +83,6 @@ class ExplicitConfluence:
         if not below:
             raise ValueError("element below no minimal; poset is corrupt")
         return (below & -below).bit_length() - 1
-
-    def local_top_of(self, t: int) -> int:
-        """The greatest element of the up set of t (equal for every minimal below t)."""
-        return self.local_tops[self._minimal_below(t)]
 
     def local_meet(self, t: int, x: int, y: int) -> int:
         """Greatest lower bound of {x, y} within the up set of t.
@@ -159,47 +146,3 @@ def is_subconfluence(host: FiniteLattice, members: int) -> Verdict:
                 if not (members >> host.join(x, y)) & 1:
                     return Verdict(False, (p.ids[t], p.ids[x], p.ids[y]))
     return Verdict(True)
-
-
-class InteriorFamily:
-    """A subconfluence of a host lattice with its per-member interior projections.
-
-    ``project(t, x)`` returns the greatest family member below x that contains
-    t; by coherence the value only depends on x and any family member below t,
-    so projections anchored at different members below t agree.
-    """
-
-    def __init__(self, host: FiniteLattice, members: int):
-        verdict = is_subconfluence(host, members)
-        if not verdict:
-            raise NotSubconfluenceError(verdict.witness)
-        if members == 0:
-            raise ValueError("empty family")
-        self.host = host
-        self.members = members
-
-    def project(self, t: int, x: int) -> int:
-        if not (self.members >> t) & 1:
-            raise ValueError("projection base must belong to the family")
-        p = self.host.poset
-        if not p.leq(t, x):
-            raise ValueError("projection argument must contain the base")
-        # the family is join-closed above t, so this join is its greatest member below x
-        return self.host.join_all(self.members & p.up[t] & p.down[x])
-
-
-def lift_closure(fam: InteriorFamily, f: OperatorMap) -> OperatorMap:
-    """Turn a closure on the host lattice into one on the family.
-
-    Each family member t maps to the projection at t of its host closure.  The
-    result lives on the induced subposet of the family.
-    """
-    host_poset = fam.host.poset
-    if f.domain != host_poset:
-        raise ValueError("closure must live on the family's host lattice")
-    if not classify_operator(f).is_closure:
-        raise ValueError("operator is not a closure on the host lattice")
-    sub, old = host_poset.restrict(fam.members)
-    pos = {o: k for k, o in enumerate(old)}
-    table = [pos[fam.project(t, f.table[t])] for t in old]
-    return OperatorMap(sub, table)

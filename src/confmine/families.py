@@ -17,7 +17,6 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .confluence import NotSubconfluenceError
 from .order import Verdict
 from .patterns import Universe, bit, content_lines, is_subset, iter_indices, minimal_masks, or_rows
 
@@ -26,13 +25,18 @@ class FamilyError(ValueError):
     """Invalid family construction (bad graph, empty family, ...)."""
 
 
-def _subconfluence_message(witness: tuple[int, int, int], universe: Universe) -> str:
-    t, x, y = witness
-    return (
-        "not a subconfluence: "
-        f"({universe.format(t)}, {universe.format(x)}, {universe.format(y)}) "
-        f"share a member below but their union {universe.format(x | y)} is missing"
-    )
+class NotSubconfluenceError(ValueError):
+    """A family that is not a subconfluence: ``witness`` is a triple (t, x, y)
+    of member masks, x and y above t, whose union is no member."""
+
+    def __init__(self, witness: tuple[int, int, int], universe: Universe):
+        t, x, y = witness
+        super().__init__(
+            "not a subconfluence: "
+            f"({universe.format(t)}, {universe.format(x)}, {universe.format(y)}) "
+            f"share a member below but their union {universe.format(x | y)} is missing"
+        )
+        self.witness = witness
 
 
 class ParseError(ValueError):
@@ -317,7 +321,7 @@ class ExplicitFamily(PatternFamily):
                 raise FamilyError("pattern uses items outside the universe")
         witness = subconfluence_violation(members)
         if witness is not None:
-            raise NotSubconfluenceError(witness, _subconfluence_message(witness, universe))
+            raise NotSubconfluenceError(witness, universe)
         self.patterns = tuple(members)
         self._set = frozenset(members)
         self._minimals = minimal_masks(self.patterns)

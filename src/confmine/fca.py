@@ -163,25 +163,6 @@ class ExtensionalAbstraction:
                 acc |= g
         return acc
 
-    def members_within(self, all_objects: int) -> frozenset[int]:
-        """Materialize the abstraction (union closure of the generators plus empty set)."""
-        if self.generators is None:
-            return frozenset(
-                e
-                for e in range(all_objects + 1)
-                if is_subset(e, all_objects)
-                and (e == 0 or e.bit_count() >= self.threshold)
-            )
-        members = {0}
-        frontier = [0]
-        while frontier:
-            cur = frontier.pop()
-            for g in self.generators:
-                u = cur | g
-                if u not in members:
-                    members.add(u)
-                    frontier.append(u)
-        return frozenset(members)
 
 
 def anchor_minimal(fam: PatternFamily, pattern: int) -> int:

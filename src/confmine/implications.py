@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .families import PatternFamily
-from .fca import ObjectContext, closure, extension, extensions
+from .fca import ObjectContext, closure, extensions
 from .patterns import is_subset, minimal_masks
 
 
@@ -79,10 +79,3 @@ def minmax_basis(
                 basis.append(Implication(p, q, kind))
     basis.sort()  # by (premise, conclusion): no pair occurs twice
     return basis
-
-
-def check_implication(ctx: ObjectContext, fam: PatternFamily, imp: Implication) -> bool:
-    """An implication holds when the premise's support is inside the conclusion's."""
-    if not (fam.contains(imp.premise) and fam.contains(imp.conclusion)):
-        raise ValueError("implication sides must belong to the family")
-    return is_subset(extension(ctx, imp.premise), extension(ctx, imp.conclusion))

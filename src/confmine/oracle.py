@@ -165,16 +165,7 @@ class OracleReport:
     def ok(self) -> bool:
         return all(c.passed is not False for c in self.checks.values())
 
-    def first_counterexample(self) -> tuple[str, str] | None:
-        for name, c in self.checks.items():
-            if c.passed is False:
-                return name, c.detail
-        return None
-
-    def to_dict(self, universe: Universe, objects: Sequence[str] | None = None) -> dict:
-        def object_name(i: int) -> str:
-            return objects[i] if objects is not None else f"#{i}"
-
+    def to_dict(self, universe: Universe, objects: Sequence[str]) -> dict:
         return {
             "v": 1,
             "family_size": self.family_size,
@@ -182,7 +173,7 @@ class OracleReport:
             "concepts": [
                 {
                     "intent": universe.format(t),
-                    "extent": " ".join(object_name(i) for i in iter_indices(e)) or "{}",
+                    "extent": " ".join(objects[i] for i in iter_indices(e)) or "{}",
                 }
                 for t, e in self.concepts
             ],
@@ -197,7 +188,7 @@ class OracleReport:
 def verify_all(
     ctx: ObjectContext,
     fam: PatternFamily,
-    abstraction: ExtensionalAbstraction | None = None,
+    abstraction: ExtensionalAbstraction = ExtensionalAbstraction(),
     seed: int = 0,
     budget: int = 4096,
 ) -> OracleReport:
@@ -207,7 +198,6 @@ def verify_all(
     set's local-meet verdict are computed once and shared; a call that raises is
     not cached, so raises again.
     """
-    abstraction = abstraction or ExtensionalAbstraction.identity()
     rng = random.Random(seed)
     members = materialize(fam, budget)
     poset = family_poset(members)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .patterns import and_rows, content_lines, iter_indices, mask_of
+from .patterns import content_lines, iter_indices, mask_of
 
 
 class PosetError(ValueError):
@@ -165,10 +165,9 @@ class FiniteLattice:
     A down set S has a greatest element g exactly when ``S == down[g]``
     (dually for up sets), so instead of n x n tables the lattice keeps the two
     lookups ``{down[g]: g}`` and ``{up[g]: g}``: the top, the bottom and each
-    meet and join is one lookup, and ``meet_all`` ANDs the down sets and looks
-    the result up once.  Construction raises :class:`LatticeError` at the
-    first missing bound: top, bottom, then each pair's meet and join in index
-    order.
+    meet and join is one lookup.  Construction raises :class:`LatticeError` at
+    the first missing bound: top, bottom, then each pair's meet and join in
+    index order.
     """
 
     def __init__(self, poset: FinitePoset):
@@ -203,14 +202,6 @@ class FiniteLattice:
     def join(self, i: int, j: int) -> int:
         up = self.poset.up
         return self._above[up[i] & up[j]]
-
-    def meet_all(self, mask: int) -> int:
-        """Meet of an element set; the empty meet is the top element."""
-        return self._below[and_rows(mask, self.poset.down, self.poset.full_mask)]
-
-    def join_all(self, mask: int) -> int:
-        """Join of an element set; the empty join is the bottom element."""
-        return self.dual().meet_all(mask)
 
     def dual(self) -> "FiniteLattice":
         """The opposite lattice: meets and joins, top and bottom trade places.
@@ -271,10 +262,6 @@ class OperatorMap:
     @classmethod
     def identity(cls, domain: FinitePoset) -> "OperatorMap":
         return cls(domain, range(domain.n))
-
-    @classmethod
-    def constant(cls, domain: FinitePoset, value: int) -> "OperatorMap":
-        return cls(domain, [value] * domain.n)
 
     def apply(self, i: int) -> int:
         return self.table[i]
@@ -384,25 +371,6 @@ def is_meet_closed(lattice: FiniteLattice, members: int) -> Verdict:
 def is_join_closed(lattice: FiniteLattice, members: int) -> Verdict:
     """Dual of :func:`is_meet_closed`: the empty join is bottom."""
     return is_meet_closed(lattice.dual(), members)
-
-
-def compose_interior_closure(p: OperatorMap, f: OperatorMap) -> OperatorMap:
-    """Compose an interior with a closure; the result is a closure on p's range.
-
-    The returned operator lives on the induced subposet of range(p), with the
-    original element ids.
-    """
-    if p.domain != f.domain:
-        raise ValueError("operators must share a domain")
-    if not classify_operator(p).is_interior:
-        raise ValueError("first operator is not an interior operator")
-    if not classify_operator(f).is_closure:
-        raise ValueError("second operator is not a closure operator")
-    rng = p.range_mask()
-    sub, old = p.domain.restrict(rng)
-    pos = {o: k for k, o in enumerate(old)}
-    table = [pos[p.table[f.table[o]]] for o in old]
-    return OperatorMap(sub, table)
 
 
 def load_poset(lines: Iterable[str]) -> FinitePoset:

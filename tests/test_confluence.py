@@ -1,5 +1,5 @@
 """Confluence recognition, local meets/joins, locally meet-closed subsets,
-subconfluences, interior projections, and lifted closures."""
+subconfluences, and host closures projected onto a subconfluence."""
 
 import random
 from collections import Counter
@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import confmine as cm
-from confmine.confluence import ExplicitConfluence, InteriorFamily, NotLocallyMeetClosedError
+from confmine.confluence import ExplicitConfluence, NotLocallyMeetClosedError
+from confmine.families import ExplicitFamily
 from confmine.oracle import family_poset
 from confmine.order import (
     FiniteLattice,
@@ -20,9 +21,9 @@ from confmine.order import (
     meet_closed,
     powerset_lattice,
 )
-from confmine.patterns import is_subset, iter_indices, mask_of
+from confmine.patterns import Universe, is_subset, iter_indices, mask_of
 
-from randomized import random_subconfluence_masks
+from randomized import meet_close, random_subconfluence_masks
 
 
 def m(letters: str) -> int:
@@ -163,101 +164,74 @@ class TestSubconfluence:
         assert cm.is_subconfluence(host, mask_of([0, m("ab"), m("ac"), m("abc")]))
 
 
+ABCD = Universe("abcd")
+
+
+def lifted_closure(fam: ExplicitFamily, descriptions) -> dict[int, int]:
+    """The support closure of each member, over one object per description:
+    the host closure onto the descriptions' meets, projected at the member."""
+    objects = tuple(f"o{i}" for i in range(len(descriptions)))
+    ctx = cm.ObjectContext(objects, tuple(descriptions), fam.universe)
+    return {t: cm.support_closure(ctx, fam, t) for t in fam.members()}
+
+
+def is_closure(table: dict[int, int]) -> bool:
+    """Is a map on family members a closure for their inclusion order?"""
+    poset = family_poset(table)
+    op = OperatorMap(poset, [poset.index(table[t]) for t in poset.ids])
+    return cm.classify_operator(op).kind == "closure"
+
+
 class TestInteriorFamily:
+    """A subconfluence's projection at t is the interior above t: the greatest
+    member below x that contains t, whichever member below t anchors it."""
+
     def test_projection_fixes_members(self):
-        host = powerset_lattice(4)
-        fam = InteriorFamily(host, mask_of([0, m("ab"), m("ac"), m("abc")]))
+        fam = ExplicitFamily([0, m("ab"), m("ac"), m("abc")], ABCD)
         assert fam.project(m("ab"), m("ab")) == m("ab")
 
     def test_projection_at_bottom(self):
-        host = powerset_lattice(4)
-        fam = InteriorFamily(host, mask_of([0, m("ab"), m("ac"), m("abc")]))
+        fam = ExplicitFamily([0, m("ab"), m("ac"), m("abc")], ABCD)
         assert fam.project(0, m("abcd")) == m("abc")
         assert fam.project(0, m("a")) == 0
 
-    def test_rejects_non_subconfluence(self):
-        host = powerset_lattice(4)
-        with pytest.raises(cm.NotSubconfluenceError):
-            InteriorFamily(host, mask_of([0, m("ab"), m("ac")]))
-
-    def test_rejects_empty_family(self):
-        with pytest.raises(ValueError, match="^empty family$"):
-            InteriorFamily(powerset_lattice(2), 0)
-
-    def test_rejects_bad_arguments(self):
-        host = powerset_lattice(4)
-        fam = InteriorFamily(host, mask_of([m("ab"), m("ac")]))
-        with pytest.raises(ValueError, match="^projection base must belong to the family$"):
-            fam.project(m("a"), m("abc"))
-        with pytest.raises(ValueError, match="^projection argument must contain the base$"):
-            fam.project(m("ab"), m("a"))
-
     def test_projection_coherence(self):
-        host = powerset_lattice(5)
-        members = mask_of([m(p) for p in ("ab", "ac", "abc", "abd", "acd", "abcd")])
-        fam = InteriorFamily(host, members)
-        for t in iter_indices(members):
-            for q in iter_indices(members & host.poset.down[t]):
-                for x in iter_indices(host.poset.up[t]):
-                    assert fam.project(t, x) == fam.project(q, x)
+        members = [m(p) for p in ("ab", "ac", "abc", "abd", "acd", "abcd")]
+        fam = ExplicitFamily(members, Universe("abcde"))
+        for t in members:
+            for q in members:
+                if is_subset(q, t):
+                    for x in range(32):
+                        if is_subset(t, x):
+                            assert fam.project(t, x) == fam.project(q, x)
 
 
 class TestLiftClosure:
+    """A closure on the powerset, lifted to a subconfluence by projecting at
+    each member, is a closure on the subconfluence.  Every closure on a finite
+    powerset is intension . extension over its closed sets as descriptions,
+    so the lift is the support closure over that context."""
+
     def test_identity_lifts_to_identity(self):
-        host = powerset_lattice(4)
-        fam = InteriorFamily(host, mask_of([m("ab"), m("ac"), m("abc")]))
-        lifted = cm.lift_closure(fam, OperatorMap.identity(host.poset))
-        assert lifted.table == tuple(range(3))
+        fam = ExplicitFamily([m("ab"), m("ac"), m("abc")], ABCD)
+        assert lifted_closure(fam, range(16)) == {t: t for t in fam.members()}
 
     def test_constant_top_lifts_to_local_tops(self):
-        host = powerset_lattice(4)
-        members = mask_of([m("a"), m("b"), m("abc"), m("abd"), m("abcd")])
-        fam = InteriorFamily(host, members)
-        lifted = cm.lift_closure(fam, OperatorMap.constant(host.poset, host.top))
-        assert all(lifted.domain.ids[v] == m("abcd") for v in lifted.table)
+        fam = ExplicitFamily([m("a"), m("b"), m("abc"), m("abd"), m("abcd")], ABCD)
+        assert set(lifted_closure(fam, [m("abcd")]).values()) == {m("abcd")}
 
     def test_support_closure_table(self):
         # host closure x -> intension(extension(x)) over descriptions ab/abc/abcd
-        host = powerset_lattice(4)
-        descriptions = [m("ab"), m("abc"), m("abcd")]
-
-        def close(x: int) -> int:
-            acc = m("abcd")
-            for d in descriptions:
-                if is_subset(x, d):
-                    acc &= d
-            return acc
-
-        f = OperatorMap(host.poset, [close(x) for x in range(16)])
-        assert cm.classify_operator(f).kind == "closure"
-        members = mask_of([m("a"), m("b"), m("abc"), m("abd"), m("abcd")])
-        fam = InteriorFamily(host, members)
-        lifted = cm.lift_closure(fam, f)
-        expected = {
+        fam = ExplicitFamily([m("a"), m("b"), m("abc"), m("abd"), m("abcd")], ABCD)
+        got = lifted_closure(fam, [m("ab"), m("abc"), m("abcd")])
+        assert got == {
             m("a"): m("a"),
             m("b"): m("b"),
             m("abc"): m("abc"),
             m("abd"): m("abcd"),
             m("abcd"): m("abcd"),
         }
-        got = {
-            lifted.domain.ids[i]: lifted.domain.ids[v] for i, v in enumerate(lifted.table)
-        }
-        assert got == expected
-        assert cm.classify_operator(lifted).kind == "closure"
-
-    def test_rejects_non_closure(self):
-        host = powerset_lattice(3)
-        fam = InteriorFamily(host, mask_of([1, 3]))
-        bad = OperatorMap(host.poset, [0] * 8)  # constant-to-bottom: not extensive
-        with pytest.raises(ValueError, match="closure"):
-            cm.lift_closure(fam, bad)
-
-    def test_rejects_closure_on_another_host(self):
-        fam = InteriorFamily(powerset_lattice(3), mask_of([1, 3]))
-        other = OperatorMap.identity(powerset_lattice(2).poset)
-        with pytest.raises(ValueError, match="^closure must live on the family's host lattice$"):
-            cm.lift_closure(fam, other)
+        assert is_closure(got)
 
 
 # --- randomized suites -------------------------------------------------------
@@ -296,7 +270,8 @@ def test_locally_meet_closed_iff_closure_subset(seed):
 def _meet_closed_above(conf: ExplicitConfluence, members: int, t: int) -> Verdict:
     """The local-meet test above one element t, with t's witness."""
     p = conf.carrier
-    top = conf.local_top_of(t)
+    below = p.down[t] & p.minimal_mask()
+    top = conf.local_tops[(below & -below).bit_length() - 1]
     verdict = meet_closed(p.ids, members & p.up[t], top, partial(conf.local_meet, t))
     if verdict:
         return verdict
@@ -386,22 +361,13 @@ def test_subconfluence_three_way_equivalence(seed):
 def test_lifted_closure_laws(seed):
     rng = random.Random(seed)
     host = powerset_lattice(4)
-    masks = random_subconfluence_masks(rng, 4)
-    fam = InteriorFamily(host, mask_of(masks))
-    closed = 1 << host.top
-    for _ in range(rng.randint(0, 5)):
-        closed |= 1 << rng.randrange(16)
-    changed = True
-    while changed:
-        changed = False
-        elems = list(iter_indices(closed))
-        for a, i in enumerate(elems):
-            for j in elems[a:]:
-                v = host.meet(i, j)
-                if not (closed >> v) & 1:
-                    closed |= 1 << v
-                    changed = True
+    fam = ExplicitFamily(random_subconfluence_masks(rng, 4), ABCD)
+    closed = meet_close(host, mask_of(rng.randrange(16) for _ in range(rng.randint(0, 5))))
     f, witness = cm.closure_from_subset(host.poset, closed)
     assert witness is None
-    lifted = cm.lift_closure(fam, f)
-    assert cm.classify_operator(lifted).kind == "closure"
+    descriptions = list(iter_indices(closed))
+    # on the whole powerset, whose projections are identities, the lift is f
+    assert lifted_closure(ExplicitFamily(range(16), ABCD), descriptions) == dict(enumerate(f.table))
+    got = lifted_closure(fam, descriptions)
+    assert got == {t: fam.project(t, f.table[t]) for t in fam.members()}
+    assert is_closure(got)

@@ -19,7 +19,7 @@ from confmine.families import (
 from confmine.oracle import materialize
 from confmine.patterns import bit, content_lines, is_subset, iter_indices, minimal_masks
 
-from randomized import random_graph, random_subconfluence_masks
+from randomized import random_explicit_subconfluence, random_graph, random_subconfluence_masks
 
 
 def path_graph(*names: str) -> cm.GraphSpec:
@@ -217,6 +217,14 @@ class TestExplicitFamily:
             ExplicitFamily([0, u.mask("ab"), u.mask("ac")], u)
         assert exc.value.witness == (0, u.mask("ab"), u.mask("ac"))
 
+    def test_non_subconfluence_message_names_the_triple(self):
+        u = cm.Universe(["a", "b", "c"])
+        with pytest.raises(cm.NotSubconfluenceError) as exc:
+            ExplicitFamily([0, u.mask("ab"), u.mask("ac")], u)
+        assert str(exc.value) == (
+            "not a subconfluence: ({}, a b, a c) share a member below but their union a b c is missing"
+        )
+
     def test_rejects_pattern_outside_universe(self):
         u = cm.Universe(["a", "b"])
         with pytest.raises(FamilyError) as exc:
@@ -398,6 +406,7 @@ class TestFamilyProperties:
         if len(g.edges) <= 8:
             yield cm.ConnectedEdgeFamily(g)
         yield cm.KGapWordFamily(rng.randint(2, 6), rng.randint(1, 3))
+        yield random_explicit_subconfluence(rng, rng.randint(2, 6))
 
     def test_join_above_common_member(self):
         rng = random.Random(13)
@@ -439,7 +448,7 @@ class TestFamilyProperties:
                             split += 1
                         # a member of another component joined to mbr is no member
                         for q in members:
-                            if not q & top:
+                            if q and not q & top:
                                 with pytest.raises(ValueError):
                                     fam.project(mbr | q, full)
                                 break

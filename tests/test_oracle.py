@@ -239,15 +239,14 @@ class TestOracleWrapperInputs:
 class TestVerifyAll:
     def test_quad_instance_all_pass(self, quad_edge_family, quad_context):
         report = cm.verify_all(quad_context, quad_edge_family, seed=1)
-        assert report.ok, report.first_counterexample()
-        assert report.first_counterexample() is None
+        assert report.ok, report.checks
         assert report.family_size == 14
         u = quad_edge_family.universe
         assert set(report.closed) == {u.mask(p) for p in ("a", "b", "abc", "abcd")}
 
     def test_wedge_instance_all_pass(self, wedge_context, wedge_family, wedge_universe):
         report = cm.verify_all(wedge_context, wedge_family, seed=2)
-        assert report.ok, report.first_counterexample()
+        assert report.ok, report.checks
         u = wedge_universe
         assert set(report.closed) == {u.mask(p) for p in ("abd", "acd", "abcd")}
 
@@ -265,7 +264,7 @@ class TestVerifyAll:
 
     def test_abstract_instance(self, quad_edge_family, quad_context, pair_abstraction):
         report = cm.verify_all(quad_context, quad_edge_family, pair_abstraction, seed=4)
-        assert report.ok, report.first_counterexample()
+        assert report.ok, report.checks
 
     def test_reports_reproducible_for_a_seed(self, quad_edge_family, quad_context):
         u = quad_edge_family.universe
@@ -291,7 +290,7 @@ class TestVerifyAll:
         monkeypatch.setattr(confmine.oracle, "family_poset", recording_family_poset)
         monkeypatch.setattr(confmine.confluence, "_local_bounds", counting_local_bounds)
         report = cm.verify_all(quad_context, quad_edge_family, seed=1)
-        assert report.ok, report.first_counterexample()
+        assert report.ok, report.checks
         assert len(posets) == 1
         assert sum(p is posets[0] for p in checked) == 1
 
@@ -309,7 +308,7 @@ class TestVerifyAll:
             ) is original:
                 monkeypatch.setattr(module, "is_closed_under_local_meet", counting_check)
         report = cm.verify_all(quad_context, quad_edge_family, seed=1)
-        assert report.ok, report.first_counterexample()
+        assert report.ok, report.checks
         assert len(calls) == 1
 
     def test_local_meets_tried_once(self, monkeypatch):
@@ -327,7 +326,7 @@ class TestVerifyAll:
 
         monkeypatch.setattr(cm.ExplicitConfluence, "local_meet", counting_local_meet)
         report = cm.verify_all(ctx, fam, seed=3)
-        assert report.ok, report.first_counterexample()
+        assert report.ok, report.checks
         in_report = len(calls)
         poset = family_poset(cm.materialize(fam))
         closed = mask_of(poset.index(t) for t in report.closed)
@@ -358,7 +357,7 @@ class TestVerifyAll:
         monkeypatch.setattr(confmine.oracle, "closure", counting_projection)
         monkeypatch.setattr(confmine.oracle, "_scan_closure", counting_scan)
         report = cm.verify_all(ctx, fam, cm.ExtensionalAbstraction.frequency(2), seed=5)
-        assert report.ok, report.first_counterexample()
+        assert report.ok, report.checks
         assert projected == scanned == Counter(members)
 
     def test_closed_set_not_locally_meet_closed_detail(self):
@@ -505,10 +504,8 @@ class TestOracleCatchesContractViolations:
             "local_closure_laws": CheckResult(True),
             "miner_matches_oracle": CheckResult(False, "miner [1, 2, 3, 7] != oracle [3, 7]"),
         }
-        assert report.first_counterexample() == (
-            "closed_set_locally_meet_closed",
-            "reconstructed closure disagrees with support closure at 1",
-        )
+        first_failed = next(name for name, c in report.checks.items() if c.passed is False)
+        assert first_failed == "closed_set_locally_meet_closed"
 
     def test_broken_membership_detected(self, five_universe):
         u = five_universe

@@ -19,7 +19,7 @@ from confmine.order import (
 )
 from confmine.patterns import iter_indices, mask_of
 
-from randomized import meet_close, random_lattice, random_subset
+from randomized import random_lattice, random_subset
 
 
 def subset_mask(lat: FiniteLattice, *element_ids) -> int:
@@ -88,10 +88,6 @@ class TestPowersetLattice:
         assert p4.bottom == 0
         assert p4.meet(m("ab"), m("ac")) == m("a")
         assert p4.join(m("a"), m("c")) == m("ac")
-        assert p4.meet_all(0) == p4.top
-        assert p4.join_all(0) == p4.bottom
-        assert p4.meet_all(mask_of([m("abc"), m("bd")])) == m("b")
-        assert p4.join_all(mask_of([m("a"), m("c"), m("bc")])) == m("abc")
 
     def test_dual_swaps_tables_and_bounds(self, p4):
         dual = p4.dual()
@@ -127,7 +123,7 @@ class TestClassifyOperator:
         assert cls.is_closure and cls.is_interior
 
     def test_constant_to_top_is_closure(self, p4):
-        cls = cm.classify_operator(OperatorMap.constant(p4.poset, p4.top))
+        cls = cm.classify_operator(OperatorMap(p4.poset, [p4.top] * p4.n))
         assert cls.kind == "closure" and not cls.is_interior
 
     def test_least_superset_operator(self, p4):
@@ -157,7 +153,7 @@ class TestClosureFromSubset:
     def test_singleton_top(self, p4):
         op, witness = cm.closure_from_subset(p4.poset, 1 << p4.top)
         assert witness is None
-        assert op == OperatorMap.constant(p4.poset, p4.top)
+        assert op == OperatorMap(p4.poset, [p4.top] * p4.n)
 
     def test_counterexample_when_no_least_member(self, p4):
         members = mask_of([m("ab"), m("ac")])
@@ -236,40 +232,6 @@ class TestOperatorMap:
         assert str(exc.value) == message
 
 
-class TestComposeInteriorClosure:
-    def test_identity_interior_returns_closure(self, p4):
-        f, _ = cm.closure_from_subset(p4.poset, mask_of([m("a"), m("ab"), m("ac"), m("abcd")]))
-        composed = cm.compose_interior_closure(OperatorMap.identity(p4.poset), f)
-        assert composed == f
-
-    def test_identity_closure_returns_identity_on_range(self, p4):
-        p, _ = cm.interior_from_subset(p4.poset, mask_of([0, m("ab"), m("ac"), m("abc")]))
-        composed = cm.compose_interior_closure(p, OperatorMap.identity(p4.poset))
-        assert composed.table == tuple(range(4))
-        assert composed.domain.ids == (0, m("ab"), m("ac"), m("abc"))
-
-    def test_composition_is_closure_on_range(self, p4):
-        p, _ = cm.interior_from_subset(p4.poset, mask_of([0, m("ab"), m("ac"), m("abc")]))
-        f, _ = cm.closure_from_subset(p4.poset, mask_of([m("a"), m("ab"), m("ac"), m("abcd")]))
-        composed = cm.compose_interior_closure(p, f)
-        assert cm.classify_operator(composed).kind == "closure"
-
-    def test_rejects_non_interior(self, p4):
-        f, _ = cm.closure_from_subset(p4.poset, mask_of([m("a"), m("ab"), m("ac"), m("abcd")]))
-        with pytest.raises(ValueError, match="interior"):
-            cm.compose_interior_closure(f, f)
-
-    def test_rejects_operators_on_two_domains(self, p4):
-        other = powerset_lattice(3).poset
-        with pytest.raises(ValueError, match="^operators must share a domain$"):
-            cm.compose_interior_closure(OperatorMap.identity(p4.poset), OperatorMap.identity(other))
-
-    def test_rejects_non_closure(self, p4):
-        p, _ = cm.interior_from_subset(p4.poset, mask_of([0, m("ab"), m("ac"), m("abc")]))
-        with pytest.raises(ValueError, match="^second operator is not a closure operator$"):
-            cm.compose_interior_closure(p, p)
-
-
 class TestPosetFormat:
     def test_round_trip_order(self):
         poset = load_poset(
@@ -341,16 +303,3 @@ def test_join_closed_iff_interior_exists(seed):
     if op is not None:
         assert op.range_mask() == members
         assert cm.classify_operator(op).is_interior
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
-def test_interior_composed_with_closure_is_closure(seed):
-    rng = random.Random(seed)
-    lat = random_lattice(rng)
-    c_members = random_subset(rng, lat.n, force=lat.top)
-    a_members = random_subset(rng, lat.n, force=lat.bottom)
-    f, _ = cm.closure_from_subset(lat.poset, meet_close(lat, c_members))
-    p, _ = cm.interior_from_subset(lat.poset, meet_close(lat.dual(), a_members))
-    composed = cm.compose_interior_closure(p, f)
-    assert cm.classify_operator(composed).kind == "closure"
