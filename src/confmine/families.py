@@ -154,9 +154,6 @@ class PatternFamily(ABC):
     def members(self) -> Iterator[int]:
         """Every member exactly once, in no fixed order."""
 
-    def local_top(self, member: int) -> int:
-        return self.project(member, self.universe.full_mask)
-
     def strongly_accessible(self) -> Verdict:
         """``is_strongly_accessible`` over every member; implicit families hold it
         by construction, so only explicit ones compute it."""

@@ -37,6 +37,7 @@ from .fca import (
     closure,
     extension,
 )
+from .patterns import Universe
 
 
 class Concept(NamedTuple):
@@ -49,8 +50,14 @@ class Concept(NamedTuple):
 
 
 class NotStronglyAccessibleError(ValueError):
-    def __init__(self, witness: tuple[int, int], message: str):
-        super().__init__(message)
+    """``witness`` is a nested member pair (t1, t2) with no single-item chain between."""
+
+    def __init__(self, witness: tuple[int, int], universe: Universe):
+        t1, t2 = witness
+        super().__init__(
+            "family is not strongly accessible: no single-item chain "
+            f"from {universe.format(t1)} to {universe.format(t2)}"
+        )
         self.witness = witness
 
 
@@ -125,13 +132,7 @@ def mine_trace(cfg: MinerConfig) -> Iterator[TraceEvent]:
     """
     verdict = cfg.family.strongly_accessible()
     if not verdict:
-        t1, t2 = verdict.witness
-        u = cfg.family.universe
-        raise NotStronglyAccessibleError(
-            verdict.witness,
-            "family is not strongly accessible: no single-item chain "
-            f"from {u.format(t1)} to {u.format(t2)}",
-        )
+        raise NotStronglyAccessibleError(verdict.witness, cfg.family.universe)
     return _mine_trace_iter(cfg)
 
 

@@ -165,7 +165,7 @@ class OracleReport:
     def ok(self) -> bool:
         return all(c.passed is not False for c in self.checks.values())
 
-    def to_dict(self, universe: Universe, objects: Sequence[str]) -> dict:
+    def to_dict(self, universe: Universe, context: ObjectContext) -> dict:
         return {
             "v": 1,
             "family_size": self.family_size,
@@ -173,7 +173,7 @@ class OracleReport:
             "concepts": [
                 {
                     "intent": universe.format(t),
-                    "extent": " ".join(objects[i] for i in iter_indices(e)) or "{}",
+                    "extent": context.format_extent(e),
                 }
                 for t, e in self.concepts
             ],

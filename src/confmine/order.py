@@ -259,13 +259,6 @@ class OperatorMap:
             if not 0 <= v < domain.n:
                 raise ValueError("operator image outside poset")
 
-    @classmethod
-    def identity(cls, domain: FinitePoset) -> "OperatorMap":
-        return cls(domain, range(domain.n))
-
-    def apply(self, i: int) -> int:
-        return self.table[i]
-
     def range_mask(self) -> int:
         return mask_of(self.table)
 

@@ -94,14 +94,8 @@ class Universe:
     def size(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError(f"unknown item {name!r}") from None
-
     def mask(self, names: Iterable[str]) -> int:
-        """Mask of the named items; ``KeyError`` as from ``index`` for an unknown name."""
+        """Mask of the named items; ``KeyError("unknown item 'z'")`` for an unknown name z."""
         index = self._index
         m = 0
         for name in names:  # no call per name: context_from_rows masks every object

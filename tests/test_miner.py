@@ -59,7 +59,7 @@ class TestClosePattern:
         )
         u = wedge_universe
         pattern, extent = close(cfg, u.mask("ab"))
-        assert pattern == wedge_family.local_top(u.mask("ab")) == u.mask("abcd")
+        assert pattern == wedge_family.project(u.mask("ab"), u.full_mask) == u.mask("abcd")
         assert extent == 0
 
     def test_rejects_non_member(self, wedge_family, wedge_context, wedge_universe):

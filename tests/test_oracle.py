@@ -258,7 +258,7 @@ class TestVerifyAll:
 
     def test_report_serialization(self, quad_edge_family, quad_context):
         report = cm.verify_all(quad_context, quad_edge_family)
-        data = report.to_dict(quad_edge_family.universe, quad_context.objects)
+        data = report.to_dict(quad_edge_family.universe, quad_context)
         assert data["v"] == 1 and data["ok"] is True
         assert "a b c d" in data["closed"]
 
@@ -268,8 +268,8 @@ class TestVerifyAll:
 
     def test_reports_reproducible_for_a_seed(self, quad_edge_family, quad_context):
         u = quad_edge_family.universe
-        one = cm.verify_all(quad_context, quad_edge_family, seed=12).to_dict(u, quad_context.objects)
-        two = cm.verify_all(quad_context, quad_edge_family, seed=12).to_dict(u, quad_context.objects)
+        one = cm.verify_all(quad_context, quad_edge_family, seed=12).to_dict(u, quad_context)
+        two = cm.verify_all(quad_context, quad_edge_family, seed=12).to_dict(u, quad_context)
         assert one == two
 
     def test_checks_the_confluence_once(self, quad_edge_family, quad_context, monkeypatch):
