@@ -237,7 +237,7 @@ def oracle_command(seed, budget, **source):
         report = oracle_mod.verify_all(context, family, abstraction, seed=seed, budget=budget)
     except oracle_mod.BudgetExceededError as exc:
         _fail(VALIDATION_EXIT, str(exc))
-    report_dict = report.to_dict(family.universe, context)
+    report_dict = report.to_dict(context)
     sys.stdout.write(json.dumps(report_dict, indent=2, sort_keys=True) + "\n")
     if not report.ok:
         sys.exit(VALIDATION_EXIT)

@@ -134,15 +134,14 @@ def closure_from_local_meet_subset(conf: ExplicitConfluence, members: int) -> Op
 
 
 def is_subconfluence(host: FiniteLattice, members: int) -> Verdict:
-    """Check that x join y stays in ``members`` whenever x, y share a member below.
+    """Check that x join y stays in ``members`` whenever x, y share a member below:
+    the members above each member t are join-closed, t being their empty join.
 
     Witness is the offending triple ``(t, x, y)``.
     """
     p = host.poset
     for t in iter_indices(members):
-        above = list(iter_indices(members & p.up[t]))
-        for a, x in enumerate(above):
-            for y in above[a + 1 :]:
-                if not (members >> host.join(x, y)) & 1:
-                    return Verdict(False, (p.ids[t], p.ids[x], p.ids[y]))
+        verdict = meet_closed(p.ids, members & p.up[t], t, host.join)
+        if not verdict:
+            return Verdict(False, (p.ids[t], *verdict.witness))
     return Verdict(True)

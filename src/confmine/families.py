@@ -18,7 +18,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .order import Verdict
-from .patterns import Universe, bit, content_lines, is_subset, iter_indices, minimal_masks, or_rows
+from .patterns import Universe, bit, content_lines, is_subset, iter_indices, minimal_masks, or_rows, reach
 
 
 class FamilyError(ValueError):
@@ -160,16 +160,6 @@ class PatternFamily(ABC):
         return Verdict(True)
 
 
-def _component_from(seed: int, within: int, adjacency: Sequence[int]) -> int:
-    """Connected component of the seed bits inside ``within``, by breadth-first growth."""
-    comp = seed
-    frontier = seed
-    while frontier:
-        frontier = or_rows(frontier, adjacency) & within & ~comp
-        comp |= frontier
-    return comp
-
-
 def _connected_sets(
     adjacency: Sequence[int], min_size: int, max_size: int | None = None
 ) -> Iterator[int]:
@@ -224,7 +214,7 @@ class ConnectedFamily(PatternFamily):
     def contains(self, pattern: int) -> bool:
         if pattern & ~self.universe.full_mask or pattern.bit_count() < self.min_size:
             return False
-        return _component_from(pattern & -pattern, pattern, self._adj) == pattern
+        return reach(pattern & -pattern, pattern, self._adj) == pattern
 
     def minimals(self) -> tuple[int, ...]:
         return self._minimals
@@ -247,7 +237,7 @@ class ConnectedFamily(PatternFamily):
         comps = [0] * self.universe.size
         for v in range(self.universe.size):
             if not comps[v]:
-                comp = _component_from(bit(v), self.universe.full_mask, self._adj)
+                comp = reach(bit(v), self.universe.full_mask, self._adj)
                 for w in iter_indices(comp):
                     comps[w] = comp
         return tuple(comps)
@@ -258,7 +248,7 @@ class ConnectedFamily(PatternFamily):
         top = self._components[(member & -member).bit_length() - 1]
         if not top & ~x:
             return top
-        return _component_from(member, x, self._adj)
+        return reach(member, x, self._adj)
 
 
 class ConnectedVertexFamily(ConnectedFamily):

@@ -31,7 +31,7 @@ from .fca import (
 )
 from .miner import MinerConfig, NotStronglyAccessibleError, mine
 from .order import FinitePoset, OperatorMap, classify_operator, closure_from_subset
-from .patterns import Universe, bit, is_subset, iter_indices, mask_of
+from .patterns import bit, is_subset, iter_indices, mask_of
 
 
 class BudgetExceededError(RuntimeError):
@@ -165,14 +165,14 @@ class OracleReport:
     def ok(self) -> bool:
         return all(c.passed is not False for c in self.checks.values())
 
-    def to_dict(self, universe: Universe, context: ObjectContext) -> dict:
+    def to_dict(self, context: ObjectContext) -> dict:
         return {
             "v": 1,
             "family_size": self.family_size,
-            "closed": [universe.format(t) for t in self.closed],
+            "closed": [context.universe.format(t) for t in self.closed],
             "concepts": [
                 {
-                    "intent": universe.format(t),
+                    "intent": context.universe.format(t),
                     "extent": context.format_extent(e),
                 }
                 for t, e in self.concepts

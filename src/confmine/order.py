@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .patterns import content_lines, iter_indices, mask_of
+from .patterns import content_lines, iter_indices, mask_of, reach
 
 
 class PosetError(ValueError):
@@ -58,7 +58,6 @@ class FinitePoset:
                 down[j] |= 1 << i
         self.down = tuple(down)
         self._index = {e: i for i, e in enumerate(self.ids)}
-        self._dual: FinitePoset | None = None
         if _validate:
             self._validate()
 
@@ -86,26 +85,15 @@ class FinitePoset:
         """
         ids = tuple(ids)
         index = {e: i for i, e in enumerate(ids)}
-        up = [1 << i for i in range(len(ids))]
-        parents_of: list[list[int]] = [[] for _ in ids]  # direct successors of each element
+        parents = [0] * len(ids)  # mask of the elements directly above each element
         for parent, below in covers.items():
             if parent not in index:
                 raise PosetError(f"unknown element {parent!r}")
             for child in below:
                 if child not in index:
                     raise PosetError(f"element {parent!r} covers unknown element {child!r}")
-                parents_of[index[child]].append(index[parent])
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(ids)):
-                mask = up[i]
-                for p in parents_of[i]:
-                    mask |= up[p]
-                if mask != up[i]:
-                    up[i] = mask
-                    changed = True
-        return cls(ids, up)
+                parents[index[child]] |= 1 << index[parent]
+        return cls(ids, [reach(1 << i, -1, parents) for i in range(len(ids))])
 
     @property
     def n(self) -> int:
@@ -136,16 +124,10 @@ class FinitePoset:
 
     def dual(self) -> "FinitePoset":
         """The opposite order on the same ids: each down set becomes an up set.
-
-        Built once, on first use, sharing this poset's tables; its dual is
-        this poset.
-        """
-        if self._dual is None:
-            d = object.__new__(FinitePoset)
-            d.ids, d.up, d.down, d._index = self.ids, self.down, self.up, self._index
-            d._dual = self
-            self._dual = d
-        return self._dual
+        It shares this poset's tables, so it is built in O(1)."""
+        d = object.__new__(FinitePoset)
+        d.ids, d.up, d.down, d._index = self.ids, self.down, self.up, self._index
+        return d
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
@@ -189,7 +171,6 @@ class FiniteLattice:
         self.poset = poset
         self._below, self._above = below, above
         self.top, self.bottom = top, bottom
-        self._dual: FiniteLattice | None = None
 
     @property
     def n(self) -> int:
@@ -202,21 +183,6 @@ class FiniteLattice:
     def join(self, i: int, j: int) -> int:
         up = self.poset.up
         return self._above[up[i] & up[j]]
-
-    def dual(self) -> "FiniteLattice":
-        """The opposite lattice: meets and joins, top and bottom trade places.
-
-        Built once, on first use, sharing this lattice's lookups; its dual is
-        this lattice.
-        """
-        if self._dual is None:
-            d = object.__new__(FiniteLattice)
-            d.poset = self.poset.dual()
-            d._below, d._above = self._above, self._below
-            d.top, d.bottom = self.bottom, self.top
-            d._dual = self
-            self._dual = d
-        return self._dual
 
     def __repr__(self) -> str:
         return f"FiniteLattice(n={self.n})"
@@ -363,7 +329,7 @@ def is_meet_closed(lattice: FiniteLattice, members: int) -> Verdict:
 
 def is_join_closed(lattice: FiniteLattice, members: int) -> Verdict:
     """Dual of :func:`is_meet_closed`: the empty join is bottom."""
-    return is_meet_closed(lattice.dual(), members)
+    return meet_closed(lattice.poset.ids, members, lattice.bottom, lattice.join)
 
 
 def load_poset(lines: Iterable[str]) -> FinitePoset:

@@ -39,6 +39,18 @@ def or_rows(mask: int, rows: Sequence[int]) -> int:
     return acc
 
 
+def reach(seed: int, within: int, rows: Sequence[int]) -> int:
+    """Bits reachable from ``seed`` inside ``within`` by following ``rows``, by
+    breadth-first growth: a connected component, or an element's up set when
+    ``rows`` holds each element's parents."""
+    comp = seed
+    frontier = seed
+    while frontier:
+        frontier = or_rows(frontier, rows) & within & ~comp
+        comp |= frontier
+    return comp
+
+
 def and_rows(mask: int, rows: Sequence[int], acc: int) -> int:
     """AND of ``acc`` and ``rows[i]`` over the set bits i of ``mask``: ``extension``
     over item tidsets and ``intension`` over object descriptions."""

@@ -197,10 +197,8 @@ def random_subset(rng: random.Random, n: int, force: int | None = None) -> int:
 
 
 def meet_close(lat: FiniteLattice, members: int) -> int:
-    """The least superset of ``members`` closed under meets, top included.
-
-    ``meet_close(lat.dual(), members)`` is the join closure.
-    """
+    """The least superset of ``members`` closed under meets, top included; the
+    join closure is the same loop over ``lat.join`` with ``lat.bottom``."""
     changed = True
     while changed:
         changed = False

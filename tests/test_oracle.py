@@ -258,7 +258,7 @@ class TestVerifyAll:
 
     def test_report_serialization(self, quad_edge_family, quad_context):
         report = cm.verify_all(quad_context, quad_edge_family)
-        data = report.to_dict(quad_edge_family.universe, quad_context)
+        data = report.to_dict(quad_context)
         assert data["v"] == 1 and data["ok"] is True
         assert "a b c d" in data["closed"]
 
@@ -267,9 +267,8 @@ class TestVerifyAll:
         assert report.ok, report.checks
 
     def test_reports_reproducible_for_a_seed(self, quad_edge_family, quad_context):
-        u = quad_edge_family.universe
-        one = cm.verify_all(quad_context, quad_edge_family, seed=12).to_dict(u, quad_context)
-        two = cm.verify_all(quad_context, quad_edge_family, seed=12).to_dict(u, quad_context)
+        one = cm.verify_all(quad_context, quad_edge_family, seed=12).to_dict(quad_context)
+        two = cm.verify_all(quad_context, quad_edge_family, seed=12).to_dict(quad_context)
         assert one == two
 
     def test_checks_the_confluence_once(self, quad_edge_family, quad_context, monkeypatch):
@@ -563,6 +562,7 @@ class TestSubconfluenceCheck:
     def test_fast_witness_matches_all_members_loop(self):
         # random mask sets, the empty pattern in some; most are not subconfluences
         rng = random.Random(79)
+        hosts = {n: powerset_lattice(n) for n in range(1, 6)}
         violations = 0
         for _ in range(3000):
             n_items = rng.randint(1, 5)
@@ -575,6 +575,9 @@ class TestSubconfluenceCheck:
             rng.shuffle(members)
             witness = subconfluence_violation(members)
             expected = _check_subconfluence(family_poset(members))
+            # the lattice check: ids are the masks, index order is mask order
+            verdict = cm.is_subconfluence(hosts[n_items], mask_of(members))
+            assert (verdict.ok, verdict.witness) == (witness is None, witness)
             if witness is None:
                 assert expected == CheckResult(True)
             else:

@@ -69,10 +69,10 @@ class TestFinitePoset:
         assert dual.ids == p4.poset.ids
         assert dual.up == p4.poset.down and dual.down == p4.poset.up
 
-    def test_dual_built_once(self, p4):
+    def test_dual_shares_tables(self, p4):
+        # built in O(1) on each call: no table is recomputed
         poset = p4.poset
-        assert poset.dual() is poset.dual()
-        assert poset.dual().dual() is poset
+        assert poset.dual().up is poset.down and poset.dual().down is poset.up
 
     def test_restrict_preserves_order(self, p4):
         poset = p4.poset
@@ -88,18 +88,6 @@ class TestPowersetLattice:
         assert p4.bottom == 0
         assert p4.meet(m("ab"), m("ac")) == m("a")
         assert p4.join(m("a"), m("c")) == m("ac")
-
-    def test_dual_swaps_tables_and_bounds(self, p4):
-        dual = p4.dual()
-        for x in range(p4.n):
-            for y in range(p4.n):
-                assert dual.meet(x, y) == p4.join(x, y) and dual.join(x, y) == p4.meet(x, y)
-        assert (dual.top, dual.bottom) == (p4.bottom, p4.top)
-
-    def test_dual_built_once(self, p4):
-        assert p4.dual() is p4.dual()
-        assert p4.dual().dual() is p4
-        assert p4.dual().poset is p4.poset.dual()
 
     def test_from_poset_derives_same_tables(self):
         direct = powerset_lattice(3)
@@ -270,6 +258,40 @@ class TestPosetFormat:
     def test_cycle_detected(self):
         with pytest.raises(PosetError, match="antisymmetric"):
             load_poset(["x: covers y", "y: covers x"])
+
+    def test_from_covers_matches_warshall_closure(self):
+        # random cover dicts, some with cycles, against the reflexive-transitive
+        # closure by Warshall's algorithm: same up table or same PosetError text
+        rng = random.Random(101)
+        outcomes = {"poset": 0, "cycle": 0}
+        for _ in range(1500):
+            n = rng.randint(1, 9)
+            ids = [f"e{k}" for k in rng.sample(range(20), n)]
+            rank = rng.sample(range(n), n)
+            cyclic = rng.random() < 0.3
+            covers = {ids[i]: [] for i in rng.sample(range(n), rng.randint(0, n))}
+            for parent in covers:
+                p = ids.index(parent)
+                for c in rng.sample(range(n), rng.randint(0, min(n, 3))):
+                    if cyclic or rank[c] < rank[p]:
+                        covers[parent].append(ids[c])
+            below = [[i == j or ids[i] in covers.get(ids[j], ()) for j in range(n)] for i in range(n)]
+            for k in range(n):
+                for i in range(n):
+                    for j in range(n):
+                        below[i][j] = below[i][j] or (below[i][k] and below[k][j])
+            reference_up = [mask_of(j for j in range(n) if below[i][j]) for i in range(n)]
+            try:
+                expected = FinitePoset(ids, reference_up).up
+            except PosetError as exc:
+                expected = str(exc)
+            try:
+                got = FinitePoset.from_covers(ids, covers).up
+            except PosetError as exc:
+                got = str(exc)
+            assert got == expected, (ids, covers)
+            outcomes["cycle" if isinstance(expected, str) else "poset"] += 1
+        assert outcomes["poset"] > 1000 and outcomes["cycle"] > 50, outcomes
 
 
 # --- randomized law suites -------------------------------------------------

@@ -23,7 +23,7 @@ import importlib
 import io
 import re
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import test_acceptance
@@ -63,15 +63,16 @@ def _users() -> dict[Path, list[str]]:
 
 def test_every_definition_is_used_outside_itself():
     users = _users()
+    lines_of = defaultdict(list)  # (user, word) -> indices of the lines holding the word
+    for user, lines in users.items():
+        for i, line in enumerate(lines):
+            for word in re.findall(r"\w+", line):
+                lines_of[user, word].append(i)
     unused = []
     for path, name, node in _definitions():
-        word = re.compile(rf"\b{re.escape(node.name)}\b")
         own = range(node.lineno - 1, node.end_lineno)
         if not any(
-            word.search(line)
-            for user, lines in users.items()
-            for i, line in enumerate(lines)
-            if user != path or i not in own
+            user != path or i not in own for user in users for i in lines_of[user, node.name]
         ):
             unused.append(name)
     assert not unused, "used nowhere outside their definition: " + ", ".join(unused)
