@@ -95,7 +95,7 @@ def _load_instance(
             family = fam_mod.KGapWordFamily(kgap[0], kgap[1])
         else:
             rows = fam_mod.load_family_lines(_read_lines(explicit_path))
-            extra = [it for _, items in (context_rows or []) for it in items]
+            extra = (it for _, items in context_rows or () for it in items)
             family = fam_mod.explicit_family_from_names(rows, extra_items=extra)
     except fam_mod.NotSubconfluenceError as exc:
         _fail(VALIDATION_EXIT, f"invalid family: {exc}")

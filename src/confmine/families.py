@@ -12,6 +12,7 @@ finds their minimals.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -121,6 +122,25 @@ class PatternFamily(ABC):
     def minimals(self) -> tuple[int, ...]:
         """Minimal members, sorted by bit-mask value for deterministic mining."""
 
+    @cached_property
+    def minimals_by_top(self) -> tuple[tuple[int, ...], ...]:
+        """The minimals grouped by ``bit_length``, each group in mask order: group
+        i + 1 holds those whose highest item is i, and group 0 the empty pattern
+        when it is a member (then the only minimal).  ``fca.anchor_minimal`` reads
+        it; derived on first use and kept.
+
+        ``bit_length`` does not decrease along the sorted minimals, so group b
+        is the slice of them from the end of group b - 1 up to ``1 << b``.
+        """
+        mins = self.minimals()
+        groups = []
+        lo = 0
+        for b in range(self.universe.size + 1):
+            hi = bisect_left(mins, 1 << b, lo)
+            groups.append(mins[lo:hi])
+            lo = hi
+        return tuple(groups)
+
     def project(self, member: int, x: int, *, checked: bool = True) -> int:
         """Greatest family member below x containing ``member``.  Checks the contract
         (a member base, x above it, a result above it) around the family's ``_project``;
@@ -177,9 +197,17 @@ def _connected_sets(
     every connected set T whose least item is v is reached: from a frame whose
     set lies inside T and whose mask holds every item of T adjacent to that
     set, the child taking the least such candidate is again such a frame, one
-    item closer to T.
+    item closer to T.  A child at the size limit, or with no candidate, has
+    no set below it: no frame is pushed for it, and it is yielded at once if
+    it has ``min_size`` items; at a limit of one item no root is pushed
+    either.
     """
     limit = len(adjacency) if max_size is None else max_size
+    if limit < min_size:
+        return
+    if limit == 1:  # every root is a leaf
+        yield from map(bit, range(len(adjacency)))
+        return
     for v in range(len(adjacency)):
         above = -(bit(v) << 1)  # every item greater than v
         stack = [(bit(v), 1, adjacency[v] & above, bit(v) | adjacency[v])]
@@ -187,15 +215,22 @@ def _connected_sets(
             s, size, candidates, closed = stack.pop()
             if size >= min_size:
                 yield s
-            if size == limit:
+            size += 1  # the children's size; no frame is pushed at the limit
+            if size == limit:  # every child is a leaf: yield it, push no frame
+                while candidates:
+                    w = candidates & -candidates
+                    candidates ^= w
+                    yield s | w
                 continue
             while candidates:
                 w = candidates & -candidates
                 candidates ^= w
                 adj = adjacency[w.bit_length() - 1]
-                stack.append(
-                    (s | w, size + 1, candidates | (adj & above & ~closed), closed | adj)
-                )
+                grown = candidates | (adj & above & ~closed)
+                if grown:
+                    stack.append((s | w, size, grown, closed | adj))
+                elif size >= min_size:  # a child with no candidate is a leaf
+                    yield s | w
 
 
 class ConnectedFamily(PatternFamily):

@@ -169,12 +169,20 @@ def anchor_minimal(fam: PatternFamily, pattern: int) -> int:
     """The least-mask minimal family member inside a pattern.
 
     This is the anchor of the pattern's concept, and the miner's duplicate
-    test: a closure is enumerated only in the subtree of its anchor.
+    test: a closure is enumerated only in the subtree of its anchor.  A
+    minimal inside the pattern has its highest item in the pattern, and a
+    mask with a lower highest item is the smaller mask, so the pattern's items
+    are walked upward through ``fam.minimals_by_top`` and the first minimal
+    inside it is the anchor: no scan of every minimal per closure.
     """
-    outside = ~pattern  # is_subset inlined: this scan runs once per closure
-    for m in fam.minimals():
-        if not m & outside:
-            return m
+    groups = fam.minimals_by_top
+    outside = ~pattern  # is_subset inlined: this runs once per closure
+    for i in iter_indices(pattern):
+        for m in groups[i + 1]:
+            if not m & outside:
+                return m
+    if groups[0]:  # the empty pattern is a member, so the only minimal
+        return 0
     raise ValueError("family member lies above no minimal member")
 
 
@@ -263,20 +271,27 @@ def support_closure_existence_check(
 
 
 def load_context(lines: Iterable[str]) -> list[tuple[str, tuple[str, ...]]]:
-    """Parse a context file: one object per line, ``name: item item ...``."""
+    """Parse a context file: one object per line, ``name: item item ...``.
+
+    Every occurrence of an item name is the same ``str`` object, so a context
+    holds one string per distinct item, not one per token.
+    """
     rows: list[tuple[str, tuple[str, ...]]] = []
     seen: set[str] = set()
+    items: dict[str, str] = {}
+    intern = items.setdefault
     for lineno, line in content_lines(lines):
-        if ":" not in line:
+        name, colon, rest = line.partition(":")
+        if not colon:
             raise ParseError(lineno, "expected 'object: item item ...'")
-        name, rest = line.split(":", 1)
         name = name.strip()
         if not name:
             raise ParseError(lineno, "empty object name")
         if name in seen:
             raise ParseError(lineno, f"duplicate object {name!r}")
         seen.add(name)
-        rows.append((name, tuple(rest.split())))
+        tokens = rest.split()
+        rows.append((name, tuple(map(intern, tokens, tokens))))
     return rows
 
 

@@ -70,15 +70,22 @@ def minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
 
     A mask's strict subsets have smaller values, so in ascending order a mask
     is minimal unless a minimum kept before it lies below it (or equals it).
+    Sorted neighbours usually share that minimum, so the last one that
+    blocked a mask or was kept is tried before the scan.
     """
     minima: list[int] = []
+    last = -1  # every bit set: below no mask
     for m in sorted(masks):
         outside = ~m  # hot loop: is_subset inlined, stopping at the first minimum below m
+        if not last & outside:
+            continue
         for k in minima:
             if not k & outside:
+                last = k
                 break
         else:
             minima.append(m)
+            last = m
     return tuple(minima)
 
 
@@ -86,7 +93,7 @@ def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
     """(line number from 1, stripped text) of each line of a text format that
     has content: ``#`` starts a comment and blank lines are skipped."""
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if line:
             yield lineno, line
 
@@ -98,7 +105,7 @@ class Universe:
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate item names in universe")
-        self._index = {name: i for i, name in enumerate(self.names)}
+        self._bits = {name: 1 << i for i, name in enumerate(self.names)}
         # A plain attribute, not a property: closures read it several times each.
         self.full_mask = (1 << len(self.names)) - 1
 
@@ -108,11 +115,11 @@ class Universe:
 
     def mask(self, names: Iterable[str]) -> int:
         """Mask of the named items; ``KeyError("unknown item 'z'")`` for an unknown name z."""
-        index = self._index
+        bits = self._bits
         m = 0
-        for name in names:  # no call per name: context_from_rows masks every object
+        for name in names:  # no call or shift per name: context_from_rows masks every object
             try:
-                m |= 1 << index[name]
+                m |= bits[name]
             except KeyError:
                 raise KeyError(f"unknown item {name!r}") from None
         return m

@@ -1,8 +1,8 @@
 """Seeded random structures shared by the test suites: graphs, contexts,
 abstractions, subconfluences, and sublattices of a small powerset, plus the
 meet closure used to build closure ranges, a vertex instance written in the
-CLI file formats, and a reference copy of the miner's traversal with the item
-exclusion mask.
+CLI file formats, a minimum-size vertex instance with many minimals, and a
+reference copy of the miner's traversal with the item exclusion mask.
 
 Imported by the tests; pytest does not collect it.
 """
@@ -60,6 +60,36 @@ def random_vertex_instance(
     descriptions = tuple(rng.randrange(1 << n_vertices) for _ in range(n_objects))
     objects = tuple(f"o{i}" for i in range(n_objects))
     return MinerConfig(family=fam, context=ObjectContext(objects, descriptions, fam.universe))
+
+
+def random_minsize_instance(seed: int, n_vertices: int) -> MinerConfig:
+    """Connected vertex sets of at least 4 vertices of a random 4-regular graph
+    (a Hamiltonian cycle plus two perfect matchings that repeat no edge), under
+    100n/24 objects of 11n/24 random vertices each and the frequency
+    abstraction 5: many minimals per closure.  ``n_vertices`` must be even."""
+    rng = random.Random(seed)
+    n = n_vertices
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = {frozenset((order[i], order[(i + 1) % n])) for i in range(n)}
+    for _ in range(2):
+        while True:
+            rng.shuffle(order)
+            matching = {frozenset(order[i : i + 2]) for i in range(0, n, 2)}
+            if not matching & edges:
+                break
+        edges |= matching
+    pairs = tuple(sorted(tuple(sorted(e)) for e in edges))
+    vertices = tuple(f"v{i}" for i in range(n))
+    graph = GraphSpec(vertices, pairs, tuple(f"e{i}" for i in range(len(pairs))))
+    fam = ConnectedVertexFamily(graph, 4)
+    descriptions = tuple(
+        sum(1 << i for i in rng.sample(range(n), 11 * n // 24)) for _ in range(100 * n // 24)
+    )
+    objects = tuple(f"o{i}" for i in range(len(descriptions)))
+    return MinerConfig(
+        fam, ObjectContext(objects, descriptions, fam.universe), ExtensionalAbstraction.frequency(5)
+    )
 
 
 def write_vertex_instance(

@@ -10,6 +10,7 @@ from confmine.families import (
     ExplicitFamily,
     FamilyError,
     ParseError,
+    _connected_sets,
     explicit_family_from_names,
     is_strongly_accessible,
     load_family_lines,
@@ -80,6 +81,76 @@ class TestMinimalMasks:
                 {p for p in masks if not any(q != p and is_subset(q, p) for q in masks)}
             )
             assert minimal_masks(masks) == tuple(expected)
+
+    def test_matches_a_scan_without_the_last_blocking_minimum(self):
+        # The scan minimal_masks ran before it tried the last blocking minimum
+        # first; unsorted input, duplicates and the empty mask included.
+        def scan(masks):
+            minima = []
+            for m in sorted(masks):
+                if not any(is_subset(k, m) for k in minima):
+                    minima.append(m)
+            return tuple(minima)
+
+        rng = random.Random(71)
+        for _ in range(500):
+            width = rng.randint(1, 9)
+            masks = [rng.randrange(1 << width) for _ in range(rng.randint(0, 30))]
+            masks += rng.sample(masks, len(masks) // 3)  # duplicates
+            if rng.random() < 0.2:
+                masks.append(0)
+            rng.shuffle(masks)
+            assert minimal_masks(masks) == scan(masks)
+
+
+class TestConnectedSets:
+    @staticmethod
+    def _brute_force(adjacency, min_size, max_size):
+        n = len(adjacency)
+        top = n if max_size is None else max_size
+        found = []
+        for s in range(1, 1 << n):
+            if not min_size <= s.bit_count() <= top:
+                continue
+            low = s & -s
+            comp, frontier = low, low
+            while frontier:  # breadth-first growth inside s, written out here
+                grown = 0
+                for i in iter_indices(frontier):
+                    grown |= adjacency[i]
+                frontier = grown & s & ~comp
+                comp |= frontier
+            if comp == s:
+                found.append(s)
+        return found
+
+    def test_agrees_with_brute_force_below_at_and_above_the_minimum(self):
+        # Leaves are yielded without a frame, at the size limit and where no
+        # candidate is left; a limit below min_size, 0 included, yields nothing.
+        rng = random.Random(59)
+        limits = {"below": 0, "equal": 0, "above": 0, "unbounded": 0}
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            p = rng.choice([0.15, 0.3, 0.6])
+            adjacency = [0] * n
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if rng.random() < p:
+                        adjacency[a] |= bit(b)
+                        adjacency[b] |= bit(a)
+            for min_size in range(1, n + 1):
+                for max_size in [None, *range(n + 1)]:
+                    walked = list(_connected_sets(adjacency, min_size, max_size))
+                    assert len(walked) == len(set(walked))
+                    assert sorted(walked) == self._brute_force(adjacency, min_size, max_size)
+                    if max_size is None:
+                        limits["unbounded"] += 1
+                    elif max_size < min_size:
+                        assert walked == []
+                        limits["below"] += 1
+                    else:
+                        limits["equal" if max_size == min_size else "above"] += 1
+        assert min(limits.values()) >= 60
 
 
 class TestGraphSpec:

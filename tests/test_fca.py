@@ -6,7 +6,7 @@ import random
 import pytest
 
 import confmine as cm
-from confmine.families import ExplicitFamily
+from confmine.families import ExplicitFamily, FamilyError
 from confmine.fca import (
     ContextError,
     anchor_minimal,
@@ -162,6 +162,48 @@ class TestAnchorMinimal:
         for pat in ("bcd", ""):
             with pytest.raises(ValueError, match="above no minimal"):
                 anchor_minimal(wedge_family, wedge_universe.mask(pat))
+
+    @staticmethod
+    def _families(rng):
+        g = random_graph(rng, max_vertices=8, edge_prob=rng.choice([0.15, 0.3, 0.5]))
+        for min_size in (1, 2, 3):
+            try:
+                yield cm.ConnectedVertexFamily(g, min_size)
+            except FamilyError:
+                break  # no connected vertex set that large, nor any larger
+        yield cm.ConnectedEdgeFamily(g)
+        yield cm.KGapWordFamily(rng.randint(1, 8), rng.randint(1, 3))
+        for _ in range(3):
+            yield random_explicit_subconfluence(rng, rng.randint(2, 7))
+
+    def test_index_agrees_with_a_scan_of_every_minimal(self):
+        # The least-mask minimal inside each pattern, read from the
+        # highest-item index, against a scan of the minimals in mask order; a
+        # pattern above no minimal raises.  Explicit families with minimals of
+        # several sizes are counted, and acceptance test 08's family, whose
+        # only minimal is the empty pattern (group 0 of the index), is included.
+        def scan(fam, pattern):
+            return next((m for m in fam.minimals() if is_subset(m, pattern)), None)
+
+        rng = random.Random(83)
+        families = [ExplicitFamily(range(1 << n), cm.Universe("abcde"[:n])) for n in (1, 3, 5)]
+        families.append(ExplicitFamily([0b0001, 0b0110, 0b1110, 0b1000, 0b1100], cm.Universe("abcd")))
+        for _ in range(60):
+            families.extend(self._families(rng))
+        mixed = 0
+        for fam in families:
+            assert fam.minimals_by_top[0] == ((0,) if 0 in fam.minimals() else ())
+            mixed += len({m.bit_count() for m in fam.minimals()}) > 1
+            size = fam.universe.size
+            patterns = range(1 << size) if size <= 10 else [rng.getrandbits(size) for _ in range(1024)]
+            for pattern in patterns:
+                want = scan(fam, pattern)
+                if want is None:
+                    with pytest.raises(ValueError, match="above no minimal"):
+                        anchor_minimal(fam, pattern)
+                else:
+                    assert anchor_minimal(fam, pattern) == want
+        assert len(families) > 400 and mixed >= 40
 
 
 class TestAbstractSupportClosure:
@@ -501,6 +543,17 @@ class TestContextFormats:
     def test_load_context(self):
         rows = load_context(["o1: a b", "", "# note", "o2: b"])
         assert rows == [("o1", ("a", "b")), ("o2", ("b",))]
+
+    def test_load_context_holds_one_string_per_item(self):
+        # Tokens split from different lines are equal but distinct strings
+        # until the loader interns them (CPython shares one-character strings
+        # anyway, so every name here is longer).
+        rows = load_context([f"o{k}: first b{k % 3} last\n" for k in range(9)])
+        tokens = [t for _, items in rows for t in items]
+        for t in tokens:
+            first = next(u for u in tokens if u == t)
+            assert t is first
+        assert len({id(t) for t in tokens}) == 5
 
     def test_duplicate_object(self):
         with pytest.raises(Exception, match="duplicate"):

@@ -22,7 +22,7 @@ from confmine.families import ConnectedEdgeFamily, GraphSpec
 from confmine.fca import ObjectContext
 from confmine.miner import MinerConfig, MineEvent, PruneEvent, mine_trace
 
-from randomized import random_vertex_instance
+from randomized import random_minsize_instance, random_vertex_instance
 
 SOURCE = str(Path(confmine.__file__).parent)
 
@@ -81,3 +81,13 @@ def test_edge_projection_scales_with_the_graph(seed):
     small = lines_per_closure(edge_instance(seed, 12))
     large = lines_per_closure(edge_instance(seed, 24))
     assert large / small <= 1.6
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_anchor_lookup_scales_with_the_minimals(seed):
+    # 24 -> 48 vertices, 396-448 -> 970-1005 minimals: measured 283-353 -> 242-247
+    # lines, ratio 0.70-0.86; a scan of every minimal per anchor measured
+    # 442-557 -> 755-827, ratio 1.48-1.79
+    small = lines_per_closure(random_minsize_instance(seed, 24))
+    large = lines_per_closure(random_minsize_instance(seed, 48))
+    assert large / small <= 1.07
