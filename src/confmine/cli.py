@@ -127,7 +127,7 @@ def _concept_line(concept, universe: Universe, context, fmt: str) -> str:
                 "intent": list(universe.names_of(concept.intent)),
                 "extent": list(context.object_names(concept.extent)),
                 "anchor_minimal": list(universe.names_of(concept.anchor_minimal)),
-                "empty_support": concept.empty_support,
+                "empty_support": concept.extent == 0,
             },
             separators=(",", ":"),
         )
@@ -136,7 +136,7 @@ def _concept_line(concept, universe: Universe, context, fmt: str) -> str:
             universe.format(concept.intent),
             context.format_extent(concept.extent),
             universe.format(concept.anchor_minimal),
-            "true" if concept.empty_support else "false",
+            "true" if concept.extent == 0 else "false",
         ]
     )
 
@@ -163,7 +163,7 @@ def mine_command(fmt, sorted_output, emit_empty_support, **source):
     universe = family.universe
     concepts = (ev.concept for ev in events)
     if not emit_empty_support:
-        concepts = (c for c in concepts if not c.empty_support)
+        concepts = (c for c in concepts if c.extent)
     if sorted_output:
         concepts = sorted(concepts, key=lambda c: (" ".join(universe.names_of(c.intent)), c.extent))
     write = sys.stdout.write  # one line per concept as it arrives, no flush

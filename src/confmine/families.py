@@ -19,7 +19,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .order import Verdict
-from .patterns import Universe, bit, content_lines, is_subset, iter_indices, minimal_masks, or_rows, reach
+from .patterns import Universe, content_lines, is_subset, iter_indices, mask_of, minimal_masks, or_rows, reach
 
 
 class FamilyError(ValueError):
@@ -109,18 +109,20 @@ class PatternFamily(ABC):
 
     A family is a subconfluence of the powerset of its universe: whenever two
     members contain a common member, their union is a member.  Implementations
-    are stateless after construction and safe to query concurrently.
+    are stateless after construction and safe to query concurrently, and set
+    ``_minimals`` when they are built.
     """
 
     universe: Universe
+    _minimals: tuple[int, ...]
 
     @abstractmethod
     def contains(self, pattern: int) -> bool:
         """Membership of a pattern (a bit mask over the universe)."""
 
-    @abstractmethod
     def minimals(self) -> tuple[int, ...]:
         """Minimal members, sorted by bit-mask value for deterministic mining."""
+        return self._minimals
 
     @cached_property
     def minimals_by_top(self) -> tuple[tuple[int, ...], ...]:
@@ -167,7 +169,7 @@ class PatternFamily(ABC):
         return [
             e
             for e in range(self.universe.size)
-            if not (pattern >> e) & 1 and self.contains(pattern | bit(e))
+            if not (pattern >> e) & 1 and self.contains(pattern | 1 << e)
         ]
 
     @abstractmethod
@@ -206,11 +208,11 @@ def _connected_sets(
     if limit < min_size:
         return
     if limit == 1:  # every root is a leaf
-        yield from map(bit, range(len(adjacency)))
+        yield from (1 << v for v in range(len(adjacency)))
         return
     for v in range(len(adjacency)):
-        above = -(bit(v) << 1)  # every item greater than v
-        stack = [(bit(v), 1, adjacency[v] & above, bit(v) | adjacency[v])]
+        above = -(2 << v)  # every item greater than v
+        stack = [(1 << v, 1, adjacency[v] & above, 1 << v | adjacency[v])]
         while stack:
             s, size, candidates, closed = stack.pop()
             if size >= min_size:
@@ -251,9 +253,6 @@ class ConnectedFamily(PatternFamily):
             return False
         return reach(pattern & -pattern, pattern, self._adj) == pattern
 
-    def minimals(self) -> tuple[int, ...]:
-        return self._minimals
-
     def members(self) -> Iterator[int]:
         return _connected_sets(self._adj, self.min_size)
 
@@ -272,7 +271,7 @@ class ConnectedFamily(PatternFamily):
         comps = [0] * self.universe.size
         for v in range(self.universe.size):
             if not comps[v]:
-                comp = reach(bit(v), self.universe.full_mask, self._adj)
+                comp = reach(1 << v, self.universe.full_mask, self._adj)
                 for w in iter_indices(comp):
                     comps[w] = comp
         return tuple(comps)
@@ -325,7 +324,7 @@ class KGapWordFamily(ConnectedFamily):
         if k < 1:
             raise FamilyError("gap bound must be at least 1")
         adjacency = [
-            (bit(min(i + k, n - 1) + 1) - bit(max(i - k, 0))) & ~bit(i) for i in range(n)
+            ((2 << min(i + k, n - 1)) - (1 << max(i - k, 0))) & ~(1 << i) for i in range(n)
         ]
         super().__init__(Universe(tuple(f"a{i}" for i in range(1, n + 1))), adjacency)
 
@@ -353,9 +352,6 @@ class ExplicitFamily(PatternFamily):
 
     def members(self) -> Iterator[int]:
         return iter(self.patterns)
-
-    def minimals(self) -> tuple[int, ...]:
-        return self._minimals
 
     def strongly_accessible(self) -> Verdict:
         return is_strongly_accessible(self.patterns)
@@ -396,11 +392,11 @@ def is_strongly_accessible(members: Sequence[int]) -> Verdict:
     """
     member_set = set(members)
     ordered = sorted(member_set, key=lambda p: (p.bit_count(), p))
-    for t1 in ordered:
-        for t2 in ordered:
-            if t2 == t1 or not is_subset(t1, t2):
-                continue
-            if not any(t1 | bit(e) in member_set for e in iter_indices(t2 & ~t1)):
+    width = max(member_set, default=0).bit_length()
+    for k, t1 in enumerate(ordered):  # members above t1 come later
+        steps = mask_of(e for e in range(width) if t1 | 1 << e in member_set) & ~t1
+        for t2 in ordered[k + 1 :]:
+            if not t1 & ~t2 and not t2 & steps:  # t2 is above t1 and holds none of its steps
                 return Verdict(False, (t1, t2))
     return Verdict(True)
 

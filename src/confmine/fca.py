@@ -54,10 +54,6 @@ class ObjectContext:
                 tids[i] |= 1 << o
         return tuple(tids)
 
-    @property
-    def n_objects(self) -> int:
-        return len(self.objects)
-
     @cached_property
     def all_objects_mask(self) -> int:
         return (1 << len(self.objects)) - 1
@@ -142,10 +138,6 @@ class ExtensionalAbstraction:
             object.__setattr__(self, "generators", tuple(sorted(set(self.generators))))
 
     @classmethod
-    def identity(cls) -> "ExtensionalAbstraction":
-        return cls()
-
-    @classmethod
     def frequency(cls, min_support: int) -> "ExtensionalAbstraction":
         return cls(min_support)
 
@@ -173,11 +165,12 @@ def anchor_minimal(fam: PatternFamily, pattern: int) -> int:
     minimal inside the pattern has its highest item in the pattern, and a
     mask with a lower highest item is the smaller mask, so the pattern's items
     are walked upward through ``fam.minimals_by_top`` and the first minimal
-    inside it is the anchor: no scan of every minimal per closure.
+    inside it is the anchor: no scan of every minimal per closure.  Items
+    outside the universe hold no minimal and have no group, so are not walked.
     """
     groups = fam.minimals_by_top
     outside = ~pattern  # is_subset inlined: this runs once per closure
-    for i in iter_indices(pattern):
+    for i in iter_indices(pattern & fam.universe.full_mask):
         for m in groups[i + 1]:
             if not m & outside:
                 return m

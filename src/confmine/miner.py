@@ -20,8 +20,8 @@ so tree depth is bounded by memory alone, not by Python's recursion limit.
 
 The family answers for its own strong accessibility
 (``PatternFamily.strongly_accessible``), checked once before the walk.  Every
-concept is emitted; one with an empty abstract support is flagged, its closure
-is a local top, which has no augmentation, and dropping it is left to the caller.
+concept is emitted; one with extent 0, an empty abstract support, has a local
+top as its closure, with no augmentation, and dropping it is left to the caller.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ class Concept(NamedTuple):
     extent: int
     intent: int
     anchor_minimal: int
-    empty_support: bool
 
 
 class NotStronglyAccessibleError(ValueError):
@@ -157,7 +156,7 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
             continue
         # m anchors its subtree: a closure there whose anchor is not m holds an
         # earlier minimal, whose subtree reached it, and is pruned.
-        yield MineEvent(Concept(support, p, m, support == 0), None)
+        yield MineEvent(Concept(support, p, m), None)
         # Frames: (closed pattern q, its abstract support A, pending
         # augmentations).  apply is an interior operator, so apply(A & t) ==
         # apply(ext(q) & t).
@@ -175,7 +174,7 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
                 if anchor != m:
                     yield PruneEvent(q, pattern, anchor)
                     continue
-                yield MineEvent(Concept(child_support, q, m, child_support == 0), pattern)
+                yield MineEvent(Concept(child_support, q, m), pattern)
                 stack.append((q, child_support, iter(fam.augmentations(q))))
                 break
             else:
@@ -185,7 +184,7 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
 
 def mine(cfg: MinerConfig) -> Iterator[MineEvent]:
     """Stream every (abstract) support-closed pattern of the family exactly once,
-    empty-support concepts included: flagged, each a local top with no augmentation."""
+    empty-support concepts (extent 0) included, each a local top with no augmentation."""
     return (ev for ev in mine_trace(cfg) if type(ev) is MineEvent)
 
 

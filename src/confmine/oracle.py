@@ -31,7 +31,7 @@ from .fca import (
 )
 from .miner import MinerConfig, NotStronglyAccessibleError, mine
 from .order import FinitePoset, OperatorMap, classify_operator, closure_from_subset
-from .patterns import bit, is_subset, iter_indices, mask_of
+from .patterns import is_subset, iter_indices, mask_of
 
 
 class BudgetExceededError(RuntimeError):
@@ -405,7 +405,7 @@ def _subsets_within(mask: int, rng, cap: int) -> list[int]:
     bits = list(iter_indices(mask))
     out = {0, mask}
     while len(out) < cap:
-        out.add(sum(bit(b) for b in bits if rng.random() < 0.5))
+        out.add(sum(1 << b for b in bits if rng.random() < 0.5))
     return sorted(out)
 
 

@@ -10,10 +10,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 
-def bit(i: int) -> int:
-    return 1 << i
-
-
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:

@@ -1,15 +1,18 @@
 """Seeded random structures shared by the test suites: graphs, contexts,
 abstractions, subconfluences, and sublattices of a small powerset, plus the
 meet closure used to build closure ranges, a vertex instance written in the
-CLI file formats, a minimum-size vertex instance with many minimals, and a
-reference copy of the miner's traversal with the item exclusion mask.
+CLI file formats, a minimum-size vertex instance with many minimals, the
+Python lines the library runs per closure, and a reference copy of the
+miner's traversal with the item exclusion mask.
 
 Imported by the tests; pytest does not collect it.
 """
 
 import random
+import sys
 from pathlib import Path
 
+import confmine
 from confmine.families import (
     ConnectedVertexFamily,
     ExplicitFamily,
@@ -23,7 +26,7 @@ from confmine.fca import (
     closure,
     extension,
 )
-from confmine.miner import Concept, MinerConfig, MineEvent, MinimalEvent, PruneEvent
+from confmine.miner import Concept, MinerConfig, MineEvent, MinimalEvent, PruneEvent, mine_trace
 from confmine.order import FiniteLattice, powerset_lattice
 from confmine.patterns import Universe, is_subset, iter_indices
 
@@ -92,6 +95,33 @@ def random_minsize_instance(seed: int, n_vertices: int) -> MinerConfig:
     )
 
 
+SOURCE = str(Path(confmine.__file__).parent)
+
+
+def lines_per_closure(cfg: MinerConfig) -> float:
+    """``sys.settrace`` line events in frames of ``src/confmine`` while
+    ``mine_trace`` runs, per closure computed (``MineEvent`` plus ``PruneEvent``)."""
+    lines = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return count_lines
+
+    def on_call(frame, event, arg):
+        return count_lines if frame.f_code.co_filename.startswith(SOURCE) else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        events = list(mine_trace(cfg))
+    finally:
+        sys.settrace(previous)
+    closures = sum(type(ev) in (MineEvent, PruneEvent) for ev in events)
+    return lines / closures
+
+
 def write_vertex_instance(
     directory: Path, seed: int, n_vertices: int, n_edges: int, n_objects: int
 ) -> tuple[Path, Path]:
@@ -138,7 +168,7 @@ def random_context(
 def random_abstraction(rng: random.Random, n_objects: int) -> ExtensionalAbstraction:
     roll = rng.random()
     if roll < 0.4:
-        return ExtensionalAbstraction.identity()
+        return ExtensionalAbstraction()
     if roll < 0.7:
         return ExtensionalAbstraction.frequency(rng.randint(1, max(1, n_objects)))
     generators = []
@@ -259,7 +289,7 @@ def reference_mine_trace(cfg: MinerConfig):
         p, abstract_extent = close(m, m_extent)
         root_anchor = anchor_minimal(fam, p)
         if root_anchor == m:
-            yield MineEvent(Concept(abstract_extent, p, m, abstract_extent == 0), None)
+            yield MineEvent(Concept(abstract_extent, p, m), None)
             # frames: (closed pattern, carried extent, pending augmentations, excluded items)
             stack = [(p, m_extent, iter(fam.augmentations(p)), 0)] if abstract_extent else []
             while stack:
@@ -275,7 +305,7 @@ def reference_mine_trace(cfg: MinerConfig):
                     if hit:
                         yield PruneEvent(q, pattern, None, (hit & -hit).bit_length() - 1)
                         continue
-                    yield MineEvent(Concept(q_extent, q, m, q_extent == 0), pattern)
+                    yield MineEvent(Concept(q_extent, q, m), pattern)
                     if q_extent == 0:
                         excluded |= 1 << e
                         continue

@@ -183,7 +183,7 @@ def test_acceptance_06_subconfluence_rejection():
 
     ctx = cm.ObjectContext(("o",), (u.mask("abcd"),), u)
     try:
-        cm.oracle_closure(ctx, bad, cm.ExtensionalAbstraction.identity(), 0)
+        cm.oracle_closure(ctx, bad, cm.ExtensionalAbstraction(), 0)
         undefined_ok = False
         maximals = ()
     except cm.ClosureUndefinedError as err:
@@ -370,7 +370,7 @@ def _suite_support_closure_laws(rng, runs):
         if len(members) > 40:
             continue  # keep the operator-table classification quadratic-cheap
         ctx = random_context(rng, fam.universe, max_objects=12)
-        abstraction = random_abstraction(rng, ctx.n_objects)
+        abstraction = random_abstraction(rng, len(ctx.objects))
         poset = family_poset(members)
         table = [
             poset.index(cm.closure(ctx, fam, t, abstraction.apply(cm.extension(ctx, t))))
@@ -396,7 +396,7 @@ def _suite_miner_vs_oracle(rng, runs):
     for _ in range(runs):
         fam = _random_family(rng)
         ctx = random_context(rng, fam.universe, max_objects=12)
-        abstraction = random_abstraction(rng, ctx.n_objects)
+        abstraction = random_abstraction(rng, len(ctx.objects))
         cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
         mined = [ev.concept.intent for ev in cm.mine(cfg)]
         assert len(mined) == len(set(mined))

@@ -18,7 +18,7 @@ from confmine.families import (
     subconfluence_violation,
 )
 from confmine.oracle import materialize
-from confmine.patterns import bit, content_lines, is_subset, iter_indices, minimal_masks
+from confmine.patterns import content_lines, is_subset, iter_indices, minimal_masks
 
 from randomized import random_explicit_subconfluence, random_graph, random_subconfluence_masks
 
@@ -136,8 +136,8 @@ class TestConnectedSets:
             for a in range(n):
                 for b in range(a + 1, n):
                     if rng.random() < p:
-                        adjacency[a] |= bit(b)
-                        adjacency[b] |= bit(a)
+                        adjacency[a] |= 1 << b
+                        adjacency[b] |= 1 << a
             for min_size in range(1, n + 1):
                 for max_size in [None, *range(n + 1)]:
                     walked = list(_connected_sets(adjacency, min_size, max_size))
@@ -197,7 +197,7 @@ class TestConnectedVertexFamily:
         assert path.project(u.mask("a"), u.mask("abd")) == u.mask("ab")
 
     def test_minimals_are_singletons(self, path):
-        assert path.minimals() == tuple(bit(v) for v in range(4))
+        assert path.minimals() == tuple(1 << v for v in range(4))
 
     def test_min_size_bounds(self):
         with pytest.raises(FamilyError):
@@ -216,7 +216,7 @@ class TestConnectedVertexFamily:
         u = path.universe
         p = u.mask("bc")
         assert path.augmentations(p) == [
-            e for e in range(4) if not (p >> e) & 1 and path.contains(p | bit(e))
+            e for e in range(4) if not (p >> e) & 1 and path.contains(p | 1 << e)
         ]
 
 
@@ -234,7 +234,7 @@ class TestConnectedEdgeFamily:
         assert quad_edge_family.project(u.mask("a"), u.mask("ab")) == u.mask("a")
 
     def test_minimals_are_single_edges(self, quad_edge_family):
-        assert quad_edge_family.minimals() == tuple(bit(e) for e in range(4))
+        assert quad_edge_family.minimals() == tuple(1 << e for e in range(4))
 
     def test_rejects_edgeless_graph(self):
         with pytest.raises(FamilyError, match="no edges"):
@@ -432,7 +432,7 @@ class TestStrongAccessibility:
                 if cur == t2:
                     return True
                 for e in iter_indices(t2 & ~cur):
-                    nxt = cur | bit(e)
+                    nxt = cur | 1 << e
                     if nxt in members and nxt not in seen:
                         seen.add(nxt)
                         stack.append(nxt)
@@ -459,6 +459,43 @@ class TestStrongAccessibility:
                 failing += 1
                 assert verdict.witness in stuck
         assert failing > 0
+
+    @staticmethod
+    def _pair_loop(members):
+        """The definitional check: every item of each nested pair's difference
+        is tried as the step from t1, pair by pair in (size, mask) order."""
+        member_set = set(members)
+        ordered = sorted(member_set, key=lambda p: (p.bit_count(), p))
+        for t1 in ordered:
+            for t2 in ordered:
+                if t2 == t1 or not is_subset(t1, t2):
+                    continue
+                if not any(t1 | 1 << e in member_set for e in iter_indices(t2 & ~t1)):
+                    return cm.Verdict(False, (t1, t2))
+        return cm.Verdict(True)
+
+    def test_step_masks_match_the_pair_loop(self):
+        # Verdict and witness on random mask lists: any masks (mostly not
+        # subconfluences), subconfluences (often not accessible), lists holding
+        # the empty pattern, and lists with duplicates.
+        rng = random.Random(29)
+        cases = [[], [0], [0, 0], [0b1, 0b111], [0, 0b11], [0b110, 0b10, 0b110, 0b111]]
+        for _ in range(600):
+            n_items = rng.randint(1, 6)
+            kind = rng.randrange(3)
+            if kind == 0:
+                members = [rng.randrange(1 << n_items) for _ in range(rng.randint(1, 12))]
+            else:
+                members = random_subconfluence_masks(rng, n_items, n_seeds=rng.randint(1, 8))
+            if kind == 2:  # the empty pattern and repeats
+                members = rng.choices(members + [0], k=len(members) + rng.randint(1, 4))
+            cases.append(members)
+        kinds = set()
+        for members in cases:
+            verdict = is_strongly_accessible(members)
+            assert verdict == self._pair_loop(members), members
+            kinds.add((subconfluence_violation(members) is None, bool(verdict)))
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 class TestFamilyProperties:
@@ -535,7 +572,7 @@ class TestFamilyProperties:
                     expected = [
                         e
                         for e in range(fam.universe.size)
-                        if not (p >> e) & 1 and fam.contains(p | bit(e))
+                        if not (p >> e) & 1 and fam.contains(p | 1 << e)
                     ]
                     assert fam.augmentations(p) == expected
 
@@ -615,8 +652,8 @@ class TestFamilyProperties:
                             if j not in comp:
                                 comp.add(j)
                                 grew = True
-                mask = sum(bit(i) for i in comp)
-                assert fam.project(bit(e), x) == mask
+                mask = sum(1 << i for i in comp)
+                assert fam.project(1 << e, x) == mask
 
 
 class TestFileFormats:

@@ -163,6 +163,16 @@ class TestAnchorMinimal:
             with pytest.raises(ValueError, match="above no minimal"):
                 anchor_minimal(wedge_family, wedge_universe.mask(pat))
 
+    def test_items_outside_the_universe_hold_no_minimal(self):
+        # Path a-b plus an isolated c at min_size 2: the one minimal is ab.  A
+        # pattern whose universe items hold no minimal raises the ValueError
+        # above, also when it holds item 3, past the index's last group.
+        fam = cm.ConnectedVertexFamily(cm.GraphSpec.build(["a", "b", "c"], [("a", "b")]), 2)
+        for pattern in (0b1000, 0b1100, 0b1001, 0b11000):
+            with pytest.raises(ValueError, match="above no minimal"):
+                anchor_minimal(fam, pattern)
+        assert anchor_minimal(fam, 0b1011) == 0b0011
+
     @staticmethod
     def _families(rng):
         g = random_graph(rng, max_vertices=8, edge_prob=rng.choice([0.15, 0.3, 0.5]))
@@ -217,7 +227,7 @@ class TestAbstractSupportClosure:
             assert got == u.mask(want)
 
     def test_identity_equals_plain(self, wedge_context, wedge_family):
-        ident = cm.ExtensionalAbstraction.identity()
+        ident = cm.ExtensionalAbstraction()
         for t in wedge_family.patterns:
             support = ident.apply(cm.extension(wedge_context, t))
             assert cm.closure(wedge_context, wedge_family, t, support) == cm.support_closure(
@@ -292,10 +302,10 @@ class TestExtensionalAbstraction:
 
     def test_threshold_and_generator_shapes(self):
         A = cm.ExtensionalAbstraction
-        assert A.identity() == A.frequency(0)
-        assert hash(A.identity()) == hash(A.frequency(0))
+        assert A() == A.frequency(0)
+        assert hash(A()) == hash(A.frequency(0))
         no_generators = A.from_generators([])
-        assert no_generators != A.identity()
+        assert no_generators != A()
         assert all(no_generators.apply(e) == 0 for e in range(256))
         rng = random.Random(8)
         for _ in range(200):
@@ -347,7 +357,7 @@ class TestConceptConfluence:
         ctx = cm.ObjectContext((), (), u)
         cc = cm.build_concept_confluence(ctx, quad_edge_family)
         assert [c.intent for c in cc] == [u.mask("abcd")]
-        assert cc[0].empty_support
+        assert cc[0].extent == 0
 
     def test_wedge_concepts(self, wedge_family, wedge_context, wedge_universe):
         u = wedge_universe

@@ -73,7 +73,7 @@ class TestClosePattern:
 def _sample_events():
     """One record of each kind, built afresh on each call."""
     return {
-        MineEvent: MineEvent(cm.Concept(0b011, 0b101, 0b001, False), None),
+        MineEvent: MineEvent(cm.Concept(0b011, 0b101, 0b001), None),
         PruneEvent: PruneEvent(0b111, 0b101, blocked_by_item=1),
         MinimalEvent: MinimalEvent(0b001, True),
     }
@@ -112,8 +112,8 @@ class TestTraceEventRecords:
     def test_repr(self):
         events = _sample_events()
         assert repr(events[MineEvent]) == (
-            "MineEvent(concept=Concept(extent=3, intent=5, anchor_minimal=1, "
-            "empty_support=False), parent_intent=None)"
+            "MineEvent(concept=Concept(extent=3, intent=5, anchor_minimal=1), "
+            "parent_intent=None)"
         )
         assert repr(events[PruneEvent]) == (
             "PruneEvent(closure=7, parent_intent=5, blocked_by_minimal=None, "
@@ -130,7 +130,7 @@ class TestTraceEventRecords:
 def _sample_records():
     """A Concept and an EquivalenceClass, built afresh on each call."""
     return {
-        cm.Concept: cm.Concept(0b011, 0b101, 0b001, False),
+        cm.Concept: cm.Concept(0b011, 0b101, 0b001),
         cm.EquivalenceClass: cm.EquivalenceClass(0b11, (0b01, 0b11), (0b01,), (0b11,)),
     }
 
@@ -140,7 +140,7 @@ class TestValueRecords:
     classes build once per step."""
 
     FIELDS = {
-        cm.Concept: ("extent", "intent", "anchor_minimal", "empty_support"),
+        cm.Concept: ("extent", "intent", "anchor_minimal"),
         cm.EquivalenceClass: ("extent", "members", "generators", "closed"),
     }
     KINDS = list(FIELDS)
@@ -163,7 +163,7 @@ class TestValueRecords:
     def test_repr(self):
         records = _sample_records()
         assert repr(records[cm.Concept]) == (
-            "Concept(extent=3, intent=5, anchor_minimal=1, empty_support=False)"
+            "Concept(extent=3, intent=5, anchor_minimal=1)"
         )
         assert repr(records[cm.EquivalenceClass]) == (
             "EquivalenceClass(extent=3, members=(1, 3), generators=(1,), closed=(3,))"
@@ -245,7 +245,7 @@ def _render_trace(cfg):
             out.append(
                 (
                     "emit", fmt(c.intent), ctx.format_extent(c.extent),
-                    fmt(c.anchor_minimal), c.empty_support, fmt(ev.parent_intent),
+                    fmt(c.anchor_minimal), c.extent == 0, fmt(ev.parent_intent),
                 )
             )
         elif isinstance(ev, PruneEvent):
@@ -412,25 +412,25 @@ class TestQuadGraphMining:
             family=quad_edge_family, context=quad_context, abstraction=pair_abstraction
         )
         events = list(cm.mine(cfg))
-        got = {u.format(ev.concept.intent): ev.concept.empty_support for ev in events}
+        got = {u.format(ev.concept.intent): ev.concept.extent == 0 for ev in events}
         assert got == {"a": False, "b": False, "a b c d": True}
 
     def test_empty_support_never_expanded(self, quad_edge_family, quad_context, pair_abstraction):
         cfg = cm.MinerConfig(
             family=quad_edge_family, context=quad_context, abstraction=pair_abstraction
         )
-        # a flagged concept may be reached, but it never becomes a parent
-        flagged = {
+        # an empty-support concept may be reached, but it never becomes a parent
+        empty = {
             ev.concept.intent
             for ev in cm.mine_trace(cfg)
-            if isinstance(ev, MineEvent) and ev.concept.empty_support
+            if isinstance(ev, MineEvent) and ev.concept.extent == 0
         }
         all_parents = {
             ev.parent_intent
             for ev in cm.mine_trace(cfg)
             if isinstance(ev, MineEvent) and ev.parent_intent is not None
         }
-        assert not (flagged & all_parents)
+        assert not (empty & all_parents)
 
 
 class TestExclusionListPlacements:
@@ -494,7 +494,7 @@ class TestExclusionListPlacements:
         assert emitted == ["a b c", "d"]
         members = materialize(fam)
         assert {ev.concept.intent for ev in events if isinstance(ev, MineEvent)} == (
-            oracle_closed_set(ctx, members, cm.ExtensionalAbstraction.identity())
+            oracle_closed_set(ctx, members, cm.ExtensionalAbstraction())
         )
 
     @staticmethod
@@ -608,7 +608,7 @@ class TestMinerAgainstOracle:
                     rng, n_items=4, require_strong_accessibility=True
                 )
             ctx = random_context(rng, fam.universe, max_objects=8)
-            abstraction = random_abstraction(rng, ctx.n_objects)
+            abstraction = random_abstraction(rng, len(ctx.objects))
             cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
             events = list(cm.mine(cfg))
             mined = intents(events)
@@ -619,7 +619,6 @@ class TestMinerAgainstOracle:
                 c = ev.concept
                 assert c.extent == abstraction.apply(cm.extension(ctx, c.intent))
                 assert cm.closure(ctx, fam, c.intent, c.extent) == c.intent
-                assert c.empty_support == (c.extent == 0)
 
 
 def _vertex_family(rng, min_size):
@@ -641,7 +640,7 @@ def _family_kinds(rng):
 
 def _abstraction_kinds(rng, n_objects):
     """Identity, a random frequency threshold and random generators."""
-    yield cm.ExtensionalAbstraction.identity()
+    yield cm.ExtensionalAbstraction()
     yield cm.ExtensionalAbstraction.frequency(rng.randint(1, n_objects))
     yield cm.ExtensionalAbstraction.from_generators(
         rng.randrange(1 << n_objects) for _ in range(rng.randint(1, 3))
@@ -661,7 +660,7 @@ class TestRootAnchorsAcrossFamilyKinds:
             for fam in _family_kinds(rng):
                 members = materialize(fam)
                 ctx = random_context(rng, fam.universe, max_objects=6)
-                for abstraction in _abstraction_kinds(rng, ctx.n_objects):
+                for abstraction in _abstraction_kinds(rng, len(ctx.objects)):
                     cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
                     trace = list(cm.mine_trace(cfg))
                     mined = [ev for ev in trace if isinstance(ev, MineEvent)]
@@ -694,7 +693,7 @@ class TestRootAnchorsAcrossFamilyKinds:
         for _ in range(4):
             for fam in _family_kinds(rng):
                 ctx = random_context(rng, fam.universe, max_objects=6)
-                for abstraction in _abstraction_kinds(rng, ctx.n_objects):
+                for abstraction in _abstraction_kinds(rng, len(ctx.objects)):
                     cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
                     calls = 0
                     trace = list(cm.mine_trace(cfg))
@@ -762,7 +761,7 @@ class TestClosuresRememberedBySupport:
         for _ in range(self.ROUNDS):
             for fam in _family_kinds(rng):
                 ctx = random_context(rng, fam.universe, max_objects=6)
-                for abstraction in _abstraction_kinds(rng, ctx.n_objects):
+                for abstraction in _abstraction_kinds(rng, len(ctx.objects)):
                     cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
                     reference = list(reference_mine_trace(cfg))
                     trace = []
@@ -854,7 +853,7 @@ class TestUncheckedProjection:
             for inner in _family_kinds(rng):
                 fam = AssertingProjection(inner)
                 ctx = random_context(rng, fam.universe, max_objects=6)
-                for abstraction in _abstraction_kinds(rng, ctx.n_objects):
+                for abstraction in _abstraction_kinds(rng, len(ctx.objects)):
                     cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
                     unchecked = list(cm.mine_trace(cfg))
                     with monkeypatch.context() as m:
@@ -906,13 +905,13 @@ class TestOneAugmentationListingPerEmission:
             for inner in _family_kinds(rng):
                 fam = CountingAugmentations(inner)
                 ctx = random_context(rng, fam.universe, max_objects=6)
-                for abstraction in _abstraction_kinds(rng, ctx.n_objects):
+                for abstraction in _abstraction_kinds(rng, len(ctx.objects)):
                     cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
                     fam.augmentation_calls = 0
                     concepts = [ev.concept for ev in cm.mine(cfg)]
                     assert fam.augmentation_calls == len(concepts)
                     for c in concepts:
-                        if c.empty_support:
+                        if c.extent == 0:
                             local_tops += 1
                             assert inner.augmentations(c.intent) == []
         assert local_tops  # the draw reaches empty-support concepts

@@ -124,7 +124,7 @@ class TestMaterialize:
 class TestOracleClosure:
     def test_matches_projection_closure(self, five_context, five_family):
         members = cm.materialize(five_family)
-        ident = cm.ExtensionalAbstraction.identity()
+        ident = cm.ExtensionalAbstraction()
         for t in members:
             assert cm.oracle_closure(five_context, members, ident, t) == cm.support_closure(
                 five_context, five_family, t
@@ -142,7 +142,7 @@ class TestOracleClosure:
     def test_rejects_non_member(self, five_context, five_family, five_universe):
         members = cm.materialize(five_family)
         outside = next(t for t in range(five_universe.full_mask + 1) if t not in members)
-        ident = cm.ExtensionalAbstraction.identity()
+        ident = cm.ExtensionalAbstraction()
         with pytest.raises(ValueError, match="^pattern outside the family$"):
             cm.oracle_closure(five_context, members, ident, outside)
 
@@ -151,12 +151,12 @@ class TestOracleClosure:
         members = [0, u.mask("ab"), u.mask("ac")]
         ctx = cm.ObjectContext(("o",), (u.mask("abcd"),), u)
         with pytest.raises(cm.ClosureUndefinedError) as exc:
-            cm.oracle_closure(ctx, members, cm.ExtensionalAbstraction.identity(), 0)
+            cm.oracle_closure(ctx, members, cm.ExtensionalAbstraction(), 0)
         assert set(exc.value.maximals) == {u.mask("ab"), u.mask("ac")}
 
     def test_closure_laws_on_explicit_subconfluences(self):
         rng = random.Random(79)
-        ident = cm.ExtensionalAbstraction.identity()
+        ident = cm.ExtensionalAbstraction()
         for _ in range(10):
             fam = random_explicit_subconfluence(rng, n_items=4)
             ctx = build_context(
@@ -183,7 +183,7 @@ class TestOracleClosedSet:
     def test_wedge_closed_set(self, wedge_context, wedge_family, wedge_universe):
         u = wedge_universe
         members = cm.materialize(wedge_family)
-        got = oracle_closed_set(wedge_context, members, cm.ExtensionalAbstraction.identity())
+        got = oracle_closed_set(wedge_context, members, cm.ExtensionalAbstraction())
         assert got == {u.mask("abd"), u.mask("acd"), u.mask("abcd")}
 
 

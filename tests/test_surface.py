@@ -1,8 +1,9 @@
 """Every top-level function and class of the package, and every method of a
 top-level class, is used by code that runs: the package itself, the
 benchmark scripts, the acceptance tests and the README's library example.
+And no two of those functions and methods say the same thing.
 
-Two rules check that, one test each:
+Three rules check that, one test each:
 - its name appears outside its own definition in that code, where the README
   counts only through the ``python`` block that ``test_readme.py`` runs, not
   through its prose;
@@ -10,7 +11,10 @@ Two rules check that, one test each:
   which the first rule therefore passes whenever a namesake is used, is
   called while the acceptance tests and the README example run.  Abstract
   methods are exempt.  Calls are recorded by wrapping only those definitions
-  for the run and restoring them after.
+  for the run and restoring them after;
+- no two of those functions and methods have the same body: their syntax
+  trees differ once a leading docstring is dropped.  Abstract methods and
+  bodies that are a docstring alone are exempt.
 
 A name that only its own unit tests reach is surface nothing needs; delete
 it with those tests.  The CLI's decorated commands are reached through click.
@@ -136,3 +140,18 @@ def test_every_shared_name_definition_runs():
     assert not uncalled, (
         "never called by the acceptance tests or the README example: " + ", ".join(uncalled)
     )
+
+
+
+def test_no_two_definitions_share_a_body():
+    holders = defaultdict(list)  # body's syntax tree, without positions -> names
+    for _, name, node in _definitions():
+        if not isinstance(node, ast.FunctionDef) or any(
+            ast.unparse(d).endswith("abstractmethod") for d in node.decorator_list
+        ):
+            continue
+        body = node.body[1:] if ast.get_docstring(node, clean=False) is not None else node.body
+        if body:
+            holders[ast.dump(ast.Module(body, []))].append(name)
+    shared = [" = ".join(names) for names in holders.values() if len(names) > 1]
+    assert not shared, "the same body written more than once: " + "; ".join(shared)

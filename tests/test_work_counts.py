@@ -12,41 +12,14 @@ Python 3.11 at seeds 1-3, plus 25 % headroom.
 """
 
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
-import confmine
 from confmine.families import ConnectedEdgeFamily, GraphSpec
 from confmine.fca import ObjectContext
-from confmine.miner import MinerConfig, MineEvent, PruneEvent, mine_trace
+from confmine.miner import MinerConfig
 
-from randomized import random_minsize_instance, random_vertex_instance
-
-SOURCE = str(Path(confmine.__file__).parent)
-
-
-def lines_per_closure(cfg: MinerConfig) -> float:
-    lines = 0
-
-    def count_lines(frame, event, arg):
-        nonlocal lines
-        if event == "line":
-            lines += 1
-        return count_lines
-
-    def on_call(frame, event, arg):
-        return count_lines if frame.f_code.co_filename.startswith(SOURCE) else None
-
-    previous = sys.gettrace()
-    sys.settrace(on_call)
-    try:
-        events = list(mine_trace(cfg))
-    finally:
-        sys.settrace(previous)
-    closures = sum(type(ev) in (MineEvent, PruneEvent) for ev in events)
-    return lines / closures
+from randomized import lines_per_closure, random_minsize_instance, random_vertex_instance
 
 
 def edge_instance(seed: int, n_vertices: int) -> MinerConfig:
