@@ -157,11 +157,10 @@ def mine_command(fmt, sorted_output, emit_empty_support, **source):
     """List each (abstract) support-closed pattern of the family exactly once."""
     family, context, abstraction = _load_instance(**source)
     try:
-        events = miner_mod.mine(miner_mod.MinerConfig(family, context, abstraction))
+        concepts = miner_mod.mine(miner_mod.MinerConfig(family, context, abstraction))
     except miner_mod.NotStronglyAccessibleError as exc:
         _fail(VALIDATION_EXIT, str(exc))
     universe = family.universe
-    concepts = (ev.concept for ev in events)
     if not emit_empty_support:
         concepts = (c for c in concepts if c.extent)
     if sorted_output:

@@ -402,7 +402,8 @@ def is_strongly_accessible(members: Sequence[int]) -> Verdict:
 
 
 def load_graph(lines: Iterable[str]) -> GraphSpec:
-    """Parse the graph format: ``v <name>`` and ``e <name1> <name2> [label]`` lines."""
+    """Parse the graph format: ``v <name>`` and ``e <name1> <name2> [label]``
+    lines.  No vertex or label is ``{}``, which prints an empty pattern."""
     vertices: list[str] = []
     edges: list[tuple[str, str] | tuple[str, str, str]] = []
     for lineno, line in content_lines(lines):
@@ -413,6 +414,8 @@ def load_graph(lines: Iterable[str]) -> GraphSpec:
             edges.append(tuple(tokens[1:]))  # type: ignore[arg-type]
         else:
             raise ParseError(lineno, f"expected 'v <name>' or 'e <a> <b> [label]', got {line!r}")
+        if tokens[-1] == "{}":  # a vertex, a label, or an endpoint no 'v' line can name
+            raise ParseError(lineno, "'{}' cannot name a vertex or an edge label")
     try:
         return GraphSpec.build(vertices, edges)
     except FamilyError as exc:

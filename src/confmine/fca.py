@@ -263,28 +263,35 @@ def support_closure_existence_check(
     return ExistenceVerdict(False, witness, ctx, maximals)
 
 
-def load_context(lines: Iterable[str]) -> list[tuple[str, tuple[str, ...]]]:
+def load_context(lines: Sequence[str]) -> list[tuple[str, tuple[str, ...]]]:
     """Parse a context file: one object per line, ``name: item item ...``.
 
+    An object name is one token, as the output and abstraction files split
+    names on whitespace, and no name is ``{}``, which prints an empty set.
     Every occurrence of an item name is the same ``str`` object, so a context
     holds one string per distinct item, not one per token.
     """
     rows: list[tuple[str, tuple[str, ...]]] = []
-    seen: set[str] = set()
+    seen = {"{}"}  # so an object named {} is caught by the duplicate test
     items: dict[str, str] = {}
     intern = items.setdefault
     for lineno, line in content_lines(lines):
         name, colon, rest = line.partition(":")
         if not colon:
             raise ParseError(lineno, "expected 'object: item item ...'")
-        name = name.strip()
-        if not name:
-            raise ParseError(lineno, "empty object name")
+        try:
+            (name,) = name.split()
+        except ValueError:
+            name = name.strip()
+            raise ParseError(lineno, f"object name {name!r} is not one token" if name else "empty object name") from None
         if name in seen:
-            raise ParseError(lineno, f"duplicate object {name!r}")
+            raise ParseError(lineno, f"duplicate object {name!r}" if name != "{}" else "'{}' cannot name an object")
         seen.add(name)
         tokens = rest.split()
         rows.append((name, tuple(map(intern, tokens, tokens))))
+    if "{}" in items:  # checked once per file; the line is looked up only on failure
+        lineno = next(n for n, line in content_lines(lines) if "{}" in line.partition(":")[2].split())
+        raise ParseError(lineno, "'{}' cannot name an item")
     return rows
 
 

@@ -87,18 +87,17 @@ class MineEvent(NamedTuple):
 
 class PruneEvent(NamedTuple):
     """A closure that was computed but not expanded, because its anchor,
-    ``blocked_by_minimal``, is a minimal before the subtree's root; ``at_root``
-    marks prunes of a minimal's own closure in the outer loop.
-
-    ``blocked_by_item`` is never set: it named an item of the exclusion mask,
-    which the miner no longer keeps, and stays for readers of the field.
-    """
+    ``blocked_by_minimal``, is a minimal before the subtree's root; a prune of
+    a minimal's own closure in the outer loop has no parent."""
 
     closure: int
     parent_intent: int | None
-    blocked_by_minimal: int | None = None
-    blocked_by_item: int | None = None
-    at_root: bool = False
+    blocked_by_minimal: int
+    blocked_by_item = None  # read by bench/spans.py and bench/test_bench.py; ROADMAP item 1 deletes it
+
+    @property
+    def at_root(self) -> bool:
+        return self.parent_intent is None
 
 
 class MinimalEvent(NamedTuple):
@@ -151,7 +150,7 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
         root_closures[support] = p
         root_anchor = anchor_minimal(fam, p)
         if root_anchor != m:
-            yield PruneEvent(p, None, root_anchor, None, True)
+            yield PruneEvent(p, None, root_anchor)
             yield MinimalEvent(m, False)
             continue
         # m anchors its subtree: a closure there whose anchor is not m holds an
@@ -182,10 +181,10 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
         yield MinimalEvent(m, True)
 
 
-def mine(cfg: MinerConfig) -> Iterator[MineEvent]:
+def mine(cfg: MinerConfig) -> Iterator[Concept]:
     """Stream every (abstract) support-closed pattern of the family exactly once,
     empty-support concepts (extent 0) included, each a local top with no augmentation."""
-    return (ev for ev in mine_trace(cfg) if type(ev) is MineEvent)
+    return (ev.concept for ev in mine_trace(cfg) if type(ev) is MineEvent)
 
 
 def build_concept_confluence(
@@ -194,5 +193,5 @@ def build_concept_confluence(
     abstraction: ExtensionalAbstraction = ExtensionalAbstraction(),
 ) -> tuple[Concept, ...]:
     """Every concept, enumerated by ``mine``, sorted by (size, mask) of intent."""
-    concepts = (ev.concept for ev in mine(MinerConfig(fam, ctx, abstraction)))
+    concepts = mine(MinerConfig(fam, ctx, abstraction))
     return tuple(sorted(concepts, key=lambda c: (c.intent.bit_count(), c.intent)))

@@ -412,7 +412,7 @@ def _subsets_within(mask: int, rng, cap: int) -> list[int]:
 def _check_miner(ctx, fam, abstraction, closed) -> CheckResult:
     cfg = MinerConfig(family=fam, context=ctx, abstraction=abstraction)
     try:
-        mined = [ev.concept.intent for ev in mine(cfg)]
+        mined = [c.intent for c in mine(cfg)]
     except NotStronglyAccessibleError as exc:
         return CheckResult(None, f"skipped: {exc}")
     if len(mined) != len(set(mined)):

@@ -1,5 +1,6 @@
 """Seeded random structures shared by the test suites: graphs, contexts,
-abstractions, subconfluences, and sublattices of a small powerset, plus the
+abstractions, subconfluences, and sublattices of a small powerset, one
+random family of each kind and one abstraction of each shape, plus the
 meet closure used to build closure ranges, a vertex instance written in the
 CLI file formats, a minimum-size vertex instance with many minimals, the
 Python lines the library runs per closure, and a reference copy of the
@@ -11,12 +12,16 @@ Imported by the tests; pytest does not collect it.
 import random
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import confmine
 from confmine.families import (
+    ConnectedEdgeFamily,
     ConnectedVertexFamily,
     ExplicitFamily,
+    FamilyError,
     GraphSpec,
+    KGapWordFamily,
     is_strongly_accessible,
 )
 from confmine.fca import (
@@ -181,6 +186,32 @@ def random_abstraction(rng: random.Random, n_objects: int) -> ExtensionalAbstrac
     return ExtensionalAbstraction.from_generators(generators)
 
 
+def random_vertex_family(rng: random.Random, min_size: int) -> ConnectedVertexFamily:
+    while True:
+        try:
+            return ConnectedVertexFamily(random_graph(rng, max_vertices=6), min_size)
+        except FamilyError:
+            continue  # no connected vertex set that large
+
+
+def family_kinds(rng: random.Random):
+    """One random family of each kind: vertex with min_size 1-3, edge, k-gap, explicit."""
+    for min_size in (1, 2, 3):
+        yield random_vertex_family(rng, min_size)
+    yield ConnectedEdgeFamily(random_graph(rng, max_vertices=5))
+    yield KGapWordFamily(rng.randint(2, 6), rng.randint(1, 3))
+    yield random_explicit_subconfluence(rng, n_items=4, require_strong_accessibility=True)
+
+
+def abstraction_kinds(rng: random.Random, n_objects: int):
+    """Identity, a random frequency threshold and random generators."""
+    yield ExtensionalAbstraction()
+    yield ExtensionalAbstraction.frequency(rng.randint(1, n_objects))
+    yield ExtensionalAbstraction.from_generators(
+        rng.randrange(1 << n_objects) for _ in range(rng.randint(1, 3))
+    )
+
+
 def random_subconfluence_masks(
     rng: random.Random, n_items: int, n_seeds: int = 4
 ) -> list[int]:
@@ -272,12 +303,21 @@ def meet_close(lat: FiniteLattice, members: int) -> int:
     return members | (1 << lat.top)
 
 
+class ItemPrune(NamedTuple):
+    """A closure the reference miner prunes because it holds ``item``, excluded
+    by an earlier sibling branch; the miner makes no such prune."""
+
+    closure: int
+    parent_intent: int
+    item: int
+
+
 def reference_mine_trace(cfg: MinerConfig):
     """The miner's traversal with the item exclusion mask of Boley et al.
     (TCS 2010) and no closure remembered: every child of every frame is
     closed, and a closure is pruned when its anchor is not the subtree's root
-    or when it holds an item excluded by an earlier sibling branch.  The
-    family must be strongly accessible."""
+    (a ``PruneEvent``) or when it holds an item excluded by an earlier sibling
+    branch (an ``ItemPrune``).  The family must be strongly accessible."""
     fam, ctx, tids = cfg.family, cfg.context, cfg.context.tids
 
     def close(pattern, extent):
@@ -303,7 +343,7 @@ def reference_mine_trace(cfg: MinerConfig):
                         continue
                     hit = q & excluded
                     if hit:
-                        yield PruneEvent(q, pattern, None, (hit & -hit).bit_length() - 1)
+                        yield ItemPrune(q, pattern, (hit & -hit).bit_length() - 1)
                         continue
                     yield MineEvent(Concept(q_extent, q, m), pattern)
                     if q_extent == 0:
@@ -313,5 +353,5 @@ def reference_mine_trace(cfg: MinerConfig):
                     stack.append((q, child_extent, iter(fam.augmentations(q)), excluded))
                     break
         else:
-            yield PruneEvent(p, None, root_anchor, None, True)
+            yield PruneEvent(p, None, root_anchor)
         yield MinimalEvent(m, root_anchor == m)

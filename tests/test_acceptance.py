@@ -398,7 +398,7 @@ def _suite_miner_vs_oracle(rng, runs):
         ctx = random_context(rng, fam.universe, max_objects=12)
         abstraction = random_abstraction(rng, len(ctx.objects))
         cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
-        mined = [ev.concept.intent for ev in cm.mine(cfg)]
+        mined = [c.intent for c in cm.mine(cfg)]
         assert len(mined) == len(set(mined))
         members = materialize(fam)
         assert set(mined) == oracle_closed_set(ctx, members, abstraction)
@@ -430,7 +430,7 @@ def test_acceptance_08_lattice_degeneration():
         for _ in range(55):
             ctx = random_context(rng, u, max_objects=8)
             cfg = cm.MinerConfig(family=fam, context=ctx)
-            mined = {ev.concept.intent for ev in cm.mine(cfg)}
+            mined = {c.intent for c in cm.mine(cfg)}
             classical = {
                 cm.intension(ctx, cm.extension(ctx, t)) for t in range(1 << n_items)
             }
@@ -444,7 +444,7 @@ def test_acceptance_08_lattice_degeneration():
 def test_acceptance_09_performance_sanity():
     cfg = random_vertex_instance(2024, 20, 30, 50)
     start = time.perf_counter()
-    mined = [ev.concept.intent for ev in cm.mine(cfg)]
+    mined = [c.intent for c in cm.mine(cfg)]
     elapsed = time.perf_counter() - start
     duplicate_free = len(mined) == len(set(mined))
     ok = elapsed < 10.0 and duplicate_free

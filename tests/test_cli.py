@@ -564,13 +564,44 @@ NEEDS_CONTEXT = "--context is required for this command"
             2,
             "family input: line 2: '{{}}' must appear alone on its line",  # braces doubled
         ),
+        (
+            {"graph": "v a\nv b\nv c\ne a b\ne b c\n", "ctx": "my obj: a b\nother: b c\n"},
+            ("mine", "--graph", "{graph}", "--context", "{ctx}"),
+            2,
+            "{ctx}: line 1: object name 'my obj' is not one token",
+        ),
+        (
+            {"graph": "v a\nv b\ne a b\n", "ctx": "o1: a\n{}: a b\n"},
+            ("mine", "--graph", "{graph}", "--context", "{ctx}"),
+            2,
+            "{ctx}: line 2: '{{}}' cannot name an object",
+        ),
+        (
+            {"ctx": "o1: a\no2: a {}\n"},
+            ("mine", "--explicit", DATA / "wedge.family", "--context", "{ctx}"),
+            2,
+            "{ctx}: line 2: '{{}}' cannot name an item",
+        ),
+        (
+            {"graph": "v {}\nv b\ne {} b\n"},
+            ("check", "--graph", "{graph}"),
+            2,
+            "family input: line 1: '{{}}' cannot name a vertex or an edge label",
+        ),
+        (
+            {"graph": "v a\nv b\ne a b {}\n"},
+            ("check", "--graph", "{graph}", "--edge-mode"),
+            2,
+            "family input: line 3: '{{}}' cannot name a vertex or an edge label",
+        ),
     ],
     ids=[
         "abstraction-and-min-support", "mine-without-context", "basis-without-context",
         "oracle-without-context", "context-line-without-colon", "abstraction-unknown-object",
         "graph-duplicate-vertex", "poset-line-without-colon", "explicit-family-empty",
         "context-empty-object-name", "poset-duplicate-element", "poset-empty-element-id",
-        "explicit-family-braces-not-alone",
+        "explicit-family-braces-not-alone", "context-spaced-object", "context-braces-object",
+        "context-braces-item", "graph-braces-vertex", "graph-braces-label",
     ],
 )
 def test_error_is_one_stderr_line(runner, tmp_path, files, args, code, message):

@@ -665,6 +665,17 @@ class TestFileFormats:
         with pytest.raises(ParseError, match="line 2"):
             load_graph(["v x", "edge x y"])
 
+    @pytest.mark.parametrize(
+        ("lines", "lineno"),
+        [(["v a", "v {}"], 2), (["v a", "v b", "e a b {}"], 3), (["v a", "e a {}"], 2)],
+        ids=["vertex", "edge-label", "edge-endpoint"],
+    )
+    def test_graph_rejects_the_empty_pattern_name(self, lines, lineno):
+        # the output prints the empty pattern as {}
+        with pytest.raises(ParseError) as info:
+            load_graph(lines)
+        assert str(info.value) == f"line {lineno}: '{{}}' cannot name a vertex or an edge label"
+
     def test_graph_unknown_vertex(self):
         with pytest.raises(FamilyError, match="unknown vertex"):
             load_graph(["v x", "e x ghost"])

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import confmine as cm
-from confmine.families import ExplicitFamily, FamilyError
+from confmine.families import ExplicitFamily, FamilyError, ParseError
 from confmine.fca import (
     ContextError,
     anchor_minimal,
@@ -568,6 +568,27 @@ class TestContextFormats:
     def test_duplicate_object(self):
         with pytest.raises(Exception, match="duplicate"):
             load_context(["o1: a", "o1: b"])
+
+    @pytest.mark.parametrize(
+        ("lines", "lineno", "message"),
+        [
+            (["o1: a", "my obj: a b"], 2, "object name 'my obj' is not one token"),
+            (["o1: a", "\tmy\tobj : b"], 2, "object name 'my\\tobj' is not one token"),
+            (["{}: a"], 1, "'{}' cannot name an object"),
+            (["o1: a", "# {}", "o2: b {}", "o3: {}"], 3, "'{}' cannot name an item"),
+            (["o1:{}"], 1, "'{}' cannot name an item"),
+        ],
+        ids=["spaced-object", "tabbed-object", "braces-object", "braces-item", "braces-item-unspaced"],
+    )
+    def test_names_the_output_cannot_tell_apart(self, lines, lineno, message):
+        # the TSV output joins names with spaces and prints an empty set as {}
+        with pytest.raises(ParseError) as info:
+            load_context(lines)
+        assert info.value.lineno == lineno
+        assert str(info.value) == f"line {lineno}: {message}"
+
+    def test_names_holding_braces_are_kept(self):
+        assert load_context(["{}o: {}a a{}"]) == [("{}o", ("{}a", "a{}"))]
 
     @pytest.mark.parametrize(
         ("objects", "descriptions", "message"),

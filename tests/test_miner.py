@@ -1,7 +1,8 @@
 """Miner behavior: the closure step, golden traversal traces, exclusion
 semantics, closures remembered by abstract support (against a reference copy
 of the traversal with the item exclusion mask), degeneration to classical
-closed-itemset mining, and oracle parity."""
+closed-itemset mining, independence from item and object order, and oracle
+parity."""
 
 import hashlib
 import random
@@ -11,13 +12,15 @@ from collections import Counter
 import pytest
 
 import confmine as cm
-from confmine.families import ExplicitFamily, FamilyError, explicit_family_from_names
+from confmine.families import ExplicitFamily, explicit_family_from_names
 from confmine.fca import anchor_minimal, context_from_rows, load_abstraction, load_context
 from confmine.miner import MinimalEvent, MineEvent, PruneEvent, close_pattern
 from confmine.oracle import materialize, oracle_closed_set
-from confmine.patterns import is_subset
+from confmine.patterns import is_subset, iter_indices
 from conftest import build_context, read_lines
 from randomized import (
+    abstraction_kinds,
+    family_kinds,
     random_abstraction,
     random_context,
     random_explicit_subconfluence,
@@ -27,8 +30,8 @@ from randomized import (
 )
 
 
-def intents(events):
-    return [ev.concept.intent for ev in events]
+def intents(concepts):
+    return [c.intent for c in concepts]
 
 
 def close(cfg, pattern):
@@ -74,7 +77,7 @@ def _sample_events():
     """One record of each kind, built afresh on each call."""
     return {
         MineEvent: MineEvent(cm.Concept(0b011, 0b101, 0b001), None),
-        PruneEvent: PruneEvent(0b111, 0b101, blocked_by_item=1),
+        PruneEvent: PruneEvent(0b111, 0b101, 0b001),
         MinimalEvent: MinimalEvent(0b001, True),
     }
 
@@ -84,7 +87,7 @@ class TestTraceEventRecords:
 
     FIELDS = {
         MineEvent: ("concept", "parent_intent"),
-        PruneEvent: ("closure", "parent_intent", "blocked_by_minimal", "blocked_by_item", "at_root"),
+        PruneEvent: ("closure", "parent_intent", "blocked_by_minimal"),
         MinimalEvent: ("minimal", "enumerated"),
     }
 
@@ -102,12 +105,18 @@ class TestTraceEventRecords:
         assert one == two and hash(one) == hash(two)
         assert len({one, two}) == 1
 
-    def test_prune_defaults(self):
-        ev = PruneEvent(0b11, None)
-        assert ev.blocked_by_minimal is None
-        assert ev.blocked_by_item is None
-        assert ev.at_root is False
-        assert PruneEvent(0b11, 0b01, None, 1) == PruneEvent(0b11, 0b01, blocked_by_item=1)
+    @pytest.mark.parametrize("kind", [MineEvent, PruneEvent, MinimalEvent], ids=lambda k: k.__name__)
+    def test_fields_have_no_defaults(self, kind):
+        assert kind._fields == self.FIELDS[kind]
+        assert kind._field_defaults == {}
+
+    def test_prune_derived_attributes_cannot_be_assigned(self):
+        child, root = PruneEvent(0b111, 0b101, 0b001), PruneEvent(0b111, None, 0b001)
+        assert (child.at_root, root.at_root) == (False, True)
+        assert child.blocked_by_item is None and root.blocked_by_item is None
+        for name in ("at_root", "blocked_by_item"):
+            with pytest.raises(AttributeError):
+                setattr(child, name, 7)
 
     def test_repr(self):
         events = _sample_events()
@@ -116,8 +125,7 @@ class TestTraceEventRecords:
             "parent_intent=None)"
         )
         assert repr(events[PruneEvent]) == (
-            "PruneEvent(closure=7, parent_intent=5, blocked_by_minimal=None, "
-            "blocked_by_item=1, at_root=False)"
+            "PruneEvent(closure=7, parent_intent=5, blocked_by_minimal=1)"
         )
         assert repr(events[MinimalEvent]) == "MinimalEvent(minimal=1, enumerated=True)"
 
@@ -392,18 +400,15 @@ class TestQuadGraphMining:
     def test_concepts_and_anchors(self, quad_edge_family, quad_context):
         u = quad_edge_family.universe
         cfg = cm.MinerConfig(family=quad_edge_family, context=quad_context)
-        events = list(cm.mine(cfg))
-        got = [
-            (u.format(ev.concept.intent), quad_context.format_extent(ev.concept.extent))
-            for ev in events
-        ]
+        concepts = list(cm.mine(cfg))
+        got = [(u.format(c.intent), quad_context.format_extent(c.extent)) for c in concepts]
         assert got == [
             ("a", "o1 o2 o3"),
             ("a b c", "o2 o3"),
             ("a b c d", "o3"),
             ("b", "o1 o2 o3"),
         ]
-        anchors = {u.format(ev.concept.intent): u.format(ev.concept.anchor_minimal) for ev in events}
+        anchors = {u.format(c.intent): u.format(c.anchor_minimal) for c in concepts}
         assert anchors["a"] == "a" and anchors["b"] == "b"
 
     def test_generator_abstraction_collapses(self, quad_edge_family, quad_context, pair_abstraction):
@@ -411,8 +416,7 @@ class TestQuadGraphMining:
         cfg = cm.MinerConfig(
             family=quad_edge_family, context=quad_context, abstraction=pair_abstraction
         )
-        events = list(cm.mine(cfg))
-        got = {u.format(ev.concept.intent): ev.concept.extent == 0 for ev in events}
+        got = {u.format(c.intent): c.extent == 0 for c in cm.mine(cfg)}
         assert got == {"a": False, "b": False, "a b c d": True}
 
     def test_empty_support_never_expanded(self, quad_edge_family, quad_context, pair_abstraction):
@@ -525,6 +529,79 @@ class TestExclusionListPlacements:
         return out
 
 
+def _relabelled(rng, fam, ctx, abstraction):
+    """The same instance with its items (vertex and edge order, or the
+    explicit universe's order) and its object rows in a random order, each
+    generator mapped along."""
+    names = fam.universe.names_of
+    if isinstance(fam, ExplicitFamily):
+        universe = cm.Universe(rng.sample(fam.universe.names, fam.universe.size))
+        relabelled = ExplicitFamily([universe.mask(names(p)) for p in fam.patterns], universe)
+    else:
+        g = fam.graph
+        vertices = rng.sample(range(len(g.vertices)), len(g.vertices))
+        position = {v: k for k, v in enumerate(vertices)}
+        edges = rng.sample(range(len(g.edges)), len(g.edges))
+        graph = cm.GraphSpec(
+            tuple(g.vertices[v] for v in vertices),
+            tuple((position[g.edges[e][0]], position[g.edges[e][1]]) for e in edges),
+            tuple(g.edge_labels[e] for e in edges),
+        )
+        if isinstance(fam, cm.ConnectedEdgeFamily):
+            relabelled = cm.ConnectedEdgeFamily(graph)
+        else:
+            relabelled = cm.ConnectedVertexFamily(graph, fam.min_size)
+    rows = rng.sample(range(len(ctx.objects)), len(ctx.objects))
+    universe = relabelled.universe
+    context = cm.ObjectContext(
+        tuple(ctx.objects[o] for o in rows),
+        tuple(universe.mask(names(ctx.descriptions[o])) for o in rows),
+        universe,
+    )
+    if abstraction.generators is not None:
+        row = {o: k for k, o in enumerate(rows)}
+        abstraction = cm.ExtensionalAbstraction.from_generators(
+            sum(1 << row[o] for o in iter_indices(gen)) for gen in abstraction.generators
+        )
+    return relabelled, context, abstraction
+
+
+class TestRelabelling:
+    """Renumbering the items and the object rows changes no concept and no
+    basis line: the connected-set walk, the tidsets, the prefix-shared ANDs
+    and the anchor index depend on no index order.  The anchor is the
+    least-mask minimal, so it does depend on the order, and is left out."""
+
+    @staticmethod
+    def _concepts(fam, ctx, abstraction):
+        names = fam.universe.names_of
+        return {
+            (frozenset(names(c.intent)), frozenset(ctx.object_names(c.extent)))
+            for c in cm.mine(cm.MinerConfig(fam, ctx, abstraction))
+        }
+
+    @staticmethod
+    def _basis(fam, ctx):
+        names = fam.universe.names_of
+        return {
+            (frozenset(names(p)), frozenset(names(q)), kind)
+            for p, q, kind in cm.minmax_basis(ctx, fam, materialize(fam))
+        }
+
+    def test_random_instances(self):
+        rng = random.Random(37)
+        reordered = 0
+        for _ in range(40):
+            for fam in [f for f in family_kinds(rng) if not isinstance(f, cm.KGapWordFamily)]:
+                ctx = random_context(rng, fam.universe, max_objects=6)
+                for abstraction in abstraction_kinds(rng, len(ctx.objects)):
+                    other = _relabelled(rng, fam, ctx, abstraction)
+                    reordered += other[0].universe.names != fam.universe.names
+                    assert self._concepts(*other) == self._concepts(fam, ctx, abstraction)
+                assert self._basis(*other[:2]) == self._basis(fam, ctx)
+        assert reordered > 300
+
+
 class TestSingletonFamily:
     def test_emits_only_the_member(self):
         u = cm.Universe(["a", "b"])
@@ -610,41 +687,14 @@ class TestMinerAgainstOracle:
             ctx = random_context(rng, fam.universe, max_objects=8)
             abstraction = random_abstraction(rng, len(ctx.objects))
             cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
-            events = list(cm.mine(cfg))
-            mined = intents(events)
+            concepts = list(cm.mine(cfg))
+            mined = intents(concepts)
             assert len(mined) == len(set(mined))
             members = materialize(fam)
             assert set(mined) == oracle_closed_set(ctx, members, abstraction)
-            for ev in events:
-                c = ev.concept
+            for c in concepts:
                 assert c.extent == abstraction.apply(cm.extension(ctx, c.intent))
                 assert cm.closure(ctx, fam, c.intent, c.extent) == c.intent
-
-
-def _vertex_family(rng, min_size):
-    while True:
-        try:
-            return cm.ConnectedVertexFamily(random_graph(rng, max_vertices=6), min_size)
-        except FamilyError:
-            continue  # no connected vertex set that large
-
-
-def _family_kinds(rng):
-    """One random family of each kind: vertex with min_size 1-3, edge, k-gap, explicit."""
-    for min_size in (1, 2, 3):
-        yield _vertex_family(rng, min_size)
-    yield cm.ConnectedEdgeFamily(random_graph(rng, max_vertices=5))
-    yield cm.KGapWordFamily(rng.randint(2, 6), rng.randint(1, 3))
-    yield random_explicit_subconfluence(rng, n_items=4, require_strong_accessibility=True)
-
-
-def _abstraction_kinds(rng, n_objects):
-    """Identity, a random frequency threshold and random generators."""
-    yield cm.ExtensionalAbstraction()
-    yield cm.ExtensionalAbstraction.frequency(rng.randint(1, n_objects))
-    yield cm.ExtensionalAbstraction.from_generators(
-        rng.randrange(1 << n_objects) for _ in range(rng.randint(1, 3))
-    )
 
 
 class TestRootAnchorsAcrossFamilyKinds:
@@ -657,10 +707,10 @@ class TestRootAnchorsAcrossFamilyKinds:
     def test_random_instances(self):
         rng = random.Random(2002)
         for _ in range(8):
-            for fam in _family_kinds(rng):
+            for fam in family_kinds(rng):
                 members = materialize(fam)
                 ctx = random_context(rng, fam.universe, max_objects=6)
-                for abstraction in _abstraction_kinds(rng, len(ctx.objects)):
+                for abstraction in abstraction_kinds(rng, len(ctx.objects)):
                     cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
                     trace = list(cm.mine_trace(cfg))
                     mined = [ev for ev in trace if isinstance(ev, MineEvent)]
@@ -673,7 +723,7 @@ class TestRootAnchorsAcrossFamilyKinds:
                             if is_subset(c.intent, d)
                         )
                         assert c.extent == abstraction.apply(support)
-                    got = intents(mined)
+                    got = intents(ev.concept for ev in mined)
                     assert len(got) == len(set(got))
                     assert set(got) == oracle_closed_set(ctx, members, abstraction)
                     self._check_boley_invariants(fam, trace)
@@ -691,9 +741,9 @@ class TestRootAnchorsAcrossFamilyKinds:
         monkeypatch.setattr("confmine.miner.anchor_minimal", counted)
         rng = random.Random(2012)
         for _ in range(4):
-            for fam in _family_kinds(rng):
+            for fam in family_kinds(rng):
                 ctx = random_context(rng, fam.universe, max_objects=6)
-                for abstraction in _abstraction_kinds(rng, len(ctx.objects)):
+                for abstraction in abstraction_kinds(rng, len(ctx.objects)):
                     cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
                     calls = 0
                     trace = list(cm.mine_trace(cfg))
@@ -759,9 +809,9 @@ class TestClosuresRememberedBySupport:
         rng = random.Random(2023)
         instances = 0
         for _ in range(self.ROUNDS):
-            for fam in _family_kinds(rng):
+            for fam in family_kinds(rng):
                 ctx = random_context(rng, fam.universe, max_objects=6)
-                for abstraction in _abstraction_kinds(rng, len(ctx.objects)):
+                for abstraction in abstraction_kinds(rng, len(ctx.objects)):
                     cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
                     reference = list(reference_mine_trace(cfg))
                     trace = []
@@ -850,10 +900,10 @@ class TestUncheckedProjection:
     def test_miner_projects_only_valid_arguments(self, monkeypatch):
         rng = random.Random(2019)
         for _ in range(8):
-            for inner in _family_kinds(rng):
+            for inner in family_kinds(rng):
                 fam = AssertingProjection(inner)
                 ctx = random_context(rng, fam.universe, max_objects=6)
-                for abstraction in _abstraction_kinds(rng, len(ctx.objects)):
+                for abstraction in abstraction_kinds(rng, len(ctx.objects)):
                     cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
                     unchecked = list(cm.mine_trace(cfg))
                     with monkeypatch.context() as m:
@@ -902,13 +952,13 @@ class TestOneAugmentationListingPerEmission:
         rng = random.Random(2019)
         local_tops = 0
         for _ in range(8):
-            for inner in _family_kinds(rng):
+            for inner in family_kinds(rng):
                 fam = CountingAugmentations(inner)
                 ctx = random_context(rng, fam.universe, max_objects=6)
-                for abstraction in _abstraction_kinds(rng, len(ctx.objects)):
+                for abstraction in abstraction_kinds(rng, len(ctx.objects)):
                     cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
                     fam.augmentation_calls = 0
-                    concepts = [ev.concept for ev in cm.mine(cfg)]
+                    concepts = list(cm.mine(cfg))
                     assert fam.augmentation_calls == len(concepts)
                     for c in concepts:
                         if c.extent == 0:
@@ -928,6 +978,8 @@ class TestDeepTraversal:
             tuple((1 << i) - 1 for i in range(1, n + 1)),
             fam.universe,
         )
-        mined = list(cm.mine(cm.MinerConfig(family=fam, context=ctx)))
-        assert intents(mined) == [(1 << i) - 1 for i in range(1, n + 1)]
-        assert [ev.parent_intent for ev in mined] == [None] + intents(mined)[:-1]
+        cfg = cm.MinerConfig(family=fam, context=ctx)
+        mined = intents(cm.mine(cfg))
+        assert mined == [(1 << i) - 1 for i in range(1, n + 1)]
+        parents = [ev.parent_intent for ev in cm.mine_trace(cfg) if isinstance(ev, MineEvent)]
+        assert parents == [None] + mined[:-1]
