@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -48,7 +49,13 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """An undirected graph with named vertices and optionally labeled edges."""
+    """An undirected graph with named vertices and optionally labeled edges.
+
+    Edge labels may repeat: they are items only in edge mode, where
+    ``ConnectedEdgeFamily`` rejects a repeated one.  ``build`` labels an
+    unlabelled edge ``a-b``, so two such edges between the same vertices, or
+    between vertices whose names contain ``-``, can share a label.
+    """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
@@ -59,8 +66,6 @@ class GraphSpec:
             raise FamilyError("duplicate vertex names")
         if len(self.edges) != len(self.edge_labels):
             raise FamilyError("edge label count does not match edge count")
-        if len(set(self.edge_labels)) != len(self.edge_labels):
-            raise FamilyError("duplicate edge labels")
         n = len(self.vertices)
         for a, b in self.edges:
             if a == b:
@@ -146,7 +151,9 @@ class PatternFamily(ABC):
     def project(self, member: int, x: int, *, checked: bool = True) -> int:
         """Greatest family member below x containing ``member``.  Checks the contract
         (a member base, x above it, a result above it) around the family's ``_project``;
-        ``checked=False`` skips the argument checks, for arguments valid by construction."""
+        ``checked=False`` skips the two argument checks (the membership test is a
+        breadth-first search on the graph families), for arguments valid by
+        construction.  The result check always runs."""
         if checked:
             if not self.contains(member):
                 raise ValueError("projection base must belong to the family")
@@ -178,7 +185,8 @@ class PatternFamily(ABC):
 
     def strongly_accessible(self) -> Verdict:
         """``is_strongly_accessible`` over every member; implicit families hold it
-        by construction, so only explicit ones compute it."""
+        by construction (a connected set strictly inside another has an item of
+        the other adjacent to it), so only explicit ones compute it."""
         return Verdict(True)
 
 
@@ -307,8 +315,12 @@ class ConnectedEdgeFamily(ConnectedFamily):
     def __init__(self, graph: GraphSpec):
         if not graph.edges:
             raise FamilyError("graph has no edges: empty family")
+        labels = graph.edge_labels
+        if len(set(labels)) != len(labels):  # before Universe, whose ValueError names none
+            repeated = [label for label, n in Counter(labels).items() if n > 1]
+            raise FamilyError(f"duplicate edge labels: {' '.join(repeated)}")
         self.graph = graph
-        super().__init__(Universe(graph.edge_labels), graph.edge_adjacency())
+        super().__init__(Universe(labels), graph.edge_adjacency())
 
 
 class KGapWordFamily(ConnectedFamily):
@@ -388,7 +400,9 @@ def is_strongly_accessible(members: Sequence[int]) -> Verdict:
     This one-step form is equivalent to linking every such pair by single-item
     steps inside the family.  The witness is the first failing pair (t1, t2) in
     (size, mask) order.  ``members`` is the full family at desk scale
-    (materialize implicit families first).
+    (materialize implicit families first).  Each member's one-item steps are
+    found once, as the mask of items e with t1 + e a member, so a pair costs
+    one AND and no membership test; the loop is quadratic in the members.
     """
     member_set = set(members)
     ordered = sorted(member_set, key=lambda p: (p.bit_count(), p))

@@ -124,6 +124,9 @@ class ExtensionalAbstraction:
     support collapse to the empty set), when ``generators`` is None, and an
     explicit generator list (the interior of an extent is the union of the
     generators it contains).  The identity abstraction is the threshold 0.
+    The constructor rejects a negative threshold and a threshold given with
+    generators, and keeps the generators sorted and deduplicated, so
+    ``frequency`` and ``from_generators`` are only its spellings.
     """
 
     threshold: int = 0

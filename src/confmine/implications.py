@@ -50,7 +50,8 @@ def equivalence_classes(
     returns them.  Generators are the subset-minimal members of each class.
     Closed members are the support-closure fixpoints: each member lies above a
     generator of its class and shares its closure, and a generator's closure
-    is projected from the class extent, its plain support.
+    is projected from the class extent, its plain support, so no support is
+    computed again and no abstraction is applied.
     """
     by_extent: dict[int, list[int]] = {}
     for t, extent in zip(members, extensions(ctx, members)):

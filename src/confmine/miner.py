@@ -41,7 +41,9 @@ from .patterns import Universe
 
 
 class Concept(NamedTuple):
-    """A pair of mutually closed elements: abstract extent and closed intent."""
+    """A pair of mutually closed elements: abstract extent and closed intent.
+    ``anchor_minimal`` is the root minimal of the subtree that emitted it, which
+    is the least-mask minimal inside the intent."""
 
     extent: int
     intent: int
@@ -97,6 +99,7 @@ class PruneEvent(NamedTuple):
 
     @property
     def at_root(self) -> bool:
+        """``parent_intent is None``; derived, and read by the benchmark like ``blocked_by_item``."""
         return self.parent_intent is None
 
 

@@ -196,7 +196,8 @@ def verify_all(
 
     The members' inclusion order, supports, closures by each route and the closed
     set's local-meet verdict are computed once and shared; a call that raises is
-    not cached, so raises again.
+    not cached, so raises again.  Every check reads the members above and below
+    a member off the order's ``up`` and ``down`` masks.
     """
     rng = random.Random(seed)
     members = materialize(fam, budget)

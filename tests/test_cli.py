@@ -308,13 +308,18 @@ class TestCheckCommand:
     def test_wedge_family_ok(self, runner):
         result = invoke(runner, "check", "--explicit", DATA / "wedge.family")
         assert result.exit_code == 0
-        assert "subconfluence: ok" in result.output
-        assert "strongly-accessible: ok" in result.output
+        assert result.stdout.splitlines() == [
+            "subconfluence: ok",
+            "strongly-accessible: ok (6 members)",
+        ]
 
     def test_quad_family_reports_inaccessibility(self, runner):
         result = invoke(runner, "check", "--explicit", DATA / "quad.family")
         assert result.exit_code == 1
-        assert "strongly-accessible: FAIL" in result.output
+        assert result.stdout.splitlines() == [
+            "subconfluence: ok",
+            "strongly-accessible: FAIL no augmentation chain from a to a b c",
+        ]
 
     def test_failing_family_answers_before_listing_members(self, runner, monkeypatch):
         # The FAIL line needs no member list, so a budget of 1 does not hide it.
@@ -342,6 +347,15 @@ class TestCheckCommand:
         assert result.exit_code == 0
         assert "strongly-accessible: ok (14 members)" in result.output
 
+    def test_repeated_default_labels_accepted_in_vertex_mode(self, runner):
+        # both edges are labelled a-b-c, but vertex mode's items are the vertices
+        result = invoke(runner, "check", "--graph", DATA / "dashes.graph")
+        assert result.exit_code == 0
+        assert result.stdout.splitlines() == [
+            "subconfluence: ok",
+            "strongly-accessible: ok (6 members)",
+        ]
+
     def test_graph_family_check_skips_pair_loop(self, runner, monkeypatch):
         # A connected family answers by construction: the pair loop never runs.
         def refuse(members):
@@ -358,12 +372,12 @@ class TestCheckCommand:
     def test_poset_confluence_ok(self, runner):
         result = invoke(runner, "check", "--poset", DATA / "chain.poset")
         assert result.exit_code == 0
-        assert "confluence: ok" in result.output
+        assert result.stdout == "confluence: ok\n"
 
     def test_poset_confluence_failure(self, runner):
         result = invoke(runner, "check", "--poset", DATA / "fork.poset")
         assert result.exit_code == 1
-        assert "confluence: FAIL" in result.output
+        assert result.stdout == "confluence: FAIL witness ('a', None)\n"
 
     @pytest.mark.parametrize(
         "family_option",
@@ -594,6 +608,12 @@ NEEDS_CONTEXT = "--context is required for this command"
             2,
             "family input: line 3: '{{}}' cannot name a vertex or an edge label",
         ),
+        (
+            {},
+            ("check", "--graph", DATA / "dashes.graph", "--edge-mode"),
+            2,
+            "family input: duplicate edge labels: a-b-c",
+        ),
     ],
     ids=[
         "abstraction-and-min-support", "mine-without-context", "basis-without-context",
@@ -602,6 +622,7 @@ NEEDS_CONTEXT = "--context is required for this command"
         "context-empty-object-name", "poset-duplicate-element", "poset-empty-element-id",
         "explicit-family-braces-not-alone", "context-spaced-object", "context-braces-object",
         "context-braces-item", "graph-braces-vertex", "graph-braces-label",
+        "graph-duplicate-edge-label",
     ],
 )
 def test_error_is_one_stderr_line(runner, tmp_path, files, args, code, message):

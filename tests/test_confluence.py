@@ -6,8 +6,6 @@ from collections import Counter
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import confmine as cm
 from confmine.confluence import ExplicitConfluence, NotLocallyMeetClosedError
@@ -240,8 +238,7 @@ def random_confluence(rng: random.Random) -> ExplicitConfluence:
     return ExplicitConfluence(family_poset(random_subconfluence_masks(rng, 5)))
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("seed", range(200))
 def test_locally_meet_closed_iff_closure_subset(seed):
     rng = random.Random(seed)
     conf = random_confluence(rng)
@@ -318,8 +315,7 @@ def test_minimal_elements_decide_local_meet_closure():
     assert failures[True] > 300 and failures[False] > 300 and moved > 30
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("seed", range(200))
 def test_subconfluence_three_way_equivalence(seed):
     rng = random.Random(seed)
     host = powerset_lattice(4)
@@ -356,8 +352,7 @@ def test_subconfluence_three_way_equivalence(seed):
     assert form_join == form_interior == form_order
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("seed", range(200))
 def test_lifted_closure_laws(seed):
     rng = random.Random(seed)
     host = powerset_lattice(4)

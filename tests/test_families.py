@@ -162,10 +162,6 @@ class TestGraphSpec:
         with pytest.raises(FamilyError, match="unknown vertex"):
             cm.GraphSpec.build(("x", "y"), [("x", "z")])
 
-    def test_rejects_duplicate_labels(self):
-        with pytest.raises(FamilyError, match="duplicate edge labels"):
-            cm.GraphSpec.build(("x", "y", "z"), [("x", "y", "e"), ("y", "z", "e")])
-
     def test_rejects_label_count_mismatch(self):
         with pytest.raises(FamilyError) as exc:
             cm.GraphSpec(("x", "y"), ((0, 1),), ())
@@ -239,6 +235,16 @@ class TestConnectedEdgeFamily:
     def test_rejects_edgeless_graph(self):
         with pytest.raises(FamilyError, match="no edges"):
             cm.ConnectedEdgeFamily(cm.GraphSpec(("x", "y"), (), ()))
+
+    def test_rejects_duplicate_labels(self):
+        # labels are items only here: the graph itself and its vertex family accept them
+        graph = cm.GraphSpec.build(
+            ("x", "y", "z"), [("x", "y", "e"), ("y", "z", "e"), ("x", "z", "f")]
+        )
+        assert cm.ConnectedVertexFamily(graph).universe.names == ("x", "y", "z")
+        with pytest.raises(FamilyError) as exc:
+            cm.ConnectedEdgeFamily(graph)
+        assert str(exc.value) == "duplicate edge labels: e"
 
 
 class TestKGapWordFamily:

@@ -11,7 +11,7 @@ import pytest
 import confmine as cm
 import confmine.confluence
 import confmine.oracle
-from confmine.families import FamilyError, _connected_sets, subconfluence_violation
+from confmine.families import FamilyError, PatternFamily, _connected_sets, subconfluence_violation
 from confmine.oracle import (
     CheckResult,
     _check_meet_closed_per_minimal,
@@ -21,7 +21,14 @@ from confmine.oracle import (
     family_poset,
     oracle_closed_set,
 )
-from confmine.order import closure_from_subset, meet_closed, powerset_lattice
+from confmine.order import (
+    OperatorClassification,
+    OperatorMap,
+    Verdict,
+    closure_from_subset,
+    meet_closed,
+    powerset_lattice,
+)
 from confmine.patterns import is_subset, iter_indices, mask_of
 
 from conftest import build_context
@@ -536,6 +543,143 @@ class TestOracleCatchesContractViolations:
             "miner_matches_oracle": CheckResult(True),
         }
         assert not report.ok
+
+
+class _ConfluenceNotSubconfluence(PatternFamily):
+    """{a, ab, ac, abcd} over abcd: one minimal, whose up set is a lattice with
+    join abcd, so a confluence; but ab | ac = abc is missing, so no subconfluence."""
+
+    def __init__(self):
+        self.universe = cm.Universe("abcd")
+        self._members = tuple(self.universe.mask(p) for p in ("a", "ab", "ac", "abcd"))
+        self._minimals = self._members[:1]
+
+    def contains(self, pattern):
+        return pattern in self._members
+
+    def members(self):
+        return iter(self._members)
+
+    def _project(self, member, x):
+        inside = [t for t in self._members if is_subset(member, t) and is_subset(t, x)]
+        return max(inside, key=int.bit_count)
+
+
+def _chain_with_projection(project, *descriptions):
+    """The chain a < ab < abc over abcd, with a planted ``_project`` (each contains
+    its base, so ``PatternFamily.project`` accepts it), and one object per description."""
+    u = cm.Universe("abcd")
+    fam = type("PlantedChain", (cm.ExplicitFamily,), {"_project": project})(
+        [u.mask(p) for p in ("a", "ab", "abc")], u
+    )
+    names = tuple(f"o{i}" for i in range(1, len(descriptions) + 1))
+    return cm.ObjectContext(names, tuple(u.mask(d) for d in descriptions), u), fam
+
+
+def _above(fam, member, x):
+    return [t for t in fam.patterns if is_subset(member, t) and is_subset(t, x)]
+
+
+def _first_step(fam, member, x):
+    # the least member strictly above the base inside x, not the greatest one
+    steps = [t for t in _above(fam, member, x) if t != member]
+    return min(steps) if steps else member
+
+
+def _top_ignoring_x(fam, member, x):
+    # the greatest member above the base, whether or not x covers it
+    return max(t for t in fam.patterns if is_subset(member, t))
+
+
+def _one_below_greatest(fam, member, x):
+    # the member just below the greatest one inside x
+    inside = _above(fam, member, x)
+    return sorted(inside)[-2] if len(inside) > 1 else member
+
+
+def _base_at_full(fam, member, x):
+    # the greatest member inside x, except the base itself when x is everything
+    return member if x == fam.universe.full_mask else max(_above(fam, member, x))
+
+
+class TestOracleReportsEachFault:
+    """Each check's FAIL branch: one planted fault per check, and the report is not ok."""
+
+    @staticmethod
+    def assert_fails(report, name, prefix):
+        check = report.checks[name]
+        assert check.passed is False, (name, check)
+        assert check.detail.startswith(prefix), check.detail
+        assert report.ok is False
+
+    def test_confluence_whose_local_join_is_no_union(self):
+        fam = _ConfluenceNotSubconfluence()
+        u = fam.universe
+        report = cm.verify_all(cm.ObjectContext(("o1",), (u.mask("abcd"),), u), fam)
+        assert report.checks["confluence_order"] == CheckResult(True)
+        self.assert_fails(report, "local_join_is_union", "local join of 3 and 5 is not their union")
+
+    @pytest.mark.parametrize(
+        "project, descriptions, name, prefix",
+        [
+            (_first_step, ("b",), "support_closure_laws", "support closure violates idempotent"),
+            (_top_ignoring_x, ("ab",), "local_closure_laws", "local closure not extensive"),
+            (_one_below_greatest, ("ab", "ac"), "local_closure_laws", "local closure not idempotent"),
+            (_base_at_full, ("abc", "ab"), "local_closure_laws", "local closure not monotone"),
+        ],
+        ids=["first-step", "top-ignoring-x", "one-below-greatest", "base-at-full"],
+    )
+    def test_planted_projection(self, project, descriptions, name, prefix):
+        ctx, fam = _chain_with_projection(project, *descriptions)
+        self.assert_fails(cm.verify_all(ctx, fam), name, prefix)
+
+    # The theorems below hold for every family, so only a broken order-core
+    # answer, patched into the oracle's namespace, can make their checks fail.
+
+    def test_reconstructed_operator_not_a_closure(self, quad_edge_family, quad_context, monkeypatch):
+        def neither(op):
+            return OperatorClassification("neither", False, False, "idempotent", op.domain.ids[0])
+
+        monkeypatch.setattr(confmine.oracle, "classify_operator", neither)
+        report = cm.verify_all(quad_context, quad_edge_family)
+        self.assert_fails(report, "closed_set_locally_meet_closed", "reconstructed operator is neither")
+        self.assert_fails(report, "support_closure_laws", "support closure violates idempotent")
+
+    def test_reconstructed_range_differs(self, quad_edge_family, quad_context, monkeypatch):
+        def identity(poset, members):
+            return OperatorMap(poset, list(range(poset.n))), None
+
+        monkeypatch.setattr(confmine.oracle, "closure_from_subset", identity)
+        report = cm.verify_all(quad_context, quad_edge_family)
+        self.assert_fails(
+            report, "closed_set_locally_meet_closed", "reconstructed closure range differs"
+        )
+
+    def test_closed_set_not_a_confluence(self, quad_edge_family, quad_context, monkeypatch):
+        monkeypatch.setattr(confmine.oracle, "is_confluence", lambda poset: Verdict(False, "planted"))
+        report = cm.verify_all(quad_context, quad_edge_family)
+        self.assert_fails(
+            report, "closed_set_locally_meet_closed", "closed set is not a confluence: 'planted'"
+        )
+
+    def test_meet_verdict_disagrees_with_closure_existence(
+        self, quad_edge_family, quad_context, monkeypatch
+    ):
+        def fails_at_first_minimal(conf, members):
+            return Verdict(False, (conf.carrier.ids[conf.minimal_indices[0]], None))
+
+        monkeypatch.setattr(confmine.oracle, "is_closed_under_local_meet", fails_at_first_minimal)
+        report = cm.verify_all(quad_context, quad_edge_family)
+        self.assert_fails(
+            report, "meet_closed_per_minimal",
+            "meet-closedness and subset-closure existence disagree above 1",
+        )
+
+    def test_miner_repeats_a_concept(self, quad_edge_family, quad_context, monkeypatch):
+        mine = confmine.oracle.mine
+        monkeypatch.setattr(confmine.oracle, "mine", lambda cfg: [*mine(cfg), *mine(cfg)])
+        report = cm.verify_all(quad_context, quad_edge_family)
+        self.assert_fails(report, "miner_matches_oracle", "miner emitted a duplicate intent")
 
 
 def test_subsets_within_samples_cap_subsets_of_a_wide_mask():

@@ -4,8 +4,6 @@ closed-subset characterizations, including their randomized law suites."""
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import confmine as cm
 from confmine.order import (
@@ -297,8 +295,7 @@ class TestPosetFormat:
 # --- randomized law suites -------------------------------------------------
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("seed", range(200))
 def test_meet_closed_iff_closure_exists(seed):
     rng = random.Random(seed)
     lat = random_lattice(rng)
@@ -313,8 +310,7 @@ def test_meet_closed_iff_closure_exists(seed):
         assert witness is not None
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("seed", range(200))
 def test_join_closed_iff_interior_exists(seed):
     rng = random.Random(seed)
     lat = random_lattice(rng)

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Print a digest of the miner's event trace on seeded random instances, and
-optionally of the CLI's output on the ``tests/data`` commands that CI runs.
+optionally of the CLI's output on the ``tests/data`` commands in ``CLI_COMMANDS``.
 
 Usage, from any directory:
 
@@ -13,7 +13,11 @@ differ in shape but agree on every field print the same line.  Each seed draws
 one vertex family of each ``min_size`` 1-3, an edge, a k-gap and an explicit
 family (``randomized.family_kinds``), each under the identity, a frequency and
 a generator abstraction.  With ``--cli``, each command adds one line: its
-arguments and the sha256 of its stdout, stderr and exit code.  Diff the output
+arguments and the sha256 of its stdout, stderr and exit code.
+``CLI_COMMANDS`` is the one list of the ``tests/data`` commands whose output
+is checked for identity: CI runs this tool under ``PYTHONHASHSEED`` 0 and 1
+and requires the two outputs to be byte-identical, and the exact output of
+each ``check`` command is asserted in ``tests/test_cli.py``.  Diff the output
 of two checkouts to check that a change leaves traces and CLI bytes as they
 were.  ``confmine`` is imported from this checkout's ``src/``; pytest does not
 collect this file.
@@ -41,7 +45,7 @@ FIELDS = {
 FAMILY_KINDS = ("vertex1", "vertex2", "vertex3", "edge", "kgap", "explicit")
 ABSTRACTION_KINDS = ("identity", "frequency", "generators")
 
-# The tests/data commands of CI's hash-seed step, each run as a subprocess.
+# Each runs as a subprocess, which inherits this process's PYTHONHASHSEED.
 DATA = "tests/data/"
 CLI_COMMANDS = (
     ("mine", "--format", "json", "--kgap", "3", "1", "--context", DATA + "kgap.ctx"),
