@@ -150,10 +150,10 @@ class PatternFamily(ABC):
 
     def project(self, member: int, x: int, *, checked: bool = True) -> int:
         """Greatest family member below x containing ``member``.  Checks the contract
-        (a member base, x above it, a result above it) around the family's ``_project``;
-        ``checked=False`` skips the two argument checks (the membership test is a
-        breadth-first search on the graph families), for arguments valid by
-        construction.  The result check always runs."""
+        (a member base, x above it, a result between the two) around the family's
+        ``_project``; ``checked=False`` skips the two argument checks (the membership
+        test is a breadth-first search on the graph families), for arguments valid by
+        construction.  The two result checks always run."""
         if checked:
             if not self.contains(member):
                 raise ValueError("projection base must belong to the family")
@@ -162,6 +162,8 @@ class PatternFamily(ABC):
         result = self._project(member, x)
         if member & ~result:  # is_subset inlined: the miner projects once per closure
             raise ValueError("family projection is not extensive; the family violates its contract")
+        if result & ~x:
+            raise ValueError("family projection leaves its argument; the family violates its contract")
         return result
 
     @abstractmethod

@@ -2,9 +2,10 @@
 abstractions, subconfluences, and sublattices of a small powerset, one
 random family of each kind and one abstraction of each shape, plus the
 meet closure used to build closure ranges, a vertex instance written in the
-CLI file formats, a minimum-size vertex instance with many minimals, the
-Python lines the library runs per closure, and a reference copy of the
-miner's traversal with the item exclusion mask.
+CLI file formats, a minimum-size vertex instance with many minimals, a
+context with a fixed number of items per object, the Python lines the
+library runs in a call and per closure, and a reference copy of the miner's
+traversal with the item exclusion mask.
 
 Imported by the tests; pytest does not collect it.
 """
@@ -103,9 +104,9 @@ def random_minsize_instance(seed: int, n_vertices: int) -> MinerConfig:
 SOURCE = str(Path(confmine.__file__).parent)
 
 
-def lines_per_closure(cfg: MinerConfig) -> float:
-    """``sys.settrace`` line events in frames of ``src/confmine`` while
-    ``mine_trace`` runs, per closure computed (``MineEvent`` plus ``PruneEvent``)."""
+def traced_lines(fn):
+    """``fn()``'s result and the ``sys.settrace`` line events in frames of
+    ``src/confmine`` while it runs."""
     lines = 0
 
     def count_lines(frame, event, arg):
@@ -120,9 +121,16 @@ def lines_per_closure(cfg: MinerConfig) -> float:
     previous = sys.gettrace()
     sys.settrace(on_call)
     try:
-        events = list(mine_trace(cfg))
+        result = fn()
     finally:
         sys.settrace(previous)
+    return result, lines
+
+
+def lines_per_closure(cfg: MinerConfig) -> float:
+    """``traced_lines`` of ``mine_trace``, per closure computed (``MineEvent``
+    plus ``PruneEvent``)."""
+    events, lines = traced_lines(lambda: list(mine_trace(cfg)))
     closures = sum(type(ev) in (MineEvent, PruneEvent) for ev in events)
     return lines / closures
 
@@ -168,6 +176,14 @@ def random_context(
         descriptions.append(d & full)
     names = tuple(f"o{i + 1}" for i in range(n))
     return ObjectContext(names, tuple(descriptions), universe)
+
+
+def rows_context(rng: random.Random, n: int, w: int, per_row: int) -> ObjectContext:
+    """n objects over w items named ``i0`` .. ``i{w-1}``, each with ``per_row``
+    random items."""
+    u = Universe([f"i{k}" for k in range(w)])
+    rows = tuple(sum(1 << i for i in rng.sample(range(w), per_row)) for _ in range(n))
+    return ObjectContext(tuple(f"o{k}" for k in range(n)), rows, u)
 
 
 def random_abstraction(rng: random.Random, n_objects: int) -> ExtensionalAbstraction:

@@ -298,6 +298,27 @@ class TestBasisCommand:
         assert f"No such option '{option[0]}'" in result.output
 
 
+@pytest.mark.parametrize(
+    "args, output",
+    [
+        (("mine", "--explicit", DATA / "empty.family", "--context", DATA / "noitems.ctx"),
+         "{}\to1 o2\t{}\tfalse\n"),
+        (("basis", "--explicit", DATA / "empty.family", "--context", DATA / "noitems.ctx"), ""),
+        (("mine", "--kgap", 3, 1, "--context", DATA / "noobjects.ctx"),
+         "a1 a2 a3\t{}\ta1\ttrue\n"),
+        (("basis", "--kgap", 3, 1, "--context", DATA / "noobjects.ctx"),
+         "".join(f"a{i} -> a1 a2 a3 [internal]\n" for i in (1, 2, 3))),
+    ],
+    ids=["mine-no-items", "basis-no-items", "mine-no-objects", "basis-no-objects"],
+)
+def test_edge_shapes(runner, args, output):
+    # a zero-item universe, whose one member {} is a local top with every object,
+    # and a context with no objects, where every member has the empty support
+    result = invoke(runner, *args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout == output
+
+
 class TestCheckCommand:
     def test_bad_family_exits_one_with_witness(self, runner):
         result = invoke(runner, "check", "--explicit", DATA / "bad.family")

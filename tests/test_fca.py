@@ -17,10 +17,10 @@ from confmine.fca import (
 )
 from confmine.miner import close_pattern
 from confmine.oracle import materialize
-from confmine.patterns import is_subset
+from confmine.patterns import is_subset, iter_indices
 
 from conftest import build_context
-from randomized import random_context, random_explicit_subconfluence, random_graph
+from randomized import random_context, random_explicit_subconfluence, random_graph, rows_context
 
 
 class TestExtensionIntension:
@@ -129,6 +129,50 @@ class TestTidsetExtension:
 
     def test_items_outside_universe_have_no_objects(self, five_context):
         assert cm.extension(five_context, 1 << 4) == 0
+
+
+def tids_by_pairs(ctx):
+    """The tidsets by their definition, one (object, item) pair at a time."""
+    tids = [0] * ctx.universe.size
+    for o, d in enumerate(ctx.descriptions):
+        for i in iter_indices(d):
+            tids[i] |= 1 << o
+    return tuple(tids)
+
+
+class TestTidsetTransposition:
+    """``ObjectContext.tids``, built by transposing the descriptions, against the
+    definition."""
+
+    @pytest.mark.parametrize(
+        "n, w, per_row",
+        [
+            (0, 70, 0),  # no objects, more than 64 items
+            (1, 24, 24),  # one object
+            (50, 24, 0),  # empty descriptions
+            (50, 24, 24),  # full descriptions
+            (200, 100, 1),  # more than 64 items
+            (200, 100, 50),
+            (5000, 8, 1),  # more than 4,300 objects: beyond int's decimal digit limit
+            (5000, 8, 8),
+        ],
+    )
+    def test_shapes(self, n, w, per_row):
+        ctx = rows_context(random.Random(n * w + per_row), n, w, per_row)
+        assert ctx.tids == tids_by_pairs(ctx)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_zero_item_universe(self, n):
+        fam = ExplicitFamily([0], cm.Universe([]))
+        ctx = cm.ObjectContext(tuple(f"o{k}" for k in range(n)), (0,) * n, fam.universe)
+        assert ctx.tids == ()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_contexts(self, seed):
+        rng = random.Random(seed)
+        w = rng.randint(1, 100)
+        ctx = rows_context(rng, rng.randint(0, 300), w, rng.randint(0, w))
+        assert ctx.tids == tids_by_pairs(ctx)
 
 
 class TestSupportClosure:

@@ -566,8 +566,9 @@ class _ConfluenceNotSubconfluence(PatternFamily):
 
 
 def _chain_with_projection(project, *descriptions):
-    """The chain a < ab < abc over abcd, with a planted ``_project`` (each contains
-    its base, so ``PatternFamily.project`` accepts it), and one object per description."""
+    """The chain a < ab < abc over abcd, with a planted ``_project``, and one object
+    per description.  Each planted projection contains its base; the one that leaves
+    x is refused by ``PatternFamily.project``, the others pass it."""
     u = cm.Universe("abcd")
     fam = type("PlantedChain", (cm.ExplicitFamily,), {"_project": project})(
         [u.mask(p) for p in ("a", "ab", "abc")], u
@@ -623,7 +624,10 @@ class TestOracleReportsEachFault:
         "project, descriptions, name, prefix",
         [
             (_first_step, ("b",), "support_closure_laws", "support closure violates idempotent"),
-            (_top_ignoring_x, ("ab",), "local_closure_laws", "local closure not extensive"),
+            (
+                _top_ignoring_x, ("ab",), "local_closure_laws",
+                "check raised ValueError: family projection leaves its argument",
+            ),
             (_one_below_greatest, ("ab", "ac"), "local_closure_laws", "local closure not idempotent"),
             (_base_at_full, ("abc", "ab"), "local_closure_laws", "local closure not monotone"),
         ],
@@ -632,6 +636,12 @@ class TestOracleReportsEachFault:
     def test_planted_projection(self, project, descriptions, name, prefix):
         ctx, fam = _chain_with_projection(project, *descriptions)
         self.assert_fails(cm.verify_all(ctx, fam), name, prefix)
+
+    def test_miner_refuses_a_projection_outside_its_argument(self):
+        # without the check the miner emits only abc and no error
+        ctx, fam = _chain_with_projection(_top_ignoring_x, "ab")
+        with pytest.raises(ValueError, match="projection leaves its argument"):
+            list(cm.mine(cm.MinerConfig(fam, ctx)))
 
     # The theorems below hold for every family, so only a broken order-core
     # answer, patched into the oracle's namespace, can make their checks fail.

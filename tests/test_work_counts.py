@@ -1,14 +1,16 @@
 """Work-count gates: the Python lines the library runs per closure may grow
-only slowly with the instance.
+only slowly with the instance, and so may the lines that build a context's
+tidsets.
 
 Timings on a shared machine drift too much to catch a quadratic step, and a
-call count misses loops inside one call, so each gate mines one family shape
-at two sizes, counts ``sys.settrace`` line events in frames of
-``src/confmine``, and divides by the closures computed (``MineEvent`` plus
-``PruneEvent``).  Line counts are exact for one interpreter but differ
-between Python versions, so a gate bounds the ratio of the two sizes' figures
-within one run, never an absolute count.  Each bound is the ratio measured on
-Python 3.11 at seeds 1-3, plus 25 % headroom.
+call count misses loops inside one call, so each gate runs one shape at two
+sizes and counts ``sys.settrace`` line events in frames of ``src/confmine``:
+a mining gate divides them by the closures computed (``MineEvent`` plus
+``PruneEvent``), and the tidset gate takes them per build.  Line counts are
+exact for one interpreter but differ between Python versions, so a gate
+bounds the ratio of the two sizes' figures within one run, never an absolute
+count.  Each bound is the ratio measured on Python 3.11 at seeds 1-3, plus
+25 % headroom.
 """
 
 import random
@@ -19,7 +21,13 @@ from confmine.families import ConnectedEdgeFamily, GraphSpec
 from confmine.fca import ObjectContext
 from confmine.miner import MinerConfig
 
-from randomized import lines_per_closure, random_minsize_instance, random_vertex_instance
+from randomized import (
+    lines_per_closure,
+    random_minsize_instance,
+    random_vertex_instance,
+    rows_context,
+    traced_lines,
+)
 
 
 def edge_instance(seed: int, n_vertices: int) -> MinerConfig:
@@ -64,3 +72,15 @@ def test_anchor_lookup_scales_with_the_minimals(seed):
     small = lines_per_closure(random_minsize_instance(seed, 24))
     large = lines_per_closure(random_minsize_instance(seed, 48))
     assert large / small <= 1.07
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tidset_build_does_not_grow_with_the_items_per_object(seed):
+    # 4 -> 16 items per object: the transposition measured 30 -> 30 lines,
+    # ratio 1.0; a loop over every (object, item) pair measured 2,704 ->
+    # 9,904, ratio 3.66
+    fewer = rows_context(random.Random(seed), 100, 24, 4)
+    more = rows_context(random.Random(seed), 100, 24, 16)
+    _, small = traced_lines(lambda: fewer.tids)
+    _, large = traced_lines(lambda: more.tids)
+    assert large / small <= 1.25

@@ -17,10 +17,10 @@ arguments and the sha256 of its stdout, stderr and exit code.
 ``CLI_COMMANDS`` is the one list of the ``tests/data`` commands whose output
 is checked for identity: CI runs this tool under ``PYTHONHASHSEED`` 0 and 1
 and requires the two outputs to be byte-identical, and the exact output of
-each ``check`` command is asserted in ``tests/test_cli.py``.  Diff the output
-of two checkouts to check that a change leaves traces and CLI bytes as they
-were.  ``confmine`` is imported from this checkout's ``src/``; pytest does not
-collect this file.
+each ``check`` command and of the edge-shape commands is asserted in
+``tests/test_cli.py``.  Diff the output of two checkouts to check that a
+change leaves traces and CLI bytes as they were.  ``confmine`` is imported
+from this checkout's ``src/``; pytest does not collect this file.
 """
 
 import argparse
@@ -56,6 +56,11 @@ CLI_COMMANDS = (
     ("check", "--explicit", DATA + "wedge.family"),
     ("check", "--poset", DATA + "chain.poset"),
     ("check", "--poset", DATA + "fork.poset"),
+    # edge shapes: a zero-item universe, and a context with no objects
+    ("mine", "--explicit", DATA + "empty.family", "--context", DATA + "noitems.ctx"),
+    ("basis", "--explicit", DATA + "empty.family", "--context", DATA + "noitems.ctx"),
+    ("mine", "--kgap", "3", "1", "--context", DATA + "noobjects.ctx"),
+    ("basis", "--kgap", "3", "1", "--context", DATA + "noobjects.ctx"),
 )
 
 
