@@ -125,7 +125,7 @@ def _concept_line(concept, universe: Universe, context, fmt: str) -> str:
             {
                 "v": 1,
                 "intent": list(universe.names_of(concept.intent)),
-                "extent": list(context.object_names(concept.extent)),
+                "extent": list(context.objects.names_of(concept.extent)),
                 "anchor_minimal": list(universe.names_of(concept.anchor_minimal)),
                 "empty_support": concept.extent == 0,
             },
@@ -134,7 +134,7 @@ def _concept_line(concept, universe: Universe, context, fmt: str) -> str:
     return "\t".join(
         [
             universe.format(concept.intent),
-            context.format_extent(concept.extent),
+            context.objects.format(concept.extent),
             universe.format(concept.anchor_minimal),
             "true" if concept.extent == 0 else "false",
         ]

@@ -20,7 +20,7 @@ from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .families import ParseError, PatternFamily, subconfluence_violation
-from .patterns import Universe, and_rows, content_lines, is_subset, iter_indices, mask_of
+from .patterns import Universe, and_rows, content_lines, is_subset, iter_indices
 
 
 class ContextError(ValueError):
@@ -29,16 +29,15 @@ class ContextError(ValueError):
 
 @dataclass(frozen=True)
 class ObjectContext:
-    """Named objects described by patterns over a shared item universe."""
+    """Named objects described by patterns over a shared item universe; the
+    objects are a ``Universe`` too, so bit o of an extent is ``objects.names[o]``."""
 
-    objects: tuple[str, ...]
+    objects: Universe
     descriptions: tuple[int, ...]
     universe: Universe
 
     def __post_init__(self):
-        if len(set(self.objects)) != len(self.objects):
-            raise ContextError("duplicate object names")
-        if len(self.objects) != len(self.descriptions):
+        if self.objects.size != len(self.descriptions):
             raise ContextError("description count does not match object count")
         for d in self.descriptions:
             if d & ~self.universe.full_mask:
@@ -66,16 +65,6 @@ class ObjectContext:
         bits = "".join(map(bin, map(or_, reversed(rows), repeat(1 << w))))
         return tuple([int(bits[w + 2 - i :: w + 3] or "0", 2) for i in range(w)])
 
-    @cached_property
-    def all_objects_mask(self) -> int:
-        return (1 << len(self.objects)) - 1
-
-    def object_names(self, extent: int) -> tuple[str, ...]:
-        return tuple([self.objects[i] for i in iter_indices(extent)])
-
-    def format_extent(self, extent: int) -> str:
-        return " ".join([self.objects[i] for i in iter_indices(extent)]) or "{}"
-
 
 def extension(ctx: ObjectContext, pattern: int) -> int:
     """Support set of a pattern: objects whose description contains it.
@@ -85,7 +74,7 @@ def extension(ctx: ObjectContext, pattern: int) -> int:
     """
     if pattern & ~ctx.universe.full_mask:
         return 0
-    return and_rows(pattern, ctx.tids, ctx.all_objects_mask)
+    return and_rows(pattern, ctx.tids, ctx.objects.full_mask)
 
 
 def extensions(ctx: ObjectContext, patterns: Iterable[int]) -> Iterator[int]:
@@ -100,7 +89,7 @@ def extensions(ctx: ObjectContext, patterns: Iterable[int]) -> Iterator[int]:
     on their high items.  The stack holds at most one entry per item.
     """
     full = ctx.universe.full_mask
-    everyone = ctx.all_objects_mask
+    everyone = ctx.objects.full_mask
     tids = ctx.tids
     ands: list[int] = []
     prev = 0
@@ -123,7 +112,7 @@ def extensions(ctx: ObjectContext, patterns: Iterable[int]) -> Iterator[int]:
 
 def intension(ctx: ObjectContext, extent: int) -> int:
     """Intersection of the descriptions over an extent; the full universe if empty."""
-    if extent & ~ctx.all_objects_mask:  # objects outside the context have no items
+    if extent & ~ctx.objects.full_mask:  # objects outside the context have no items
         return 0
     return and_rows(extent, ctx.descriptions, ctx.universe.full_mask)
 
@@ -270,7 +259,7 @@ def support_closure_existence_check(
         return ExistenceVerdict(True)
     t, x, y = witness
     d = x | y
-    ctx = ObjectContext(("o",), (d,), universe)
+    ctx = ObjectContext(Universe(("o",)), (d,), universe)
     inside = [q for q in patterns if is_subset(t, q) and is_subset(q, d)]
     maximals = tuple(
         q for q in inside if not any(r != q and is_subset(q, r) for r in inside)
@@ -318,17 +307,17 @@ def context_from_rows(
         try:
             descriptions.append(universe.mask(items))
         except KeyError as exc:
-            raise ContextError(f"object {name!r}: {exc.args[0]}") from None
-    return ObjectContext(tuple(r[0] for r in rows), tuple(descriptions), universe)
+            raise ContextError(f"object {name!r}: unknown item {exc.args[0]!r}") from None
+    return ObjectContext(Universe([name for name, _ in rows]), tuple(descriptions), universe)
 
 
-def load_abstraction(lines: Iterable[str], objects: Sequence[str]) -> ExtensionalAbstraction:
-    """Parse an abstraction file: one generator extent per line, object names."""
-    index = {o: i for i, o in enumerate(objects)}
+def load_abstraction(lines: Iterable[str], objects: Universe) -> ExtensionalAbstraction:
+    """Parse an abstraction file: one generator extent per line, object names,
+    masked over a context's ``objects``."""
     generators = []
     for lineno, line in content_lines(lines):
         try:
-            generators.append(mask_of(index[o] for o in line.split()))
+            generators.append(objects.mask(line.split()))
         except KeyError as exc:
             raise ParseError(lineno, f"unknown object {exc.args[0]!r}") from None
     return ExtensionalAbstraction.from_generators(generators)

@@ -173,7 +173,7 @@ class OracleReport:
             "concepts": [
                 {
                     "intent": context.universe.format(t),
-                    "extent": context.format_extent(e),
+                    "extent": context.objects.format(e),
                 }
                 for t, e in self.concepts
             ],

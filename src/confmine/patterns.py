@@ -7,6 +7,7 @@ stands for the item (or object) with index i.  All set algebra is therefore
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 
@@ -95,29 +96,32 @@ def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
 
 
 class Universe:
-    """An ordered set of item names mapped to dense bit positions."""
+    """An ordered set of names mapped to dense bit positions: the items of a
+    family and the objects of a context alike."""
 
     def __init__(self, names: Iterable[str]):
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate item names in universe")
-        self._bits = {name: 1 << i for i, name in enumerate(self.names)}
+            raise ValueError("duplicate names in universe")
         # A plain attribute, not a property: closures read it several times each.
         self.full_mask = (1 << len(self.names)) - 1
+
+    @cached_property
+    def _bits(self) -> dict[str, int]:
+        """Name to bit, built on first use: a context's objects are masked only
+        when an abstraction file is read."""
+        return {name: 1 << i for i, name in enumerate(self.names)}
 
     @property
     def size(self) -> int:
         return len(self.names)
 
     def mask(self, names: Iterable[str]) -> int:
-        """Mask of the named items; ``KeyError("unknown item 'z'")`` for an unknown name z."""
+        """Mask of the named members; ``KeyError(z)`` for an unknown name z."""
         bits = self._bits
         m = 0
         for name in names:  # no call or shift per name: context_from_rows masks every object
-            try:
-                m |= bits[name]
-            except KeyError:
-                raise KeyError(f"unknown item {name!r}") from None
+            m |= bits[name]
         return m
 
     # List comprehensions, not generator expressions: CPython runs them faster,

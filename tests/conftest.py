@@ -15,7 +15,7 @@ def read_lines(name: str) -> list[str]:
 def build_context(universe: cm.Universe, rows: dict[str, str]) -> cm.ObjectContext:
     names = tuple(rows)
     descriptions = tuple(universe.mask(items.split()) for items in rows.values())
-    return cm.ObjectContext(names, descriptions, universe)
+    return cm.ObjectContext(cm.Universe(names), descriptions, universe)
 
 
 @pytest.fixture

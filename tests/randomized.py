@@ -67,7 +67,7 @@ def random_vertex_instance(
     labels = tuple(f"e{i}" for i in range(n_edges))
     fam = ConnectedVertexFamily(GraphSpec(vertices, tuple(sorted(pairs)), labels))
     descriptions = tuple(rng.randrange(1 << n_vertices) for _ in range(n_objects))
-    objects = tuple(f"o{i}" for i in range(n_objects))
+    objects = Universe(f"o{i}" for i in range(n_objects))
     return MinerConfig(family=fam, context=ObjectContext(objects, descriptions, fam.universe))
 
 
@@ -95,7 +95,7 @@ def random_minsize_instance(seed: int, n_vertices: int) -> MinerConfig:
     descriptions = tuple(
         sum(1 << i for i in rng.sample(range(n), 11 * n // 24)) for _ in range(100 * n // 24)
     )
-    objects = tuple(f"o{i}" for i in range(len(descriptions)))
+    objects = Universe(f"o{i}" for i in range(len(descriptions)))
     return MinerConfig(
         fam, ObjectContext(objects, descriptions, fam.universe), ExtensionalAbstraction.frequency(5)
     )
@@ -156,7 +156,7 @@ def write_vertex_instance(
     ctx_path.write_text(
         "".join(
             f"{o}: {' '.join(names[i] for i in iter_indices(d))}\n"
-            for o, d in zip(ctx.objects, ctx.descriptions)
+            for o, d in zip(ctx.objects.names, ctx.descriptions)
         )
     )
     return graph_path, ctx_path
@@ -174,8 +174,8 @@ def random_context(
             if rng.random() < 0.55:
                 d |= 1 << i
         descriptions.append(d & full)
-    names = tuple(f"o{i + 1}" for i in range(n))
-    return ObjectContext(names, tuple(descriptions), universe)
+    objects = Universe(f"o{i + 1}" for i in range(n))
+    return ObjectContext(objects, tuple(descriptions), universe)
 
 
 def rows_context(rng: random.Random, n: int, w: int, per_row: int) -> ObjectContext:
@@ -183,7 +183,7 @@ def rows_context(rng: random.Random, n: int, w: int, per_row: int) -> ObjectCont
     random items."""
     u = Universe([f"i{k}" for k in range(w)])
     rows = tuple(sum(1 << i for i in rng.sample(range(w), per_row)) for _ in range(n))
-    return ObjectContext(tuple(f"o{k}" for k in range(n)), rows, u)
+    return ObjectContext(Universe(f"o{k}" for k in range(n)), rows, u)
 
 
 def random_abstraction(rng: random.Random, n_objects: int) -> ExtensionalAbstraction:

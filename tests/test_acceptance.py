@@ -72,7 +72,7 @@ def test_acceptance_01_connected_edge_concepts():
     start = time.perf_counter()
     cc = cm.build_concept_confluence(ctx, fam)
     elapsed = time.perf_counter() - start
-    got = {(u.format(c.intent), ctx.format_extent(c.extent)) for c in cc}
+    got = {(u.format(c.intent), ctx.objects.format(c.extent)) for c in cc}
     expected = {
         ("a", "o1 o2 o3"),
         ("b", "o1 o2 o3"),
@@ -181,7 +181,7 @@ def test_acceptance_06_subconfluence_rejection():
         ExplicitFamily(bad, u)
     witness_ok = exc.value.witness == (0, u.mask("ab"), u.mask("ac"))
 
-    ctx = cm.ObjectContext(("o",), (u.mask("abcd"),), u)
+    ctx = cm.ObjectContext(cm.Universe(("o",)), (u.mask("abcd"),), u)
     try:
         cm.oracle_closure(ctx, bad, cm.ExtensionalAbstraction(), 0)
         undefined_ok = False
@@ -370,7 +370,7 @@ def _suite_support_closure_laws(rng, runs):
         if len(members) > 40:
             continue  # keep the operator-table classification quadratic-cheap
         ctx = random_context(rng, fam.universe, max_objects=12)
-        abstraction = random_abstraction(rng, len(ctx.objects))
+        abstraction = random_abstraction(rng, ctx.objects.size)
         poset = family_poset(members)
         table = [
             poset.index(cm.closure(ctx, fam, t, abstraction.apply(cm.extension(ctx, t))))
@@ -396,7 +396,7 @@ def _suite_miner_vs_oracle(rng, runs):
     for _ in range(runs):
         fam = _random_family(rng)
         ctx = random_context(rng, fam.universe, max_objects=12)
-        abstraction = random_abstraction(rng, len(ctx.objects))
+        abstraction = random_abstraction(rng, ctx.objects.size)
         cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
         mined = [c.intent for c in cm.mine(cfg)]
         assert len(mined) == len(set(mined))

@@ -618,6 +618,12 @@ NEEDS_CONTEXT = "--context is required for this command"
             "{ctx}: line 2: '{{}}' cannot name an item",
         ),
         (
+            {"ctx": "o1: a1 z\n"},
+            ("mine", *KGAP, "--context", "{ctx}"),
+            1,
+            "context does not match the family universe: object 'o1': unknown item 'z'",
+        ),
+        (
             {"graph": "v {}\nv b\ne {} b\n"},
             ("check", "--graph", "{graph}"),
             2,
@@ -642,7 +648,7 @@ NEEDS_CONTEXT = "--context is required for this command"
         "graph-duplicate-vertex", "poset-line-without-colon", "explicit-family-empty",
         "context-empty-object-name", "poset-duplicate-element", "poset-empty-element-id",
         "explicit-family-braces-not-alone", "context-spaced-object", "context-braces-object",
-        "context-braces-item", "graph-braces-vertex", "graph-braces-label",
+        "context-braces-item", "context-unknown-item", "graph-braces-vertex", "graph-braces-label",
         "graph-duplicate-edge-label",
     ],
 )

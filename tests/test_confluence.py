@@ -168,7 +168,7 @@ ABCD = Universe("abcd")
 def lifted_closure(fam: ExplicitFamily, descriptions) -> dict[int, int]:
     """The support closure of each member, over one object per description:
     the host closure onto the descriptions' meets, projected at the member."""
-    objects = tuple(f"o{i}" for i in range(len(descriptions)))
+    objects = cm.Universe(f"o{i}" for i in range(len(descriptions)))
     ctx = cm.ObjectContext(objects, tuple(descriptions), fam.universe)
     return {t: cm.support_closure(ctx, fam, t) for t in fam.members()}
 

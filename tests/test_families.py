@@ -49,14 +49,15 @@ class TestUniverse:
     def test_rejects_duplicates_and_unknowns(self):
         with pytest.raises(ValueError, match="duplicate"):
             cm.Universe(["a", "a"])
-        with pytest.raises(KeyError, match="unknown item"):
+        with pytest.raises(KeyError) as unknown:
             cm.Universe(["a"]).mask(["z"])
+        assert unknown.value.args == ("z",)
 
     def test_mask_names_the_unknown_item(self):
         u = cm.Universe(["a", "b"])
         with pytest.raises(KeyError) as by_mask:
             u.mask(["b", "z", "a"])
-        assert by_mask.value.args == ("unknown item 'z'",)
+        assert by_mask.value.args == ("z",)
 
 
 class TestMinimalMasks:
@@ -371,7 +372,7 @@ class TestProjectionContract:
     def test_non_extensive_projection_rejected_on_every_path(self):
         u = cm.Universe(["a", "b", "c"])
         fam = _BaseDroppingFamily([u.mask("ab"), u.mask("abc")], u)
-        ctx = cm.ObjectContext(("o1",), (u.mask("abc"),), u)
+        ctx = cm.ObjectContext(cm.Universe(("o1",)), (u.mask("abc"),), u)
         message = "^family projection is not extensive; the family violates its contract$"
         with pytest.raises(ValueError, match=message):
             fam.project(u.mask("ab"), u.mask("abc"))

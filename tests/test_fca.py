@@ -26,9 +26,9 @@ from randomized import random_context, random_explicit_subconfluence, random_gra
 class TestExtensionIntension:
     def test_extension_values(self, five_context, five_universe):
         u = five_universe
-        assert five_context.format_extent(cm.extension(five_context, u.mask("a"))) == "o1 o2 o3"
+        assert five_context.objects.format(cm.extension(five_context, u.mask("a"))) == "o1 o2 o3"
         assert cm.extension(five_context, 0) == 0b111
-        assert five_context.format_extent(cm.extension(five_context, u.mask("abc"))) == "o2 o3"
+        assert five_context.objects.format(cm.extension(five_context, u.mask("abc"))) == "o2 o3"
 
     def test_intension_values(self, five_context, five_universe):
         u = five_universe
@@ -49,7 +49,7 @@ class TestExtensionIntension:
     def test_description_outside_universe_rejected(self):
         u = cm.Universe(["a"])
         with pytest.raises(ContextError):
-            cm.ObjectContext(("o1",), (0b10,), u)
+            cm.ObjectContext(cm.Universe(("o1",)), (0b10,), u)
 
 
 class TestTidsetExtension:
@@ -68,7 +68,7 @@ class TestTidsetExtension:
             ctx = random_context(rng, u, max_objects=9)
             for p in range(u.full_mask + 1):
                 assert cm.extension(ctx, p) == self._scan(ctx, p)
-            assert cm.extension(ctx, 0) == ctx.all_objects_mask
+            assert cm.extension(ctx, 0) == ctx.objects.full_mask
 
     def test_extensions_match_extension_in_any_order(self):
         # The prefix sharing depends on the order and the result must not:
@@ -116,7 +116,7 @@ class TestTidsetExtension:
 
     def test_zero_objects(self):
         u = cm.Universe(["a", "b"])
-        ctx = cm.ObjectContext((), (), u)
+        ctx = cm.ObjectContext(cm.Universe(()), (), u)
         assert ctx.tids == (0, 0)
         for p in range(u.full_mask + 1):
             assert cm.extension(ctx, p) == 0
@@ -164,7 +164,7 @@ class TestTidsetTransposition:
     @pytest.mark.parametrize("n", [0, 3])
     def test_zero_item_universe(self, n):
         fam = ExplicitFamily([0], cm.Universe([]))
-        ctx = cm.ObjectContext(tuple(f"o{k}" for k in range(n)), (0,) * n, fam.universe)
+        ctx = cm.ObjectContext(cm.Universe([f"o{k}" for k in range(n)]), (0,) * n, fam.universe)
         assert ctx.tids == ()
 
     @pytest.mark.parametrize("seed", range(40))
@@ -381,7 +381,7 @@ class TestConceptConfluence:
         u = quad_edge_family.universe
         cc = cm.build_concept_confluence(quad_context, quad_edge_family)
         got = [
-            (u.format(c.intent), quad_context.format_extent(c.extent)) for c in cc
+            (u.format(c.intent), quad_context.objects.format(c.extent)) for c in cc
         ]
         assert got == [
             ("a", "o1 o2 o3"),
@@ -398,7 +398,7 @@ class TestConceptConfluence:
 
     def test_empty_object_set(self, quad_edge_family):
         u = quad_edge_family.universe
-        ctx = cm.ObjectContext((), (), u)
+        ctx = cm.ObjectContext(cm.Universe(()), (), u)
         cc = cm.build_concept_confluence(ctx, quad_edge_family)
         assert [c.intent for c in cc] == [u.mask("abcd")]
         assert cc[0].extent == 0
@@ -515,7 +515,7 @@ class TestGaloisLaws:
         for _ in range(30):
             u = cm.Universe([chr(ord("a") + i) for i in range(rng.randint(1, 6))])
             ctx = random_context(rng, u, max_objects=8)
-            full_e = ctx.all_objects_mask
+            full_e = ctx.objects.full_mask
             for _ in range(20):
                 t1 = rng.randrange(u.full_mask + 1)
                 t2 = t1 | rng.randrange(u.full_mask + 1)
@@ -548,7 +548,7 @@ class TestGaloisLaws:
         for _ in range(10):
             u = cm.Universe([chr(ord("a") + i) for i in range(3)])
             ctx = random_context(rng, u, max_objects=5)
-            full = ctx.all_objects_mask
+            full = ctx.objects.full_mask
             for e in range(full + 1):
                 closed = cm.extension(ctx, cm.intension(ctx, e))
                 same = [
@@ -567,7 +567,7 @@ class TestGaloisLaws:
             u = cm.Universe([chr(ord("a") + i) for i in range(4)])
             ctx = random_context(rng, u, max_objects=6)
             gens = [
-                rng.randrange(ctx.all_objects_mask + 1)
+                rng.randrange(ctx.objects.full_mask + 1)
                 for _ in range(rng.randint(1, 3))
             ]
             abstraction = cm.ExtensionalAbstraction.from_generators(gens)
@@ -635,16 +635,17 @@ class TestContextFormats:
         assert load_context(["{}o: {}a a{}"]) == [("{}o", ("{}a", "a{}"))]
 
     @pytest.mark.parametrize(
-        ("objects", "descriptions", "message"),
+        ("objects", "descriptions", "error", "message"),
         [
-            (("o1", "o1"), (0b1, 0b1), "duplicate object names"),
-            (("o1", "o2"), (0b1,), "description count does not match object count"),
+            (("o1", "o1"), (0b1, 0b1), ValueError, "duplicate names in universe"),
+            (("o1", "o2"), (0b1,), ContextError, "description count does not match object count"),
         ],
         ids=["repeated-name", "too-few-descriptions"],
     )
-    def test_object_context_rejects(self, objects, descriptions, message):
-        with pytest.raises(ContextError) as exc:
-            cm.ObjectContext(objects, descriptions, cm.Universe(["a"]))
+    def test_object_context_rejects(self, objects, descriptions, error, message):
+        with pytest.raises(ValueError) as exc:
+            cm.ObjectContext(cm.Universe(objects), descriptions, cm.Universe(["a"]))
+        assert type(exc.value) is error
         assert str(exc.value) == message
 
     def test_unknown_item_rejected(self):
@@ -653,9 +654,9 @@ class TestContextFormats:
             context_from_rows([("o1", ("z",))], u)
 
     def test_load_abstraction(self):
-        abstraction = load_abstraction(["o1 o2", "o1 o3"], ("o1", "o2", "o3"))
+        abstraction = load_abstraction(["o1 o2", "o1 o3"], cm.Universe(("o1", "o2", "o3")))
         assert abstraction.generators == (0b011, 0b101)
 
     def test_abstraction_unknown_object(self):
         with pytest.raises(Exception, match="unknown object"):
-            load_abstraction(["o9"], ("o1",))
+            load_abstraction(["o9"], cm.Universe(("o1",)))

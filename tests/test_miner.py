@@ -5,9 +5,11 @@ closed-itemset mining, independence from item and object order, and oracle
 parity."""
 
 import hashlib
+import importlib.util
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -252,7 +254,7 @@ def _render_trace(cfg):
             c = ev.concept
             out.append(
                 (
-                    "emit", fmt(c.intent), ctx.format_extent(c.extent),
+                    "emit", fmt(c.intent), ctx.objects.format(c.extent),
                     fmt(c.anchor_minimal), c.extent == 0, fmt(ev.parent_intent),
                 )
             )
@@ -395,13 +397,28 @@ class TestGoldenTraces:
         digest = hashlib.sha256(repr(emits).encode()).hexdigest()
         assert digest == "9a913e15d202d12de55105da6d91edc8d343cba9957ba4824546db04b3995a32"
 
+    def test_seeded_trace_digests(self):
+        """Seeds 0-39 of ``tests/tools/trace_digests.py``: 720 traces, every
+        family kind under every abstraction kind, hashed as the tool prints
+        them with ``--count 40``.  A change that alters a trace on purpose
+        restates this value and records the change in ``CHANGES.md``."""
+        path = Path(__file__).parent / "tools" / "trace_digests.py"
+        spec = importlib.util.spec_from_file_location("trace_digests", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        h = hashlib.sha256()
+        for seed in range(40):
+            for line in tool.instance_lines(seed):
+                h.update(f"{line}\n".encode())
+        assert h.hexdigest() == "8e2499d937974393502f7776a2f09fd2ee87a9ef4de809f15ffa727d4a961c0a"
+
 
 class TestQuadGraphMining:
     def test_concepts_and_anchors(self, quad_edge_family, quad_context):
         u = quad_edge_family.universe
         cfg = cm.MinerConfig(family=quad_edge_family, context=quad_context)
         concepts = list(cm.mine(cfg))
-        got = [(u.format(c.intent), quad_context.format_extent(c.extent)) for c in concepts]
+        got = [(u.format(c.intent), quad_context.objects.format(c.extent)) for c in concepts]
         assert got == [
             ("a", "o1 o2 o3"),
             ("a b c", "o2 o3"),
@@ -551,10 +568,10 @@ def _relabelled(rng, fam, ctx, abstraction):
             relabelled = cm.ConnectedEdgeFamily(graph)
         else:
             relabelled = cm.ConnectedVertexFamily(graph, fam.min_size)
-    rows = rng.sample(range(len(ctx.objects)), len(ctx.objects))
+    rows = rng.sample(range(ctx.objects.size), ctx.objects.size)
     universe = relabelled.universe
     context = cm.ObjectContext(
-        tuple(ctx.objects[o] for o in rows),
+        cm.Universe([ctx.objects.names[o] for o in rows]),
         tuple(universe.mask(names(ctx.descriptions[o])) for o in rows),
         universe,
     )
@@ -576,7 +593,7 @@ class TestRelabelling:
     def _concepts(fam, ctx, abstraction):
         names = fam.universe.names_of
         return {
-            (frozenset(names(c.intent)), frozenset(ctx.object_names(c.extent)))
+            (frozenset(names(c.intent)), frozenset(ctx.objects.names_of(c.extent)))
             for c in cm.mine(cm.MinerConfig(fam, ctx, abstraction))
         }
 
@@ -594,7 +611,7 @@ class TestRelabelling:
         for _ in range(40):
             for fam in [f for f in family_kinds(rng) if not isinstance(f, cm.KGapWordFamily)]:
                 ctx = random_context(rng, fam.universe, max_objects=6)
-                for abstraction in abstraction_kinds(rng, len(ctx.objects)):
+                for abstraction in abstraction_kinds(rng, ctx.objects.size):
                     other = _relabelled(rng, fam, ctx, abstraction)
                     reordered += other[0].universe.names != fam.universe.names
                     assert self._concepts(*other) == self._concepts(fam, ctx, abstraction)
@@ -685,7 +702,7 @@ class TestMinerAgainstOracle:
                     rng, n_items=4, require_strong_accessibility=True
                 )
             ctx = random_context(rng, fam.universe, max_objects=8)
-            abstraction = random_abstraction(rng, len(ctx.objects))
+            abstraction = random_abstraction(rng, ctx.objects.size)
             cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
             concepts = list(cm.mine(cfg))
             mined = intents(concepts)
@@ -710,7 +727,7 @@ class TestRootAnchorsAcrossFamilyKinds:
             for fam in family_kinds(rng):
                 members = materialize(fam)
                 ctx = random_context(rng, fam.universe, max_objects=6)
-                for abstraction in abstraction_kinds(rng, len(ctx.objects)):
+                for abstraction in abstraction_kinds(rng, ctx.objects.size):
                     cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
                     trace = list(cm.mine_trace(cfg))
                     mined = [ev for ev in trace if isinstance(ev, MineEvent)]
@@ -743,7 +760,7 @@ class TestRootAnchorsAcrossFamilyKinds:
         for _ in range(4):
             for fam in family_kinds(rng):
                 ctx = random_context(rng, fam.universe, max_objects=6)
-                for abstraction in abstraction_kinds(rng, len(ctx.objects)):
+                for abstraction in abstraction_kinds(rng, ctx.objects.size):
                     cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
                     calls = 0
                     trace = list(cm.mine_trace(cfg))
@@ -811,7 +828,7 @@ class TestClosuresRememberedBySupport:
         for _ in range(self.ROUNDS):
             for fam in family_kinds(rng):
                 ctx = random_context(rng, fam.universe, max_objects=6)
-                for abstraction in abstraction_kinds(rng, len(ctx.objects)):
+                for abstraction in abstraction_kinds(rng, ctx.objects.size):
                     cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
                     reference = list(reference_mine_trace(cfg))
                     trace = []
@@ -903,7 +920,7 @@ class TestUncheckedProjection:
             for inner in family_kinds(rng):
                 fam = AssertingProjection(inner)
                 ctx = random_context(rng, fam.universe, max_objects=6)
-                for abstraction in abstraction_kinds(rng, len(ctx.objects)):
+                for abstraction in abstraction_kinds(rng, ctx.objects.size):
                     cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
                     unchecked = list(cm.mine_trace(cfg))
                     with monkeypatch.context() as m:
@@ -940,7 +957,7 @@ class TestUncheckedProjection:
         cfg = cm.MinerConfig(family=wedge_family, context=wedge_context)
         # support: every object, whose intension a d misses the base's b
         with pytest.raises(ValueError, match="must contain the base"):
-            CLOSURE_ROUTES[route](cfg, wedge_universe.mask("ab"), cfg.context.all_objects_mask)
+            CLOSURE_ROUTES[route](cfg, wedge_universe.mask("ab"), cfg.context.objects.full_mask)
 
 
 class TestOneAugmentationListingPerEmission:
@@ -955,7 +972,7 @@ class TestOneAugmentationListingPerEmission:
             for inner in family_kinds(rng):
                 fam = CountingAugmentations(inner)
                 ctx = random_context(rng, fam.universe, max_objects=6)
-                for abstraction in abstraction_kinds(rng, len(ctx.objects)):
+                for abstraction in abstraction_kinds(rng, ctx.objects.size):
                     cfg = cm.MinerConfig(family=fam, context=ctx, abstraction=abstraction)
                     fam.augmentation_calls = 0
                     concepts = list(cm.mine(cfg))
@@ -974,7 +991,7 @@ class TestDeepTraversal:
         n = sys.getrecursionlimit() + 100
         fam = cm.KGapWordFamily(n, 1)
         ctx = cm.ObjectContext(
-            tuple(f"o{i}" for i in range(1, n + 1)),
+            cm.Universe([f"o{i}" for i in range(1, n + 1)]),
             tuple((1 << i) - 1 for i in range(1, n + 1)),
             fam.universe,
         )

@@ -156,7 +156,7 @@ class TestOracleClosure:
     def test_undefined_on_violating_family(self):
         u = cm.Universe(["a", "b", "c", "d"])
         members = [0, u.mask("ab"), u.mask("ac")]
-        ctx = cm.ObjectContext(("o",), (u.mask("abcd"),), u)
+        ctx = cm.ObjectContext(cm.Universe(("o",)), (u.mask("abcd"),), u)
         with pytest.raises(cm.ClosureUndefinedError) as exc:
             cm.oracle_closure(ctx, members, cm.ExtensionalAbstraction(), 0)
         assert set(exc.value.maximals) == {u.mask("ab"), u.mask("ac")}
@@ -457,7 +457,7 @@ class TestVerifyAll:
             ),
         }
         for description, (total, agreement, extents) in expected.items():
-            ctx = cm.ObjectContext(("o1",), (u.mask(description),), u)
+            ctx = cm.ObjectContext(cm.Universe(("o1",)), (u.mask(description),), u)
             report = cm.verify_all(ctx, fam, seed=0)
             assert report.checks == {
                 "subconfluence": CheckResult(False, "witness (1, 3, 5)"),
@@ -487,7 +487,7 @@ class TestOracleCatchesContractViolations:
             [u.mask(p) for p in ("a", "b", "ab", "abc")], u
         )
         ctx = cm.ObjectContext(
-            ("o1", "o2"), (u.mask("ab"), u.mask("abc")), u
+            cm.Universe(("o1", "o2")), (u.mask("ab"), u.mask("abc")), u
         )
         report = cm.verify_all(ctx, fam, seed=0)
         assert report.checks == {
@@ -522,7 +522,7 @@ class TestOracleCatchesContractViolations:
                 return pattern != u.mask("ab") and super().contains(pattern)
 
         fam = BrokenMembership([u.mask(p) for p in ("a", "b", "ab", "abc")], u)
-        ctx = cm.ObjectContext(("o1",), (u.mask("abc"),), u)
+        ctx = cm.ObjectContext(cm.Universe(("o1",)), (u.mask("abc"),), u)
         report = cm.verify_all(ctx, fam, seed=0)
         # every check that reaches the projection route at ab raises there
         raised = CheckResult(
@@ -574,7 +574,7 @@ def _chain_with_projection(project, *descriptions):
         [u.mask(p) for p in ("a", "ab", "abc")], u
     )
     names = tuple(f"o{i}" for i in range(1, len(descriptions) + 1))
-    return cm.ObjectContext(names, tuple(u.mask(d) for d in descriptions), u), fam
+    return cm.ObjectContext(cm.Universe(names), tuple(u.mask(d) for d in descriptions), u), fam
 
 
 def _above(fam, member, x):
@@ -616,7 +616,7 @@ class TestOracleReportsEachFault:
     def test_confluence_whose_local_join_is_no_union(self):
         fam = _ConfluenceNotSubconfluence()
         u = fam.universe
-        report = cm.verify_all(cm.ObjectContext(("o1",), (u.mask("abcd"),), u), fam)
+        report = cm.verify_all(cm.ObjectContext(cm.Universe(("o1",)), (u.mask("abcd"),), u), fam)
         assert report.checks["confluence_order"] == CheckResult(True)
         self.assert_fails(report, "local_join_is_union", "local join of 3 and 5 is not their union")
 

@@ -3,7 +3,7 @@ top-level class, is used by code that runs: the package itself, the
 benchmark scripts, the acceptance tests and the README's library example.
 And no two of those functions and methods say the same thing.
 
-Three rules check that, one test each:
+Four rules check that, one test each:
 - its name appears outside its own definition in that code, where the README
   counts only through the ``python`` block that ``test_readme.py`` runs, not
   through its prose;
@@ -14,7 +14,10 @@ Three rules check that, one test each:
   for the run and restoring them after;
 - no two of those functions and methods have the same body: their syntax
   trees differ once a leading docstring is dropped.  Abstract methods and
-  bodies that are a docstring alone are exempt.
+  bodies that are a docstring alone are exempt;
+- every name a package module other than ``__init__.py`` imports at top
+  level appears in that module as an ``ast.Name``: no linter runs, so a
+  deletion could otherwise leave a dead import.  ``from __future__`` is exempt.
 
 A name that only its own unit tests reach is surface nothing needs; delete
 it with those tests.  The CLI's decorated commands are reached through click.
@@ -155,3 +158,21 @@ def test_no_two_definitions_share_a_body():
             holders[ast.dump(ast.Module(body, []))].append(name)
     shared = [" = ".join(names) for names in holders.values() if len(names) > 1]
     assert not shared, "the same body written more than once: " + "; ".join(shared)
+
+
+def test_every_top_level_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in read:
+                        unused.append(f"{path.stem}: {bound}")
+    assert not unused, "imported but never used: " + ", ".join(unused)

@@ -20,6 +20,7 @@ import pytest
 from confmine.families import ConnectedEdgeFamily, GraphSpec
 from confmine.fca import ObjectContext
 from confmine.miner import MinerConfig
+from confmine.patterns import Universe
 
 from randomized import (
     lines_per_closure,
@@ -44,7 +45,7 @@ def edge_instance(seed: int, n_vertices: int) -> MinerConfig:
     descriptions = tuple(
         sum(1 << i for i in range(len(pairs)) if rng.random() < 0.6) for _ in range(10)
     )
-    objects = tuple(f"o{i}" for i in range(10))
+    objects = Universe(f"o{i}" for i in range(10))
     return MinerConfig(fam, ObjectContext(objects, descriptions, fam.universe))
 
 

@@ -82,7 +82,7 @@ def instance_lines(seed: int):
     rng = random.Random(seed)
     for family_kind, fam in zip(FAMILY_KINDS, family_kinds(rng)):
         ctx = random_context(rng, fam.universe, max_objects=6)
-        for abstraction_kind, abstraction in zip(ABSTRACTION_KINDS, abstraction_kinds(rng, len(ctx.objects))):
+        for abstraction_kind, abstraction in zip(ABSTRACTION_KINDS, abstraction_kinds(rng, ctx.objects.size)):
             cfg = MinerConfig(fam, ctx, abstraction)
             yield f"{family_kind}/{abstraction_kind}\t{seed}\t{trace_digest(cfg)}"
 
