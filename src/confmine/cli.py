@@ -22,7 +22,6 @@ from . import miner as miner_mod
 from . import oracle as oracle_mod
 from .confluence import is_confluence
 from .order import PosetError, load_poset
-from .patterns import Universe
 
 VALIDATION_EXIT = 1
 PARSE_EXIT = 2
@@ -119,7 +118,8 @@ def _load_instance(
     return family, context, abstraction
 
 
-def _concept_line(concept, universe: Universe, context, fmt: str) -> str:
+def _concept_line(concept, context, fmt: str) -> str:
+    universe = context.universe
     if fmt == "json":
         return json.dumps(
             {
@@ -167,7 +167,7 @@ def mine_command(fmt, sorted_output, emit_empty_support, **source):
         concepts = sorted(concepts, key=lambda c: (" ".join(universe.names_of(c.intent)), c.extent))
     write = sys.stdout.write  # one line per concept as it arrives, no flush
     for concept in concepts:
-        write(_concept_line(concept, universe, context, fmt) + "\n")
+        write(_concept_line(concept, context, fmt) + "\n")
 
 
 @main.command("basis")

@@ -51,14 +51,17 @@ def equivalence_classes(
     Closed members are the support-closure fixpoints: each member lies above a
     generator of its class and shares its closure, and a generator's closure
     is projected from the class extent, its plain support, so no support is
-    computed again and no abstraction is applied.
+    computed again and no abstraction is applied.  Beside the classes it
+    holds one reference per member, in a list per support set that is sorted
+    in place and dropped once its class is made; ``members`` is not changed.
     """
     by_extent: dict[int, list[int]] = {}
     for t, extent in zip(members, extensions(ctx, members)):
         by_extent.setdefault(extent, []).append(t)
     classes = []
     for extent in sorted(by_extent):
-        group = sorted(by_extent[extent])
+        group = by_extent.pop(extent)
+        group.sort()
         generators = minimal_masks(group)
         closed = {closure(ctx, fam, g, extent, checked=False) for g in generators}
         classes.append(EquivalenceClass(extent, tuple(group), generators, tuple(sorted(closed))))
@@ -71,7 +74,9 @@ def minmax_basis(
     """Every generator -> closed pairing within a support class, premise !=
     conclusion, sorted; ``members`` as for ``equivalence_classes``."""
     basis = []
-    for cls in equivalence_classes(ctx, fam, members):
+    classes = equivalence_classes(ctx, fam, members)
+    while classes:
+        cls = classes.pop()  # dropped once listed: the basis is sorted at the end
         for p in cls.generators:
             for q in cls.closed:
                 if p == q:

@@ -4,14 +4,16 @@ random family of each kind and one abstraction of each shape, plus the
 meet closure used to build closure ranges, a vertex instance written in the
 CLI file formats, a minimum-size vertex instance with many minimals, a
 context with a fixed number of items per object, the Python lines the
-library runs in a call and per closure, and a reference copy of the miner's
-traversal with the item exclusion mask.
+library runs in a call and per closure, the memory a call peaks at and
+keeps, and a reference copy of the miner's traversal with the item exclusion
+mask.
 
 Imported by the tests; pytest does not collect it.
 """
 
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
@@ -125,6 +127,20 @@ def traced_lines(fn):
     finally:
         sys.settrace(previous)
     return result, lines
+
+
+def traced_peak(fn) -> tuple[int, int]:
+    """The ``tracemalloc`` peak while ``fn()`` runs and the memory still
+    allocated when it returns, its result included, both in bytes allocated
+    since the call began; what existed before the call is not counted."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()  # held while measured, so what it keeps counts
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before, kept - before
 
 
 def lines_per_closure(cfg: MinerConfig) -> float:

@@ -8,6 +8,7 @@ import pytest
 import confmine as cm
 from confmine.families import ExplicitFamily, FamilyError, ParseError
 from confmine.fca import (
+    TIDSET_BLOCK,
     ContextError,
     anchor_minimal,
     context_from_rows,
@@ -172,6 +173,23 @@ class TestTidsetTransposition:
         rng = random.Random(seed)
         w = rng.randint(1, 100)
         ctx = rows_context(rng, rng.randint(0, 300), w, rng.randint(0, w))
+        assert ctx.tids == tids_by_pairs(ctx)
+
+    @pytest.mark.parametrize(
+        "n", [0, TIDSET_BLOCK - 1, TIDSET_BLOCK, TIDSET_BLOCK + 1, 2 * TIDSET_BLOCK + 1]
+    )
+    def test_block_boundaries(self, n):
+        # the rows are transposed TIDSET_BLOCK at a time: no block, a full
+        # block, one row past it, and a third block of one row
+        ctx = rows_context(random.Random(n), n, 70, 9)
+        assert ctx.tids == tids_by_pairs(ctx)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_contexts_wider_than_a_block(self, seed):
+        rng = random.Random(seed)
+        w = rng.randint(1, 100)
+        n = rng.randint(TIDSET_BLOCK + 1, 3 * TIDSET_BLOCK)
+        ctx = rows_context(rng, n, w, rng.randint(0, w))
         assert ctx.tids == tids_by_pairs(ctx)
 
 

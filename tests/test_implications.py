@@ -11,7 +11,12 @@ from confmine.oracle import materialize, oracle_closed_set
 from confmine.patterns import is_subset
 
 from conftest import build_context
-from randomized import random_context, random_explicit_subconfluence, random_graph
+from randomized import (
+    random_context,
+    random_explicit_subconfluence,
+    random_graph,
+    random_vertex_instance,
+)
 
 
 def fmt_basis(universe, basis):
@@ -184,6 +189,25 @@ class TestMinMaxBasis:
             for imp in basis:
                 closed = cm.intension(ctx, cm.extension(ctx, imp.premise))
                 assert imp.conclusion == closed
+
+
+class TestMembersArgument:
+    """The support classes group and sort lists of their own: the caller's
+    members are left as given, whatever their sequence type and order."""
+
+    @pytest.mark.parametrize("route", ["equivalence_classes", "minmax_basis"])
+    @pytest.mark.parametrize("shape", ["list", "tuple", "shuffled list"])
+    def test_members_left_as_given(self, route, shape):
+        cfg = random_vertex_instance(5, 10, 14, 12)
+        members = materialize(cfg.family)
+        if shape == "tuple":
+            members = tuple(members)
+        elif shape == "shuffled list":
+            random.Random(5).shuffle(members)
+        given = list(members)
+        assert len(getattr(cm, route)(cfg.context, cfg.family, members)) > 1
+        assert len(members) == len(given)
+        assert all(a is b for a, b in zip(members, given))
 
 
 class TestImplicationRecord:
