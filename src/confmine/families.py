@@ -20,7 +20,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .order import Verdict
-from .patterns import Universe, content_lines, is_subset, iter_indices, mask_of, minimal_masks, or_rows, reach
+from .patterns import Universe, content_lines, is_subset, iter_indices, mask_of, minimal_masks, or_rows, pick_rows, reach
 
 
 class FamilyError(ValueError):
@@ -269,7 +269,7 @@ class ConnectedFamily(PatternFamily):
     def augmentations(self, pattern: int) -> list[int]:
         # Exactly the items adjacent to a member: adding one keeps it connected
         # (and above the size bound), adding any other disconnects it.
-        return list(iter_indices(or_rows(pattern, self._adj) & ~pattern))
+        return pick_rows(or_rows(pattern, self._adj) & ~pattern, range(self.universe.size))
 
     @cached_property
     def _components(self) -> tuple[int, ...]:

@@ -183,11 +183,14 @@ def anchor_minimal(fam: PatternFamily, pattern: int) -> int:
     outside the universe hold no minimal and have no group, so are not walked.
     """
     groups = fam.minimals_by_top
-    outside = ~pattern  # is_subset inlined: this runs once per closure
-    for i in iter_indices(pattern & fam.universe.full_mask):
-        for m in groups[i + 1]:
+    outside = ~pattern  # is_subset and iter_indices inlined: this runs once per closure
+    rest = pattern & fam.universe.full_mask
+    while rest:
+        low = rest & -rest
+        for m in groups[low.bit_length()]:  # the group of item bit_length - 1
             if not m & outside:
                 return m
+        rest ^= low
     if groups[0]:  # the empty pattern is a member, so the only minimal
         return 0
     raise ValueError("family member lies above no minimal member")

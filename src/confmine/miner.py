@@ -18,6 +18,45 @@ closure, anchored at an earlier minimal, so it is not closed again.  The
 explicit stack is the path from the root closure down to the current closure,
 so tree depth is bounded by memory alone, not by Python's recursion limit.
 
+Two more rules skip a child c = q + e of a frame q, with no closure and no
+event, because the walk has already answered it.  Write S(t) for the abstract
+support of t, C(t) for its closure, and m for the subtree's root minimal.
+
+- **Root table.**  If S(c) last closed at a root m' to a pattern ``known``
+  and c ⊆ known, then C(c) = known.  With x = intension(S(c)), known =
+  project_m'(x) is a member inside x above c, so known ⊆ project_c(x) =
+  C(c); and C(c) ∪ known is a member (both contain the member c) inside x
+  above m', so C(c) ⊆ known.  No child has the support of m's own closure
+  p: its closure would be project_m(x) = p, which holds every frame but not
+  the child.  So m' is an earlier minimal, the anchor of known is at most
+  m' < m, and C(c) would be pruned.
+- **Tried items** (the exclusion rule of Boley et al., and LCM's prefix rule,
+  Uno et al., FIMI 2004).  Each frame carries ``tried``, the items its
+  ancestors looked up before the descent to it plus those it has looked up
+  itself; a child frame starts from its parent's mask, which by then holds
+  the child's own item, and no frame looks up an item in its mask.  Say an
+  ancestor a of q looked up e, not in q, before the descent towards q.
+  C(a + e) is a member inside intension(S(q + e)) ⊇ intension(S(a + e))
+  above a + e, and so is q + e; the greatest such member is C(q + e), so
+  C(q + e) ⊇ C(a + e).  If the anchor of C(a + e) is not m, C(q + e) holds
+  that earlier minimal and is pruned.  Otherwise C(a + e) was emitted, at a
+  or before it, by a frame off the path to q (it holds e), so that frame has
+  finished.  When a frame C finishes, every closure D ⊇ C anchored at m has
+  been emitted, by induction over finishing order: strong accessibility
+  gives an item f of D outside C with C + f a member, and C(C + f) ⊆ D is
+  anchored at m.  If C looked f up, C(C + f) was emitted there or before,
+  by a frame that has finished (the prune and the root-table cases would
+  put an earlier minimal in D).  If f was in C's mask, the ancestor that
+  looked f up emitted a closure inside C(C + f), by the argument above, and
+  its frame has finished.  Either way D lies above a closure whose frame
+  finished first.  So C(q + e), if anchored at m, was emitted already, and
+  its support is in ``closed``.
+
+Both rules drop only children that the loop without them closed just to
+prune them, or skipped by their support, so the emissions and their order
+stay the same: a support they leave out of ``closed`` is that of a pruned
+closure, and a later child with that support closes to it again.
+
 The family answers for its own strong accessibility
 (``PatternFamily.strongly_accessible``), checked once before the walk.  Every
 concept is emitted; one with extent 0, an empty abstract support, has a local
@@ -141,10 +180,17 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
     fam = cfg.family
     ctx = cfg.context
     tids = ctx.tids
-    apply = cfg.abstraction.apply
+    # The support test, bound once: generators take ``apply``; a threshold (0
+    # is the identity) is tested inline, with no call per look-up.
+    apply = None if cfg.abstraction.generators is None else cfg.abstraction.apply
+    threshold = cfg.abstraction.threshold
     root_closures: dict[int, int] = {}  # support -> last root closure made with it
     for m in fam.minimals():
-        support = apply(extension(ctx, m))
+        support = extension(ctx, m)
+        if apply is not None:
+            support = apply(support)
+        elif support.bit_count() < threshold:
+            support = 0
         known = root_closures.get(support)
         if known is not None and not m & ~known:
             yield MinimalEvent(m, False)
@@ -160,24 +206,38 @@ def _mine_trace_iter(cfg: MinerConfig) -> Iterator[TraceEvent]:
         # earlier minimal, whose subtree reached it, and is pruned.
         yield MineEvent(Concept(support, p, m), None)
         # Frames: (closed pattern q, its abstract support A, pending
-        # augmentations).  apply is an interior operator, so apply(A & t) ==
-        # apply(ext(q) & t).
+        # augmentations, tried mask).  The abstraction is an interior
+        # operator, so it maps A & t as it maps ext(q) & t.
         closed: set[int] = set()  # the supports closed so far in this subtree
-        stack = [(p, support, iter(fam.augmentations(p)))]
+        stack = [(p, support, iter(fam.augmentations(p)), 0)]
         while stack:
-            pattern, ext, pending = stack[-1]
+            pattern, ext, pending, tried = stack[-1]
             for e in pending:
-                child_support = apply(ext & tids[e])
+                bit = 1 << e
+                if tried & bit:  # the tried-items rule
+                    continue
+                tried |= bit
+                child_support = ext & tids[e]
+                if apply is not None:
+                    child_support = apply(child_support)
+                elif child_support.bit_count() < threshold:
+                    child_support = 0
                 if child_support in closed:
                     continue
+                child = pattern | bit
+                known = root_closures.get(child_support)
+                if known is not None and not child & ~known:  # the root-table rule
+                    continue
                 closed.add(child_support)
-                q = close_pattern(cfg, pattern | 1 << e, child_support)
+                q = close_pattern(cfg, child, child_support)
                 anchor = anchor_minimal(fam, q)
                 if anchor != m:
                     yield PruneEvent(q, pattern, anchor)
                     continue
                 yield MineEvent(Concept(child_support, q, m), pattern)
-                stack.append((q, child_support, iter(fam.augmentations(q))))
+                # The child starts from this mask; its own look-ups stay out of it.
+                stack[-1] = (pattern, ext, pending, tried)
+                stack.append((q, child_support, iter(fam.augmentations(q)), tried))
                 break
             else:
                 stack.pop()

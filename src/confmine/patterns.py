@@ -8,7 +8,9 @@ stands for the item (or object) with index i.  All set algebra is therefore
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -56,6 +58,17 @@ def and_rows(mask: int, rows: Sequence[int], acc: int) -> int:
         acc &= rows[low.bit_length() - 1]
         mask ^= low
     return acc
+
+
+def pick_rows(mask: int, rows: Sequence[T]) -> list[T]:
+    """``rows[i]`` for each set bit i of ``mask``, in increasing order: item
+    names for an output line, or item indices from a ``range``."""
+    picked = []
+    while mask:  # no generator: runs once per emitted concept and output line
+        low = mask & -mask
+        picked.append(rows[low.bit_length() - 1])
+        mask ^= low
+    return picked
 
 
 def is_subset(a: int, b: int) -> bool:
@@ -124,14 +137,12 @@ class Universe:
             m |= bits[name]
         return m
 
-    # List comprehensions, not generator expressions: CPython runs them faster,
-    # and the CLI formats every output line with these two methods.
     def names_of(self, mask: int) -> tuple[str, ...]:
-        return tuple([self.names[i] for i in iter_indices(mask)])
+        return tuple(pick_rows(mask, self.names))
 
     def format(self, mask: int) -> str:
         """Render a pattern as its item names in index order, ``{}`` if empty."""
-        return " ".join([self.names[i] for i in iter_indices(mask)]) or "{}"
+        return " ".join(pick_rows(mask, self.names)) or "{}"
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Universe) and self.names == other.names

@@ -313,12 +313,13 @@ GOLDEN_TRACES = {
         ("prune", "a b c d", "a c d", "a b", None, False),
         ("minimal", "a c", True),
     ],
+    # The child a1 a2 of a2 has the support o1, which the root a1 closed to
+    # a1 a2 itself, so it is skipped with no event.
     "kgap-4-2": [
         ("emit", "a1 a2", "o1", "a1", False, None),
         ("emit", "a1 a2 a3 a4", "{}", "a1", True, "a1 a2"),
         ("minimal", "a1", True),
         ("emit", "a2", "o1 o2", "a2", False, None),
-        ("prune", "a1 a2", "a2", "a1", None, False),
         ("emit", "a2 a3", "o2", "a2", False, "a2"),
         ("prune", "a1 a2 a3 a4", "a2 a3", "a1", None, False),
         ("minimal", "a2", True),
@@ -381,11 +382,11 @@ class TestGoldenTraces:
         digest of the whole trace."""
         trace = _render_trace(random_vertex_instance(2024, 20, 30, 50))
         prunes = [ev for ev in trace if ev[0] == "prune"]
-        assert Counter(ev[0] for ev in trace) == {"emit": 365, "prune": 348, "minimal": 20}
+        assert Counter(ev[0] for ev in trace) == {"emit": 365, "prune": 205, "minimal": 20}
         assert all(ev[3] is not None for ev in prunes)  # each blocked by a minimal
         assert not any(ev[5] for ev in prunes)  # at a root
         digest = hashlib.sha256(repr(trace).encode()).hexdigest()
-        assert digest == "1691aa14a50315d3b22bcab1da867fc39f89938b1ece99f5804c00780d1fa60d"
+        assert digest == "85062eb70ecca9b1386334ba8e3b3b67602372b24db39eb47de4cd153fa9b15f"
 
     def test_acceptance_09_instance_emissions(self):
         """The emissions alone on the same instance, pinned as they were
@@ -410,7 +411,7 @@ class TestGoldenTraces:
         for seed in range(40):
             for line in tool.instance_lines(seed):
                 h.update(f"{line}\n".encode())
-        assert h.hexdigest() == "8e2499d937974393502f7776a2f09fd2ee87a9ef4de809f15ffa727d4a961c0a"
+        assert h.hexdigest() == "111b92b187f3c60bde05dff634666ebcd16f9d696d3479a8d8a9e47e4dedf197"
 
 
 class TestQuadGraphMining:

@@ -1,12 +1,13 @@
-"""Bit-mask helpers: the row folds against a reference fold over the set bits,
-and the round trip between masks and index lists."""
+"""Bit-mask helpers: the row folds (OR, AND and the list of picked rows)
+against a reference fold over the set bits, the round trip between masks and
+index lists, and a universe's names of a mask."""
 
 import random
 from functools import reduce
 
 import pytest
 
-from confmine.patterns import Universe, and_rows, iter_indices, mask_of, or_rows
+from confmine.patterns import Universe, and_rows, iter_indices, mask_of, or_rows, pick_rows
 
 
 def reference_or(mask, rows):
@@ -33,6 +34,7 @@ class TestRowFolds:
             acc = rng.getrandbits(width) if rng.random() < 0.5 else full
             assert or_rows(mask, rows) == reference_or(mask, rows)
             assert and_rows(mask, rows, acc) == reference_and(mask, rows, acc)
+            assert pick_rows(mask, rows) == [rows[i] for i in iter_indices(mask)]
 
     def test_empty_mask(self):
         rows = (0b101, 0b011, 0b110)
@@ -40,11 +42,14 @@ class TestRowFolds:
         assert and_rows(0, rows, 0b1111) == 0b1111
         assert or_rows(0, ()) == 0
         assert and_rows(0, (), 7) == 7
+        assert pick_rows(0, rows) == []
+        assert pick_rows(0, ()) == []
 
     def test_single_bit(self):
         rows = (0b0011, 0b0110, 0b1100)
         for i, row in enumerate(rows):
             assert or_rows(1 << i, rows) == row
+            assert pick_rows(1 << i, rows) == [row]
             assert and_rows(1 << i, rows, 0b1111) == row
 
     def test_every_bit(self):
@@ -53,6 +58,8 @@ class TestRowFolds:
         every = (1 << len(rows)) - 1
         assert or_rows(every, rows) == reduce(lambda a, r: a | r, rows)
         assert and_rows(every, rows, (1 << 50) - 1) == reduce(lambda a, r: a & r, rows)
+        assert pick_rows(every, rows) == list(rows)
+        assert pick_rows(every, range(len(rows))) == list(range(len(rows)))
 
     def test_narrow_acc_bounds_the_result(self):
         rng = random.Random(11)
@@ -84,3 +91,11 @@ class TestUniverse:
 
     def test_repr(self):
         assert repr(Universe(["a", "b"])) == "Universe(['a', 'b'])"
+
+    def test_names_of_a_mask(self):
+        u = Universe(["a", "b", "c"])
+        assert u.format(0) == "{}"
+        assert u.names_of(0) == ()
+        assert u.format(0b101) == "a c"
+        assert u.names_of(0b110) == ("b", "c")
+        assert u.format(u.full_mask) == "a b c"

@@ -61,7 +61,7 @@ def edge_instance(seed: int, n_vertices: int) -> MinerConfig:
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_vertex_support_layer_scales_with_objects(seed):
-    # 50 -> 200 objects: measured 126-135 -> 154-164 lines, ratio 1.21-1.24
+    # 50 -> 200 objects: measured 142-149 -> 178-185 lines, ratio 1.23-1.25
     small = lines_per_closure(random_vertex_instance(seed, 14, 22, 50))
     large = lines_per_closure(random_vertex_instance(seed, 14, 22, 200))
     assert large / small <= 1.55
@@ -69,7 +69,7 @@ def test_vertex_support_layer_scales_with_objects(seed):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_edge_projection_scales_with_the_graph(seed):
-    # 12 -> 24 vertices: measured 113-124 -> 144-148 lines, ratio 1.19-1.27
+    # 12 -> 24 vertices: measured 124-133 -> 148-154 lines, ratio 1.13-1.24
     small = lines_per_closure(edge_instance(seed, 12))
     large = lines_per_closure(edge_instance(seed, 24))
     assert large / small <= 1.6
@@ -77,9 +77,9 @@ def test_edge_projection_scales_with_the_graph(seed):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_anchor_lookup_scales_with_the_minimals(seed):
-    # 24 -> 48 vertices, 396-448 -> 970-1005 minimals: measured 283-353 -> 242-247
-    # lines, ratio 0.70-0.86; a scan of every minimal per anchor measured
-    # 442-557 -> 755-827, ratio 1.48-1.79
+    # 24 -> 48 vertices, 396-448 -> 970-1005 minimals: measured 458-552 -> 299-324
+    # lines, ratio 0.59-0.66; a scan of every minimal per anchor measured
+    # 783-959 -> 985-1,115, ratio 1.16-1.36
     small = lines_per_closure(random_minsize_instance(seed, 24))
     large = lines_per_closure(random_minsize_instance(seed, 48))
     assert large / small <= 1.07
